@@ -75,7 +75,7 @@ ResponseState::correctableCount(PageId page) const
 }
 
 std::vector<PageId>
-sweepVictims(const PlacementMap &map, const PageProfile &profile,
+sweepVictims(const PlacementMap &map, const HotnessFn &hotness,
              std::uint64_t budget)
 {
     if (budget == 0)
@@ -89,9 +89,7 @@ sweepVictims(const PlacementMap &map, const PageProfile &profile,
     for (const PageId page : map.hbmPages()) {
         if (map.isPinned(page))
             continue;
-        const PageStats *stats = profile.find(page);
-        victims.push_back(
-            {page, stats == nullptr ? 0 : stats->hotness()});
+        victims.push_back({page, hotness(page)});
     }
     std::sort(victims.begin(), victims.end(),
               [](const Victim &a, const Victim &b) {

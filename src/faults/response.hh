@@ -21,12 +21,12 @@
 #define RAMP_FAULTS_RESPONSE_HH
 
 #include <cstdint>
+#include <functional>
 #include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
 #include "placement/map.hh"
-#include "placement/profile.hh"
 
 namespace ramp
 {
@@ -91,13 +91,16 @@ class ResponseState
     bool degraded_ = false;
 };
 
+/** Live access count of a page (zero when untouched). */
+using HotnessFn = std::function<std::uint64_t(PageId)>;
+
 /**
  * Emergency-demotion victims for a capacity-loss sweep: up to
  * `budget` unpinned HBM-resident pages, coldest first by the run's
- * live profile (untouched pages count zero), page id on ties.
+ * live hotness, page id on ties.
  */
 std::vector<PageId> sweepVictims(const PlacementMap &map,
-                                 const PageProfile &profile,
+                                 const HotnessFn &hotness,
                                  std::uint64_t budget);
 
 } // namespace ramp

@@ -43,6 +43,9 @@ class CoreModel
     /** The request to issue next (undefined when done). */
     const MemRequest &current() const { return (*trace_)[next_]; }
 
+    /** Index of current() in the core's trace. */
+    std::size_t position() const { return next_; }
+
     /**
      * Earliest cycle the next request may issue, given compute time
      * and the MSHR/ROB constraints resolved so far.

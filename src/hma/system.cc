@@ -86,37 +86,123 @@ HmaSystem::HmaSystem(const SystemConfig &config)
         ramp_fatal("system needs at least one core");
 }
 
-void
-HmaSystem::Residency::enter(PageId page, Cycle now)
+/**
+ * The hash-free access path. Before the first access, every
+ * request's page is interned once into a dense run-local slot (the
+ * AVF tracker's page index is that table) and the slot is stored
+ * next to the request. The access loop then reads its slot and
+ * touches only flat per-slot state: the cached placement entry
+ * handle, the read/write counts, the AVF line times. Epoch-time code
+ * (migration decisions, fault responses) still speaks PageId and
+ * pays one flat-table probe per page it moves.
+ *
+ * One RunState per worker thread is reused run after run, so its
+ * vectors keep their capacity instead of being reallocated.
+ */
+struct HmaSystem::RunState
 {
-    enteredAt[page] = now;
-}
+    /** hbmSince of a page that is not in HBM. */
+    static constexpr Cycle notInHbm = UINT64_MAX;
 
-void
-HmaSystem::Residency::leave(PageId page, Cycle now)
-{
-    const auto it = enteredAt.find(page);
-    if (it == enteredAt.end())
-        return;
-    accumulated[page] += now - it->second;
-    enteredAt.erase(it);
-}
+    struct Slot
+    {
+        /** Placement entry; taken at the page's first access. */
+        PlacementMap::Handle handle;
+        /** Live counts; the AVF is filled in at the end. */
+        PageStats stats;
+    };
 
-double
-HmaSystem::Residency::fraction(PageId page, Cycle makespan) const
-{
-    if (makespan == 0)
-        return 0.0;
-    Cycle total = 0;
-    const auto acc = accumulated.find(page);
-    if (acc != accumulated.end())
-        total += acc->second;
-    const auto open = enteredAt.find(page);
-    if (open != enteredAt.end())
-        total += makespan - std::min(makespan, open->second);
-    return std::min(1.0, static_cast<double>(total) /
-                             static_cast<double>(makespan));
-}
+    /** AVF by slot; its page index maps slot <-> PageId. */
+    AvfTracker avf;
+    /** Slot of every request, the cores' traces back to back. */
+    std::vector<std::uint32_t> requestSlot;
+    /** First requestSlot entry of each core. */
+    std::vector<std::size_t> coreBase;
+    std::vector<Slot> slots;
+    /** Slots in first-access order (the profile's insertion order). */
+    std::vector<std::uint32_t> touchOrder;
+    /** @{ @name HBM residency for the SER integral (Equation 2) */
+    std::vector<Cycle> hbmSince;  ///< start of the open HBM stay
+    std::vector<Cycle> hbmCycles; ///< closed HBM stays, summed
+    /** @} */
+
+    /** Intern the traces' pages and size every per-slot vector. */
+    void begin(const std::vector<CoreTrace> &traces,
+               const PlacementMap &placement)
+    {
+        avf.reset();
+        requestSlot.clear();
+        coreBase.clear();
+        touchOrder.clear();
+        std::size_t requests = 0;
+        for (const auto &trace : traces)
+            requests += trace.size();
+        requestSlot.reserve(requests);
+        for (const auto &trace : traces) {
+            coreBase.push_back(requestSlot.size());
+            for (const MemRequest &req : trace)
+                requestSlot.push_back(avf.addPage(pageOf(req.addr)));
+        }
+        const std::size_t pages = avf.touchedPages();
+        slots.assign(pages, Slot{});
+        touchOrder.reserve(pages);
+        hbmCycles.assign(pages, 0);
+        hbmSince.resize(pages);
+        for (std::uint32_t slot = 0; slot < pages; ++slot)
+            hbmSince[slot] =
+                placement.memoryOf(avf.index().page(slot)) ==
+                        MemoryId::HBM
+                    ? 0
+                    : notInHbm;
+    }
+
+    /** Slot of a page; PageIndex::none when the run never touches it. */
+    std::uint32_t slotOf(PageId page) const
+    {
+        return avf.index().find(page);
+    }
+
+    /** Live access count of a page (zero when untouched so far). */
+    std::uint64_t hotness(PageId page) const
+    {
+        const std::uint32_t slot = slotOf(page);
+        return slot == PageIndex::none ? 0
+                                       : slots[slot].stats.hotness();
+    }
+
+    /**
+     * A page entered HBM. Only the run's own pages count toward its
+     * SER, so other pages are ignored.
+     */
+    void enter(PageId page, Cycle now)
+    {
+        const std::uint32_t slot = slotOf(page);
+        if (slot != PageIndex::none)
+            hbmSince[slot] = now;
+    }
+
+    /** A page left HBM: close its open stay, if any. */
+    void leave(PageId page, Cycle now)
+    {
+        const std::uint32_t slot = slotOf(page);
+        if (slot == PageIndex::none || hbmSince[slot] == notInHbm)
+            return;
+        hbmCycles[slot] += now - hbmSince[slot];
+        hbmSince[slot] = notInHbm;
+    }
+
+    /** Fraction of [0, makespan) a slot's page spent in HBM. */
+    double hbmFraction(std::uint32_t slot, Cycle makespan) const
+    {
+        if (makespan == 0)
+            return 0.0;
+        Cycle total = hbmCycles[slot];
+        if (hbmSince[slot] != notInHbm)
+            total += makespan - std::min(makespan, hbmSince[slot]);
+        return std::min(1.0, static_cast<double>(total) /
+                                 static_cast<double>(makespan));
+    }
+};
 
 namespace
 {
@@ -125,11 +211,12 @@ namespace
 std::vector<Addr>
 pageLineAddrs(PlacementMap &map, PageId page)
 {
-    std::vector<Addr> addrs;
-    addrs.reserve(linesPerPage);
-    const Addr base = pageBase(page);
+    // One entry lookup: the page's lines are contiguous in its frame.
+    const Addr base =
+        map.deviceAddr(map.handleOf(page), pageBase(page));
+    std::vector<Addr> addrs(linesPerPage);
     for (std::uint64_t l = 0; l < linesPerPage; ++l)
-        addrs.push_back(map.deviceAddr(base + l * lineSize));
+        addrs[l] = base + l * lineSize;
     return addrs;
 }
 
@@ -154,8 +241,7 @@ HmaSystem::scheduleTransfer(Cycle &next_slot,
 void
 HmaSystem::applyDecision(PlacementMap &map,
                          const MigrationDecision &decision, Cycle now,
-                         Residency &residency,
-                         std::deque<MigOp> &transfers)
+                         RunState &run, std::deque<MigOp> &transfers)
 {
     // Pace this decision's copies after any still-draining ones.
     Cycle next_slot = now;
@@ -167,7 +253,7 @@ HmaSystem::applyDecision(PlacementMap &map,
         auto src_addrs = pageLineAddrs(map, page);
         if (!map.evictToDdr(page))
             continue;
-        residency.leave(page, now);
+        run.leave(page, now);
         scheduleTransfer(next_slot, src_addrs, MemoryId::HBM,
                          pageLineAddrs(map, page), MemoryId::DDR,
                          transfers);
@@ -178,8 +264,8 @@ HmaSystem::applyDecision(PlacementMap &map,
         auto ddr_addrs = pageLineAddrs(map, ddr_page);
         if (!map.swap(hbm_page, ddr_page))
             continue;
-        residency.leave(hbm_page, now);
-        residency.enter(ddr_page, now);
+        run.leave(hbm_page, now);
+        run.enter(ddr_page, now);
         // Out-of-HBM copy and into-HBM copy; frames were exchanged,
         // so the new device addresses are the old partner's.
         scheduleTransfer(next_slot, hbm_addrs, MemoryId::HBM,
@@ -194,7 +280,7 @@ HmaSystem::applyDecision(PlacementMap &map,
         auto src_addrs = pageLineAddrs(map, page);
         if (!map.promoteToHbm(page))
             continue;
-        residency.enter(page, now);
+        run.enter(page, now);
         scheduleTransfer(next_slot, src_addrs, MemoryId::DDR,
                          pageLineAddrs(map, page), MemoryId::HBM,
                          transfers);
@@ -224,9 +310,9 @@ HmaSystem::applyDecision(PlacementMap &map,
         for (std::size_t i = 0; i < movable.size(); ++i) {
             const PageId page = movable[i];
             if (dst == MemoryId::HBM)
-                residency.enter(page, now);
+                run.enter(page, now);
             else
-                residency.leave(page, now);
+                run.leave(page, now);
             scheduleTransfer(next_slot, src_addrs[i], src,
                              pageLineAddrs(map, page), dst,
                              transfers);
@@ -267,8 +353,7 @@ HmaSystem::applyFaultEpoch(FaultInjector &injector,
                            std::uint64_t epoch, Cycle now,
                            PlacementMap &map, MigrationEngine *engine,
                            ResponseState &response, SimResult &result,
-                           Residency &residency,
-                           std::deque<MigOp> &transfers)
+                           RunState &run, std::deque<MigOp> &transfers)
 {
     const auto faults = injector.onEpoch(epoch);
 
@@ -341,17 +426,15 @@ HmaSystem::applyFaultEpoch(FaultInjector &injector,
             RAMP_TELEM(systemTelemetry().faultsRetired.add(1));
             if (outcome.from == MemoryId::HBM &&
                 outcome.to == MemoryId::DDR)
-                residency.leave(fault.page, now);
+                run.leave(fault.page, now);
             else if (outcome.from == MemoryId::DDR &&
                      outcome.to == MemoryId::HBM)
-                residency.enter(fault.page, now);
+                run.enter(fault.page, now);
             // Salvage copy onto the fresh frame (same tier when the
             // survivor was full; the remap is then owed and retried).
             scheduleTransfer(next_slot, src_addrs, outcome.from,
                              pageLineAddrs(map, fault.page),
                              outcome.to, transfers);
-            const PageStats *stats =
-                result.profile.find(fault.page);
             RAMP_EVLOG({
                 eventlog::EventRecord record;
                 record.kind = eventlog::EventKind::Retire;
@@ -361,13 +444,17 @@ HmaSystem::applyFaultEpoch(FaultInjector &injector,
                 record.partner = invalidPage;
                 record.src = eventlog::tierOf(outcome.from);
                 record.dst = eventlog::tierOf(outcome.to);
-                record.hotness =
-                    stats == nullptr
-                        ? 0.0f
-                        : static_cast<float>(stats->hotness());
-                record.avf = stats == nullptr
-                                 ? 0.0f
-                                 : static_cast<float>(stats->avf);
+                // The page's live hotness and running AVF: ACE so
+                // far over the window so far (Equation 1 at `now`).
+                const std::uint32_t slot = run.slotOf(fault.page);
+                if (slot != PageIndex::none && now > 0) {
+                    record.hotness = static_cast<float>(
+                        run.slots[slot].stats.hotness());
+                    record.avf = static_cast<float>(
+                        static_cast<double>(run.avf.aceOf(slot)) /
+                        (static_cast<double>(linesPerPage) *
+                         static_cast<double>(now)));
+                }
                 eventlog::emit(record);
             });
             if (outcome.crossedTier) {
@@ -437,7 +524,7 @@ HmaSystem::applyFaultEpoch(FaultInjector &injector,
             const auto src_addrs = pageLineAddrs(map, page);
             map.moveRange(page, 1, MemoryId::HBM);
             map.pinRange(page, 1);
-            residency.enter(page, now);
+            run.enter(page, now);
             scheduleTransfer(next_slot, src_addrs, MemoryId::DDR,
                              pageLineAddrs(map, page),
                              MemoryId::HBM, transfers);
@@ -490,14 +577,15 @@ HmaSystem::applyFaultEpoch(FaultInjector &injector,
     if (backlog > 0) {
         const std::uint64_t budget = std::min<std::uint64_t>(
             backlog, injector.config().sweepCapPages);
-        const auto victims =
-            sweepVictims(map, result.profile, budget);
+        const auto victims = sweepVictims(
+            map, [&](PageId page) { return run.hotness(page); },
+            budget);
         std::uint64_t swept = 0;
         for (const PageId page : victims) {
             const auto src_addrs = pageLineAddrs(map, page);
             if (map.moveRange(page, 1, MemoryId::DDR) == 0)
                 continue;
-            residency.leave(page, now);
+            run.leave(page, now);
             scheduleTransfer(next_slot, src_addrs, MemoryId::HBM,
                              pageLineAddrs(map, page),
                              MemoryId::DDR, transfers);
@@ -564,11 +652,9 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
     RAMP_PROF_SCOPE_PMU(run_prof, "hma.run");
 
     SimResult result;
-    AvfTracker avf;
-    Residency residency;
-
-    for (const PageId page : placement.hbmPages())
-        residency.enter(page, 0);
+    // Runs never nest on a thread, so each worker owns one state.
+    static thread_local RunState run;
+    run.begin(traces, placement);
 
     std::vector<CoreModel> cores;
     cores.reserve(traces.size());
@@ -668,7 +754,7 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
                     RAMP_PROF_SCOPE(fault_prof, "hma.fault_epoch");
                     applyFaultEpoch(*injector, inject_epoch,
                                     next_inject, placement, engine,
-                                    response, result, residency,
+                                    response, result, run,
                                     transfers);
                 }
                 RAMP_HEALTH({
@@ -720,7 +806,7 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
                 });
                 last_epoch = next_boundary;
                 applyDecision(placement, decision, next_boundary,
-                              residency, transfers);
+                              run, transfers);
                 RAMP_HEALTH(health_sample(
                     next_boundary / engine->interval(),
                     decision.pagesMoved()));
@@ -731,7 +817,17 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
 
         const MemRequest &req = core.current();
         const PageId page = pageOf(req.addr);
-        const MemoryId mem = placement.memoryOf(page);
+        const std::uint32_t slot =
+            run.requestSlot[run.coreBase[core_idx] + core.position()];
+        RunState::Slot &state = run.slots[slot];
+        if (!state.handle) {
+            // Insert the entry at the page's first access, not at
+            // interning: hbmPages() order, which cc-migration's
+            // capped eviction list follows, is insertion order.
+            state.handle = placement.handleOf(page);
+            run.touchOrder.push_back(slot);
+        }
+        const MemoryId mem = placement.memoryOf(state.handle);
 
         if (engine != nullptr)
             engine->onAccess(page, req.isWrite, mem);
@@ -740,10 +836,12 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
         const Cycle penalty =
             engine != nullptr ? engine->remapPenalty(page) : 0;
 
-        avf.onAccess(req.addr, req.isWrite, issue_t);
-        result.profile.recordAccess(page, req.isWrite);
+        run.avf.onAccess(slot, lineInPage(req.addr), req.isWrite,
+                         issue_t);
+        ++(req.isWrite ? state.stats.writes : state.stats.reads);
 
-        const Addr dev_addr = placement.deviceAddr(req.addr);
+        const Addr dev_addr =
+            placement.deviceAddr(state.handle, req.addr);
         DramMemory &dram = mem == MemoryId::HBM ? hbm_ : ddr_;
         const Cycle completion =
             dram.access(issue_t + penalty, dev_addr, req.isWrite);
@@ -785,16 +883,22 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
             : result.hbmAccessFraction /
                   static_cast<double>(result.requests);
 
-    avf.finalize(result.makespan);
-    result.memoryAvf = avf.memoryAvf();
-    for (const auto &[page, page_avf] : avf.pageAvfs())
-        result.profile.setAvf(page, page_avf);
+    run.avf.finalize(result.makespan);
+    result.memoryAvf = run.avf.memoryAvf();
+    // Insert in first-access order: the profile's iteration order,
+    // and so the floating-point SER sum below, follow insertion order
+    // (DESIGN.md §16).
+    for (const std::uint32_t slot : run.touchOrder) {
+        PageStats &stats = run.slots[slot].stats;
+        stats.avf = run.avf.slotAvf(slot);
+        result.profile.setStats(run.avf.index().page(slot), stats);
+    }
 
     // Residency-weighted Equation 2.
     const SerParams &ser = config_.ser;
     for (const auto &[page, stats] : result.profile.pages()) {
         const double in_hbm =
-            residency.fraction(page, result.makespan);
+            run.hbmFraction(run.slotOf(page), result.makespan);
         result.ser += stats.avf *
                       (ser.fitPerPage(MemoryId::HBM) * in_hbm +
                        ser.fitPerPage(MemoryId::DDR) *

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <deque>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dram/memory.hh"
@@ -155,16 +154,12 @@ class HmaSystem
         bool isWrite;
     };
 
-    /** Per-page HBM residency bookkeeping for the SER integral. */
-    struct Residency
-    {
-        std::unordered_map<PageId, Cycle> enteredAt;
-        std::unordered_map<PageId, Cycle> accumulated;
-
-        void enter(PageId page, Cycle now);
-        void leave(PageId page, Cycle now);
-        double fraction(PageId page, Cycle makespan) const;
-    };
+    /**
+     * Per-page state of one run — AVF, read/write counts, HBM
+     * residency and placement handles — in flat vectors indexed by
+     * dense run-local slot (defined in system.cc).
+     */
+    struct RunState;
 
     /**
      * Apply a migration decision: move the pages in the map, update
@@ -173,8 +168,7 @@ class HmaSystem
      */
     void applyDecision(PlacementMap &map,
                        const MigrationDecision &decision, Cycle now,
-                       Residency &residency,
-                       std::deque<MigOp> &transfers);
+                       RunState &run, std::deque<MigOp> &transfers);
 
     /** Schedule one page copy as paced line transfers. */
     void scheduleTransfer(Cycle &next_slot,
@@ -194,8 +188,7 @@ class HmaSystem
                          std::uint64_t epoch, Cycle now,
                          PlacementMap &map, MigrationEngine *engine,
                          ResponseState &response, SimResult &result,
-                         Residency &residency,
-                         std::deque<MigOp> &transfers);
+                         RunState &run, std::deque<MigOp> &transfers);
 
     SystemConfig config_;
     DramMemory hbm_;

@@ -49,15 +49,6 @@ PlacementMap::memoryOf(PageId page) const
     return it == entries_.end() ? MemoryId::DDR : it->second.mem;
 }
 
-Addr
-PlacementMap::deviceAddr(Addr addr)
-{
-    auto &entry = entryOf(pageOf(addr));
-    if (entry.frame == UINT64_MAX)
-        entry.frame = allocFrame(entry.mem);
-    return entry.frame * pageSize + addr % pageSize;
-}
-
 void
 PlacementMap::place(PageId page, MemoryId mem)
 {

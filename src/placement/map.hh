@@ -46,6 +46,8 @@ struct RetireOutcome
 /** Page-to-memory assignment with frame allocation. */
 class PlacementMap
 {
+    struct Entry;
+
   public:
     /** Build an empty map with the given HBM capacity. */
     explicit PlacementMap(std::uint64_t hbm_capacity_pages);
@@ -57,7 +59,42 @@ class PlacementMap
      * Device-local byte address of an access, allocating the page's
      * frame on first touch.
      */
-    Addr deviceAddr(Addr addr);
+    Addr deviceAddr(Addr addr)
+    {
+        return deviceAddr(handleOf(pageOf(addr)), addr);
+    }
+
+    /** @{ @name Entry handles (hash-free access path)
+     *
+     * A handle names one page's entry. Entries are never erased and
+     * unordered_map nodes never move, so a handle stays valid for
+     * the map's lifetime and follows every later swap, migration and
+     * retirement of its page. Taking a handle inserts the page's
+     * entry exactly like deviceAddr() does; a caller that takes it
+     * at the page's first access keeps the map's insertion order,
+     * and so hbmPages() order, unchanged.
+     */
+    class Handle
+    {
+      public:
+        Handle() = default;
+        explicit operator bool() const { return entry_ != nullptr; }
+
+      private:
+        friend class PlacementMap;
+        explicit Handle(Entry *entry) : entry_(entry) {}
+        Entry *entry_ = nullptr;
+    };
+
+    /** Handle of a page's entry (inserting it when absent). */
+    Handle handleOf(PageId page) { return Handle(&entryOf(page)); }
+
+    /** Memory currently holding the handle's page. */
+    MemoryId memoryOf(Handle page) const;
+
+    /** deviceAddr() for an access to the handle's page. */
+    Addr deviceAddr(Handle page, Addr addr);
+    /** @} */
 
     /**
      * Place a page in a memory (initial placement). Placing into a
@@ -223,6 +260,21 @@ class PlacementMap
     std::uint64_t nextHbmFrame_ = 0;
     std::uint64_t nextDdrFrame_ = 0;
 };
+
+inline MemoryId
+PlacementMap::memoryOf(Handle page) const
+{
+    return page.entry_->mem;
+}
+
+inline Addr
+PlacementMap::deviceAddr(Handle page, Addr addr)
+{
+    Entry &entry = *page.entry_;
+    if (entry.frame == UINT64_MAX)
+        entry.frame = allocFrame(entry.mem);
+    return entry.frame * pageSize + addr % pageSize;
+}
 
 } // namespace ramp
 

@@ -6,17 +6,9 @@ namespace ramp
 {
 
 void
-AvfTracker::onAccess(Addr addr, bool is_write, Cycle now)
+AvfTracker::accessAfterFinalize()
 {
-    if (finalized())
-        ramp_panic("AvfTracker accessed after finalize");
-    auto &line = pages_[pageOf(addr)].lines[lineInPage(addr)];
-    if (!is_write && now > line.lastAccess) {
-        // The line had to survive since its previous access (or its
-        // initialisation at t = 0) for this read to be correct.
-        line.aceTime += now - line.lastAccess;
-    }
-    line.lastAccess = now;
+    ramp_panic("AvfTracker accessed after finalize");
 }
 
 void
@@ -30,19 +22,22 @@ AvfTracker::finalize(Cycle end_time)
 }
 
 double
+AvfTracker::slotAvf(std::uint32_t slot) const
+{
+    if (!finalized())
+        ramp_panic("slotAvf before finalize");
+    return static_cast<double>(ace_[slot]) /
+           (static_cast<double>(linesPerPage) *
+            static_cast<double>(totalTime_));
+}
+
+double
 AvfTracker::pageAvf(PageId page) const
 {
     if (!finalized())
         ramp_panic("pageAvf before finalize");
-    const auto it = pages_.find(page);
-    if (it == pages_.end())
-        return 0.0;
-    Cycle ace = 0;
-    for (const auto &line : it->second.lines)
-        ace += line.aceTime;
-    return static_cast<double>(ace) /
-           (static_cast<double>(linesPerPage) *
-            static_cast<double>(totalTime_));
+    const std::uint32_t slot = index_.find(page);
+    return slot == PageIndex::none ? 0.0 : slotAvf(slot);
 }
 
 double
@@ -50,34 +45,34 @@ AvfTracker::memoryAvf() const
 {
     if (!finalized())
         ramp_panic("memoryAvf before finalize");
-    if (pages_.empty())
+    if (ace_.empty())
         return 0.0;
-    double sum = 0;
-    for (const auto &[page, state] : pages_) {
-        Cycle ace = 0;
-        for (const auto &line : state.lines)
-            ace += line.aceTime;
-        sum += static_cast<double>(ace);
-    }
-    return sum / (static_cast<double>(linesPerPage) *
-                  static_cast<double>(totalTime_) *
-                  static_cast<double>(pages_.size()));
+    // Integer sum: exact, so independent of page order.
+    Cycle sum = 0;
+    for (const Cycle ace : ace_)
+        sum += ace;
+    return static_cast<double>(sum) /
+           (static_cast<double>(linesPerPage) *
+            static_cast<double>(totalTime_) *
+            static_cast<double>(ace_.size()));
 }
 
 std::vector<std::pair<PageId, double>>
 AvfTracker::pageAvfs() const
 {
     std::vector<std::pair<PageId, double>> result;
-    result.reserve(pages_.size());
-    for (const auto &[page, state] : pages_)
-        result.emplace_back(page, pageAvf(page));
+    result.reserve(ace_.size());
+    for (std::uint32_t slot = 0; slot < ace_.size(); ++slot)
+        result.emplace_back(index_.page(slot), slotAvf(slot));
     return result;
 }
 
 void
 AvfTracker::reset()
 {
-    pages_.clear();
+    index_.clear();
+    lastAccess_.clear();
+    ace_.clear();
     totalTime_ = 0;
 }
 

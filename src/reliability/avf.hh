@@ -16,20 +16,74 @@
 #define RAMP_RELIABILITY_AVF_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/page_index.hh"
 #include "common/types.hh"
 
 namespace ramp
 {
 
-/** Per-line ACE interval accumulator composed to page AVF. */
+/**
+ * Per-line ACE interval accumulator composed to page AVF.
+ *
+ * Storage is slot-indexed: the tracker's page index interns each
+ * touched page into a dense slot, and each slot holds its 64 lines'
+ * last-access times plus one ACE sum for the whole page (page AVF
+ * only ever needs the sum over its lines).
+ */
 class AvfTracker
 {
   public:
+    /** @{ @name Slot entry point (the simulator's access loop)
+     *
+     * A caller interns each page once with addPage(), keeps the
+     * slot, and then records accesses by slot without hashing.
+     */
+
+    /** Slot of a page, registering it (as touched) on first sight. */
+    std::uint32_t addPage(PageId page)
+    {
+        const std::uint32_t slot = index_.intern(page);
+        if (slot == ace_.size()) {
+            ace_.push_back(0);
+            lastAccess_.resize(lastAccess_.size() + linesPerPage, 0);
+        }
+        return slot;
+    }
+
+    /** Record one access to line `line` of a registered slot. */
+    void onAccess(std::uint32_t slot, std::uint64_t line,
+                  bool is_write, Cycle now)
+    {
+        if (finalized())
+            accessAfterFinalize();
+        Cycle &last = lastAccess_[slot * linesPerPage + line];
+        if (!is_write && now > last) {
+            // The line had to survive since its previous access (or
+            // its initialisation at t = 0) for this read to be
+            // correct.
+            ace_[slot] += now - last;
+        }
+        last = now;
+    }
+
+    /** The tracker's page index (slot <-> PageId). */
+    const PageIndex &index() const { return index_; }
+
+    /** ACE line-cycles a slot has accumulated so far. */
+    Cycle aceOf(std::uint32_t slot) const { return ace_[slot]; }
+
+    /** AVF of a slot in [0, 1] (after finalize). */
+    double slotAvf(std::uint32_t slot) const;
+    /** @} */
+
     /** Record one memory access at the given time. */
-    void onAccess(Addr addr, bool is_write, Cycle now);
+    void onAccess(Addr addr, bool is_write, Cycle now)
+    {
+        onAccess(addPage(pageOf(addr)), lineInPage(addr), is_write,
+                 now);
+    }
 
     /**
      * Close the measurement window. Tail intervals are dead; the
@@ -44,31 +98,26 @@ class AvfTracker
     /** Footprint-mean AVF over all touched pages. */
     double memoryAvf() const;
 
-    /** All touched pages with their AVF. */
+    /** All touched pages with their AVF, in slot order. */
     std::vector<std::pair<PageId, double>> pageAvfs() const;
 
     /** Number of touched pages. */
-    std::size_t touchedPages() const { return pages_.size(); }
+    std::size_t touchedPages() const { return ace_.size(); }
 
     /** True once finalize() has been called. */
     bool finalized() const { return totalTime_ > 0; }
 
-    /** Reset to an empty, unfinalised tracker. */
+    /** Reset to an empty, unfinalised tracker (capacity is kept). */
     void reset();
 
   private:
-    struct LineState
-    {
-        Cycle lastAccess = 0;
-        Cycle aceTime = 0;
-    };
+    [[noreturn]] static void accessAfterFinalize();
 
-    struct PageState
-    {
-        LineState lines[linesPerPage];
-    };
-
-    std::unordered_map<PageId, PageState> pages_;
+    PageIndex index_;
+    /** Last access per line: slot * linesPerPage + line. */
+    std::vector<Cycle> lastAccess_;
+    /** ACE sum over the page's lines, per slot. */
+    std::vector<Cycle> ace_;
     Cycle totalTime_ = 0;
 };
 

@@ -53,8 +53,23 @@ FixedHistogram::bucketOf(double x) const
 void
 FixedHistogram::add(double x, std::uint64_t count)
 {
-    counts_[bucketOf(x)] += count;
+    addToBucket(bucketOf(x), count);
+    if (count > 0)
+        widenRange(x, x);
+}
+
+void
+FixedHistogram::addToBucket(std::size_t i, std::uint64_t count)
+{
+    counts_[i] += count;
     total_ += count;
+}
+
+void
+FixedHistogram::widenRange(double lo, double hi)
+{
+    min_ = std::min(min_, lo);
+    max_ = std::max(max_, hi);
 }
 
 double
@@ -63,6 +78,11 @@ FixedHistogram::percentile(double q) const
     if (total_ == 0)
         return std::numeric_limits<double>::quiet_NaN();
     q = std::clamp(q, 0.0, 1.0);
+    // No sample lies outside [min, max] (infinite when a caller
+    // filled buckets without a range), so neither may a quantile.
+    const auto clamped = [&](double value) {
+        return min_ <= max_ ? std::clamp(value, min_, max_) : value;
+    };
     // The continuous rank the quantile lands on; walk the
     // cumulative counts to the bucket containing it.
     const double target = q * static_cast<double>(total_);
@@ -76,15 +96,14 @@ FixedHistogram::percentile(double q) const
             continue;
         const double fraction =
             (target - before) / static_cast<double>(counts_[i]);
-        return edges_[i] +
-               (edges_[i + 1] - edges_[i]) *
-                   std::clamp(fraction, 0.0, 1.0);
+        return clamped(edges_[i] + (edges_[i + 1] - edges_[i]) *
+                                       std::clamp(fraction, 0.0, 1.0));
     }
     // All samples sit below the target rank only through rounding;
     // the quantile is the top of the last occupied bucket.
     for (std::size_t i = counts_.size(); i-- > 0;)
         if (counts_[i] != 0)
-            return edges_[i + 1];
+            return clamped(edges_[i + 1]);
     return std::numeric_limits<double>::quiet_NaN();
 }
 
@@ -96,6 +115,7 @@ FixedHistogram::merge(const FixedHistogram &other)
     for (std::size_t i = 0; i < counts_.size(); ++i)
         counts_[i] += other.counts_[i];
     total_ += other.total_;
+    widenRange(other.min_, other.max_);
 }
 
 void
@@ -103,6 +123,8 @@ FixedHistogram::reset()
 {
     std::fill(counts_.begin(), counts_.end(), 0);
     total_ = 0;
+    min_ = std::numeric_limits<double>::infinity();
+    max_ = -std::numeric_limits<double>::infinity();
 }
 
 } // namespace ramp::telemetry

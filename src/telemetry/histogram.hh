@@ -10,7 +10,9 @@
  * are defined by an explicit edge vector (edges[i], edges[i+1]) —
  * linear() builds the common equal-width layout — and samples
  * outside the range clamp to the end buckets, matching the
- * convention the paper's write-ratio figures use.
+ * convention the paper's write-ratio figures use. The smallest and
+ * largest samples are tracked too, and percentiles are clamped to
+ * them, so a quantile is never a value no sample came near.
  */
 
 #ifndef RAMP_TELEMETRY_HISTOGRAM_HH
@@ -18,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace ramp::telemetry
@@ -52,6 +55,21 @@ class FixedHistogram
     /** Total samples added. */
     std::uint64_t total() const { return total_; }
 
+    /** @{ @name Sample extremes (+inf / -inf while empty) */
+    double min() const { return min_; }
+    double max() const { return max_; }
+
+    /**
+     * Widen the extremes to cover [lo, hi]. For callers that fill
+     * buckets through addToBucket() and track the extremes apart
+     * (the sharded telemetry metric).
+     */
+    void widenRange(double lo, double hi);
+    /** @} */
+
+    /** Add `count` samples to bucket i without a sample value. */
+    void addToBucket(std::size_t i, std::uint64_t count);
+
     /** Inclusive lower edge of bucket i. */
     double bucketLow(std::size_t i) const { return edges_[i]; }
 
@@ -70,9 +88,10 @@ class FixedHistogram
     /**
      * Value at quantile q in [0, 1], linearly interpolated inside
      * the bucket holding the q-th sample (the usual fixed-bucket
-     * estimate: exact at bucket edges, linear between them). NaN
-     * when the histogram is empty — an empty distribution has no
-     * quantiles, and emitters render NaN as JSON null.
+     * estimate: exact at bucket edges, linear between them), then
+     * clamped to [min(), max()]. NaN when the histogram is empty —
+     * an empty distribution has no quantiles, and emitters render
+     * NaN as JSON null.
      */
     double percentile(double q) const;
 
@@ -95,13 +114,15 @@ class FixedHistogram
         return edges_ == other.edges_;
     }
 
-    /** Zero every bucket. */
+    /** Zero every bucket and forget the extremes. */
     void reset();
 
   private:
     std::vector<double> edges_;
     std::vector<std::uint64_t> counts_;
     std::uint64_t total_ = 0;
+    double min_ = std::numeric_limits<double>::infinity();
+    double max_ = -std::numeric_limits<double>::infinity();
 };
 
 } // namespace ramp::telemetry

@@ -55,9 +55,10 @@ HistogramMetric::snapshot() const
         for (std::size_t shard = 0; shard < numShards; ++shard)
             sum += cells_[bucket * numShards + shard].value.load(
                 std::memory_order_relaxed);
-        if (sum > 0)
-            merged.add(merged.bucketLow(bucket), sum);
+        merged.addToBucket(bucket, sum);
     }
+    merged.widenRange(min_.load(std::memory_order_relaxed),
+                      max_.load(std::memory_order_relaxed));
     return merged;
 }
 
@@ -67,6 +68,10 @@ HistogramMetric::reset()
     const std::size_t cells = layout_.numBuckets() * numShards;
     for (std::size_t i = 0; i < cells; ++i)
         cells_[i].value.store(0, std::memory_order_relaxed);
+    min_.store(std::numeric_limits<double>::infinity(),
+               std::memory_order_relaxed);
+    max_.store(-std::numeric_limits<double>::infinity(),
+               std::memory_order_relaxed);
 }
 
 std::uint64_t

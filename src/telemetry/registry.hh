@@ -21,6 +21,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -87,7 +88,8 @@ class Gauge
 /**
  * Fixed-bucket histogram metric: the layout is immutable, each
  * bucket is a sharded counter, observe() is bucket lookup plus one
- * relaxed add.
+ * relaxed add, plus a compare-exchange on the rare sample that is a
+ * new minimum or maximum.
  */
 class HistogramMetric
 {
@@ -100,6 +102,16 @@ class HistogramMetric
             layout_.bucketOf(x) * numShards + threadShard();
         cells_[cell].value.fetch_add(count,
                                      std::memory_order_relaxed);
+        if (count == 0)
+            return;
+        for (double lo = min_.load(std::memory_order_relaxed);
+             x < lo && !min_.compare_exchange_weak(
+                           lo, x, std::memory_order_relaxed);)
+            ;
+        for (double hi = max_.load(std::memory_order_relaxed);
+             x > hi && !max_.compare_exchange_weak(
+                           hi, x, std::memory_order_relaxed);)
+            ;
     }
 
     /** The (empty) bucket layout this metric was built with. */
@@ -114,6 +126,8 @@ class HistogramMetric
   private:
     FixedHistogram layout_;
     std::unique_ptr<ShardSlot[]> cells_;
+    std::atomic<double> min_{std::numeric_limits<double>::infinity()};
+    std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };
 
 /** Point-in-time merged view of every registered metric. */

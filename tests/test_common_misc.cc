@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for address arithmetic, logging formatting, and the table
- * printer (src/common).
+ * Tests for address arithmetic, logging formatting, the table
+ * printer, and the dense page index (src/common).
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/page_index.hh"
 #include "common/table.hh"
 #include "common/types.hh"
 
@@ -84,6 +85,34 @@ TEST(TextTableDeathTest, RowArityMismatchPanics)
 {
     TextTable table({"a", "b"});
     EXPECT_DEATH(table.addRow({"only-one"}), "arity");
+}
+
+TEST(PageIndex, InternsDenseSlotsInFirstSightOrder)
+{
+    PageIndex index;
+    EXPECT_EQ(index.find(7), PageIndex::none);
+    EXPECT_EQ(index.intern(700), 0u);
+    EXPECT_EQ(index.intern(7), 1u);
+    EXPECT_EQ(index.intern(700), 0u);
+    EXPECT_EQ(index.size(), 2u);
+    EXPECT_EQ(index.find(7), 1u);
+    EXPECT_EQ(index.page(0), 700u);
+    EXPECT_EQ(index.find(8), PageIndex::none);
+
+    // Growing the table keeps every slot; clear() forgets them all
+    // and numbering restarts at 0.
+    for (PageId page = 0; page < 10000; ++page)
+        index.intern(page * 4096 + 3);
+    EXPECT_EQ(index.size(), 10002u);
+    for (PageId page = 0; page < 10000; ++page)
+        ASSERT_EQ(index.find(page * 4096 + 3), page + 2);
+    EXPECT_EQ(index.find(700), 0u);
+    index.clear();
+    EXPECT_EQ(index.size(), 0u);
+    EXPECT_EQ(index.find(700), PageIndex::none);
+    EXPECT_EQ(index.find(3), PageIndex::none);
+    EXPECT_EQ(index.intern(3), 0u);
+    EXPECT_EQ(index.page(0), 3u);
 }
 
 } // namespace

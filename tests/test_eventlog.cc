@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "eventlog/eventlog.hh"
+#include "faults/injector.hh"
+#include "faults/plan.hh"
 #include "hma/system.hh"
 #include "migration/engine.hh"
 #include "perf/json.hh"
@@ -382,6 +384,41 @@ TEST_F(EventlogTest, CcMigrationLedgerMatchesCounters)
                                    config.meaIntervalCycles),
         32, 8, 64);
     checkEngineAccounting(engine);
+}
+
+TEST_F(EventlogTest, RetireRecordCarriesRunningAvfAndHotness)
+{
+    // Page 3 is read from the first few hundred cycles on and
+    // retired at the second injector epoch (cycle 4000): its Retire
+    // record must report what the page accumulated before the fault.
+    InjectorConfig faults;
+    std::string error;
+    faults.script = parseFaultPlan("uncorrected:page=3,epoch=2", error);
+    ASSERT_TRUE(error.empty()) << error;
+    faults.epochCycles = 2000;
+    FaultInjector injector(faults);
+
+    const auto config = smallConfig();
+    HmaSystem system(config);
+    {
+        eventlog::RunScope scope("test/retire");
+        const auto result =
+            system.run(smallTraces(16, 3000),
+                       PlacementMap(config.hbmPages()), nullptr,
+                       &injector);
+        ASSERT_EQ(result.pagesRetired, 1u);
+    }
+
+    std::vector<eventlog::EventRecord> retires;
+    for (const auto &record : eventlog::collect())
+        if (record.kind == eventlog::EventKind::Retire)
+            retires.push_back(record);
+    ASSERT_EQ(retires.size(), 1u);
+    EXPECT_EQ(retires[0].page, 3u);
+    EXPECT_EQ(retires[0].epoch, 4000u);
+    EXPECT_GT(retires[0].hotness, 0.0F);
+    EXPECT_GT(retires[0].avf, 0.0F);
+    EXPECT_LE(retires[0].avf, 1.0F);
 }
 
 } // namespace

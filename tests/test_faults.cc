@@ -212,13 +212,16 @@ TEST(ResponseState, SweepVictimsColdestFirstSkipsPinned)
         profile.recordAccess(1, false); // hottest
     profile.recordAccess(3, false);     // lukewarm
     // page 2 untouched: coldest
+    const auto hotness = [&](PageId page) {
+        return profile.statsOf(page).hotness();
+    };
 
-    const auto victims = sweepVictims(map, profile, 8);
+    const auto victims = sweepVictims(map, hotness, 8);
     EXPECT_EQ(victims, (std::vector<PageId>{2, 3, 1}));
     // Budget truncates from the cold end.
-    EXPECT_EQ(sweepVictims(map, profile, 1),
+    EXPECT_EQ(sweepVictims(map, hotness, 1),
               (std::vector<PageId>{2}));
-    EXPECT_TRUE(sweepVictims(map, profile, 0).empty());
+    EXPECT_TRUE(sweepVictims(map, hotness, 0).empty());
 }
 
 // ---------------------------------------------------------------

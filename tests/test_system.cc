@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
+#include "faults/plan.hh"
 #include "hma/system.hh"
 
 namespace ramp
@@ -147,6 +151,40 @@ TEST(System, PinnedPagesSurviveMigration)
     SUCCEED();
 }
 
+/**
+ * The run's profile against the traces themselves: exactly the
+ * touched pages, each with its trace read/write counts and an AVF in
+ * [0, 1], and memoryAvf the mean of the per-page AVFs.
+ */
+void
+expectProfileMatchesTraces(const SimResult &result,
+                           const std::vector<CoreTrace> &traces)
+{
+    std::map<PageId, PageStats> counted;
+    for (const auto &trace : traces) {
+        for (const MemRequest &req : trace) {
+            PageStats &stats = counted[pageOf(req.addr)];
+            ++(req.isWrite ? stats.writes : stats.reads);
+        }
+    }
+    const auto touched = touchedPages(traces);
+    ASSERT_EQ(result.profile.footprintPages(), touched.size());
+    ASSERT_EQ(counted.size(), touched.size());
+
+    double avf_sum = 0;
+    for (const auto &[page, stats] : result.profile.pages()) {
+        SCOPED_TRACE(page);
+        EXPECT_EQ(touched.count(page), 1u);
+        EXPECT_EQ(stats.reads, counted[page].reads);
+        EXPECT_EQ(stats.writes, counted[page].writes);
+        EXPECT_GE(stats.avf, 0.0);
+        EXPECT_LE(stats.avf, 1.0);
+        avf_sum += stats.avf;
+    }
+    EXPECT_NEAR(result.memoryAvf,
+                avf_sum / static_cast<double>(touched.size()), 1e-12);
+}
+
 TEST(System, AvfMatchesStandaloneTracker)
 {
     const auto config = smallConfig();
@@ -154,12 +192,34 @@ TEST(System, AvfMatchesStandaloneTracker)
     HmaSystem system(config);
     const auto result = system.run(
         traces, PlacementMap(config.hbmPages()));
-    // All pages profiled and all AVFs in [0, 1].
-    for (const auto &[page, stats] : result.profile.pages()) {
-        EXPECT_GE(stats.avf, 0.0);
-        EXPECT_LE(stats.avf, 1.0);
-        EXPECT_GT(stats.hotness(), 0u);
-    }
+    expectProfileMatchesTraces(result, traces);
+    EXPECT_GT(result.memoryAvf, 0.0);
+
+    // Migration epochs and a fault storm (retirement, capacity loss,
+    // emergency sweep) move pages mid-run; the per-page accounting
+    // must not notice.
+    const auto busy_traces = smallTraces(64, 20000);
+    PlacementMap map(16);
+    for (PageId page = 0; page < 16; ++page)
+        map.place(page, MemoryId::HBM);
+    CrossCounterMigration engine(config.meaIntervalCycles,
+                                 config.fcPerMea());
+    InjectorConfig faults;
+    std::string error;
+    faults.script = parseFaultPlan("uncorrected:page=3,epoch=1;"
+                                   "capacity:tier=hbm,pct=25,epoch=2",
+                                   error);
+    ASSERT_TRUE(error.empty()) << error;
+    faults.epochCycles = 2000;
+    FaultInjector injector(faults);
+    HmaSystem busy_system(config);
+    const auto busy = busy_system.run(busy_traces, std::move(map),
+                                      &engine, &injector);
+    EXPECT_GT(busy.migratedPages, 0u);
+    EXPECT_EQ(busy.pagesRetired, 1u);
+    EXPECT_GT(busy.capacityLostPages, 0u);
+    EXPECT_GT(busy.responseMoves, 0u);
+    expectProfileMatchesTraces(busy, busy_traces);
 }
 
 TEST(System, EmptyTracesYieldEmptyResult)

@@ -147,6 +147,29 @@ TEST(FixedHistogram, PercentileOfEmptyHistogramIsNaN)
     EXPECT_TRUE(std::isnan(hist.percentile(1.0)));
 }
 
+TEST(FixedHistogram, PercentilesClampToTheSampleRange)
+{
+    // One 88 s task in a [60, 600) bucket: interpolation alone
+    // would report p95 = 573 s, a time no task took.
+    FixedHistogram hist({0.0, 60.0, 600.0});
+    hist.add(88.0);
+    EXPECT_EQ(hist.min(), 88.0);
+    EXPECT_EQ(hist.max(), 88.0);
+    EXPECT_DOUBLE_EQ(hist.p50(), 88.0);
+    EXPECT_DOUBLE_EQ(hist.p95(), 88.0);
+    EXPECT_DOUBLE_EQ(hist.percentile(1.0), 88.0);
+
+    // Extremes survive merge and are forgotten by reset.
+    FixedHistogram other({0.0, 60.0, 600.0});
+    other.add(30.0);
+    hist.merge(other);
+    EXPECT_EQ(hist.min(), 30.0);
+    EXPECT_EQ(hist.max(), 88.0);
+    EXPECT_LE(hist.p95(), 88.0);
+    hist.reset();
+    EXPECT_GT(hist.min(), hist.max());
+}
+
 TEST(FixedHistogram, MergeAddsCountsOfSameLayout)
 {
     auto a = FixedHistogram::linear(0.0, 1.0, 4);
@@ -185,6 +208,20 @@ TEST_F(TelemetryTest, HistogramMetricObservesAcrossThreads)
     for (std::size_t bucket = 0; bucket < 4; ++bucket)
         EXPECT_EQ(snap.bucketCount(bucket), 100u);
     EXPECT_EQ(snap.total(), 400u);
+}
+
+TEST_F(TelemetryTest, HistogramMetricSnapshotKeepsSampleRange)
+{
+    auto &metric = metrics().histogram(
+        "test.wide", FixedHistogram({0.0, 60.0, 600.0}));
+    metric.observe(88.0);
+    const auto snap = metric.snapshot();
+    EXPECT_EQ(snap.min(), 88.0);
+    EXPECT_EQ(snap.max(), 88.0);
+    EXPECT_DOUBLE_EQ(snap.p95(), 88.0);
+    metric.reset();
+    EXPECT_EQ(metric.snapshot().total(), 0u);
+    EXPECT_GT(metric.snapshot().min(), metric.snapshot().max());
 }
 
 TEST_F(TelemetryTest, SnapshotIsDeterministicUnderThePool)
