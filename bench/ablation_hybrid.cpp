@@ -28,22 +28,24 @@ main(int argc, char **argv)
 
         const auto profiled = harness.profileAll(standardWorkloads());
 
-        struct Passes
-        {
-            SimResult annotated;
-            SimResult hybrid;
-        };
-        const auto passes = harness.mapWorkloads(
-            profiled, [&](const ProfiledWorkloadPtr &wl) {
-                Passes out;
-                out.annotated =
-                    runAnnotated(config, wl->data, wl->profile());
+        // Two passes per workload: even index = annotation-only
+        // placement, odd index = annotations + the FC engine.
+        std::vector<PassDesc> descs;
+        for (const auto &wl : profiled) {
+            descs.push_back({wl, "annotated"});
+            descs.push_back({wl, "hybrid"});
+        }
+        const auto outcomes = harness.runPasses(
+            descs, [&](std::size_t i) {
+                const auto &wl = *profiled[i / 2];
+                if (i % 2 == 0)
+                    return runAnnotated(config, wl.data,
+                                        wl.profile());
 
                 const auto selection = annotationsFor(
-                    wl->data, wl->profile(), config.hbmPages() / 2);
+                    wl.data, wl.profile(), config.hbmPages() / 2);
                 auto pinned_half = buildAnnotatedPlacement(
-                    wl->data.layout, selection,
-                    config.hbmPages() / 2);
+                    wl.data.layout, selection, config.hbmPages() / 2);
                 // Give the full HBM to the run: the other half is
                 // the engine's to manage.
                 PlacementMap placement(config.hbmPages());
@@ -52,10 +54,8 @@ main(int argc, char **argv)
                 const auto engine =
                     makeEngine(DynamicScheme::FcReliability, config);
                 HmaSystem system(config);
-                out.hybrid = system.run(wl->data.traces,
-                                        std::move(placement),
-                                        engine.get());
-                return out;
+                return system.run(wl.data.traces,
+                                  std::move(placement), engine.get());
             });
 
         TextTable table({"workload", "annot IPC", "hybrid IPC",
@@ -64,10 +64,18 @@ main(int argc, char **argv)
 
         for (std::size_t i = 0; i < profiled.size(); ++i) {
             const auto &wl = *profiled[i];
-            const auto &annotated =
-                harness.record(wl.name(), passes[i].annotated);
-            const auto &hybrid =
-                harness.record(wl.name(), passes[i].hybrid);
+            const auto &annotated_out = outcomes[2 * i];
+            const auto &hybrid_out = outcomes[2 * i + 1];
+            if (!annotated_out.ok() || !hybrid_out.ok()) {
+                table.addRow({wl.name(),
+                              statusCell(annotated_out.ok()
+                                             ? hybrid_out
+                                             : annotated_out),
+                              "-", "-", "-", "-"});
+                continue;
+            }
+            const auto &annotated = annotated_out.result;
+            const auto &hybrid = hybrid_out.result;
 
             ipc_gain.add(hybrid.ipc / annotated.ipc);
             ser_gain.add(annotated.ser / hybrid.ser);

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "bench_common.hh"
-#include "eventlog/eventlog.hh"
 
 using namespace ramp;
 using namespace ramp::bench;
@@ -45,30 +44,22 @@ parseAblationOptions(const std::vector<std::string> &positional)
     options.schemes = defaultRegionSchemes();
     for (std::size_t i = 0; i < positional.size(); ++i) {
         const std::string &arg = positional[i];
-        auto value = [&](const char *flag) -> const std::string & {
-            if (i + 1 >= positional.size()) {
-                std::cerr << "ablation_region: " << flag
-                          << " needs a value\n";
-                std::exit(2);
-            }
-            return positional[++i];
-        };
         if (arg == "--regions") {
-            const std::string &text = value("--regions");
-            char *end = nullptr;
-            const unsigned long long parsed =
-                std::strtoull(text.c_str(), &end, 10);
-            if (end == text.c_str() || *end != '\0' || parsed == 0) {
+            options.maxRegions = parseUnsignedFlag(
+                "ablation_region", "--regions",
+                flagValue("ablation_region", "--regions", positional,
+                          i));
+            if (options.maxRegions == 0) {
                 std::cerr << "ablation_region: --regions needs a "
-                             "positive integer, got '"
-                          << text << "'\n";
+                             "positive integer, got '0'\n";
                 std::exit(2);
             }
-            options.maxRegions = parsed;
         } else if (arg == "--scheme") {
             std::string error;
-            options.schemes =
-                parseRegionSchemes(value("--scheme"), error);
+            options.schemes = parseRegionSchemes(
+                flagValue("ablation_region", "--scheme", positional,
+                          i),
+                error);
             if (!error.empty()) {
                 std::cerr << "ablation_region: --scheme: " << error
                           << "\n";
@@ -101,40 +92,37 @@ main(int argc, char **argv)
 
         const auto profiled = harness.profileAll(standardWorkloads());
 
-        struct Passes
-        {
-            SimResult page;
-            SimResult region;
-            SimResult dynamic;
-        };
-        const auto passes = harness.mapWorkloads(
-            profiled, [&](const ProfiledWorkloadPtr &wl) {
-                // mapWorkloads does not label ledger runs the way
-                // runPasses does; scope each pass explicitly so the
-                // region records sort schedule-independently.
-                Passes out;
-                {
-                    eventlog::RunScope scope(wl->name() +
-                                             "/balanced-page");
-                    out.page = runStaticPolicy(
-                        config, wl->data, StaticPolicy::Balanced,
-                        wl->profile());
+        // Three passes per workload, in report order: balanced
+        // page-granularity placement, the same policy over regions,
+        // and the dynamic region engine. --regions and --scheme tag
+        // the two region labels.
+        const std::string tag = argumentsTag(harness);
+        const std::vector<std::string> labels = {
+            "balanced-page", "balanced-region" + tag,
+            "region-migration" + tag};
+        std::vector<PassDesc> descs;
+        for (const auto &wl : profiled)
+            for (const auto &label : labels)
+                descs.push_back({wl, label});
+        const auto outcomes = harness.runPasses(
+            descs, [&](std::size_t i) {
+                const auto &wl = *profiled[i / labels.size()];
+                switch (i % labels.size()) {
+                case 0:
+                    return runStaticPolicy(config, wl.data,
+                                           StaticPolicy::Balanced,
+                                           wl.profile());
+                case 1:
+                    return runRegionStatic(config, wl.data,
+                                           StaticPolicy::Balanced,
+                                           wl.profile(),
+                                           region_config);
+                default:
+                    return runRegionDynamic(config, wl.data,
+                                            wl.profile(),
+                                            region_config,
+                                            options.schemes);
                 }
-                {
-                    eventlog::RunScope scope(wl->name() +
-                                             "/balanced-region");
-                    out.region = runRegionStatic(
-                        config, wl->data, StaticPolicy::Balanced,
-                        wl->profile(), region_config);
-                }
-                {
-                    eventlog::RunScope scope(wl->name() +
-                                             "/region-migration");
-                    out.dynamic = runRegionDynamic(
-                        config, wl->data, wl->profile(),
-                        region_config, options.schemes);
-                }
-                return out;
             });
 
         TextTable table({"workload", "page IPC", "region IPC",
@@ -144,12 +132,18 @@ main(int argc, char **argv)
 
         for (std::size_t i = 0; i < profiled.size(); ++i) {
             const auto &wl = *profiled[i];
-            const auto &page =
-                harness.record(wl.name(), passes[i].page);
-            const auto &region =
-                harness.record(wl.name(), passes[i].region);
-            const auto &dynamic =
-                harness.record(wl.name(), passes[i].dynamic);
+            const auto *passes = &outcomes[labels.size() * i];
+            const auto *failed = std::find_if(
+                passes, passes + labels.size(),
+                [](const PassOutcome &out) { return !out.ok(); });
+            if (failed != passes + labels.size()) {
+                table.addRow({wl.name(), statusCell(*failed), "-",
+                              "-", "-", "-", "-", "-"});
+                continue;
+            }
+            const auto &page = passes[0].result;
+            const auto &region = passes[1].result;
+            const auto &dynamic = passes[2].result;
 
             ipc_cost.add(region.ipc / page.ipc);
             ser_cost.add(region.ser / page.ser);

@@ -53,12 +53,8 @@ main(int argc, char **argv)
                 "@fc" + std::to_string(point.interval) + "x" +
                 std::to_string(point.cap);
             const auto &wl = profiled[point.workload];
-            descs.push_back(
-                {wl->name(),
-                 Harness::passKey(wl, "perf" + suffix)});
-            descs.push_back(
-                {wl->name(),
-                 Harness::passKey(wl, "fcrel" + suffix)});
+            descs.push_back({wl, "perf" + suffix});
+            descs.push_back({wl, "fcrel" + suffix});
         }
 
         const auto outcomes = harness.runPasses(

@@ -6,9 +6,12 @@
  * src/runner subsystem: a Harness parses the shared flags (--jobs,
  * --json, --cache-dir, --checkpoint, --pass-timeout), profiles
  * workloads through the process-wide (and optionally on-disk)
- * profile cache, fans the policy passes out over the thread pool
- * with deterministic, ordered, fault-contained results, and records
- * every pass into the JSON report. main() wraps its body in
+ * profile cache, and runs every simulated pass through
+ * Harness::runPasses: one PassDesc {workload, label} per pass, fanned
+ * out over the thread pool with deterministic, ordered,
+ * fault-contained, checkpointed results recorded into the JSON
+ * report. A pass that did not finish prints statusCell() in its
+ * table row. main() wraps its body in
  * runner::benchMain, which installs the SIGINT/SIGTERM handlers and
  * maps failures onto exit codes (usage 2, cancelled 128+signal,
  * anything else 1; Harness::finish() returns 3 when a pass failed).
@@ -28,7 +31,6 @@
 
 #include "common/stats.hh"
 #include "common/table.hh"
-#include "eventlog/eventlog.hh"
 #include "hma/experiment.hh"
 #include "perf/microbench.hh"
 #include "placement/profile.hh"
@@ -149,18 +151,11 @@ policyCases()
     return cases;
 }
 
-/**
- * Run one policy case clean, under a deterministic ledger scope.
- * mapWorkloads does not label ledger runs the way runPasses does,
- * so the scope label keeps fault/decision records sorting
- * schedule-independently.
- */
+/** Run one policy case clean. */
 inline SimResult
 runPolicyCase(const SystemConfig &config, const WorkloadData &data,
-              const PolicyCase &pc, const PageProfile &profile,
-              const std::string &scope_label)
+              const PolicyCase &pc, const PageProfile &profile)
 {
-    eventlog::RunScope scope(scope_label);
     return pc.isDynamic
                ? runDynamic(config, data, pc.scheme, profile)
                : runStaticPolicy(config, data, pc.policy, profile);
@@ -171,10 +166,8 @@ inline SimResult
 runPolicyCaseFaulted(const SystemConfig &config,
                      const WorkloadData &data, const PolicyCase &pc,
                      const PageProfile &profile,
-                     const InjectorConfig &faults,
-                     const std::string &scope_label)
+                     const InjectorConfig &faults)
 {
-    eventlog::RunScope scope(scope_label);
     return pc.isDynamic
                ? runDynamicFaulted(config, data, pc.scheme, profile,
                                    faults)
@@ -212,6 +205,24 @@ flagValue(const std::string &tool, const char *flag,
         std::exit(2);
     }
     return positional[++i];
+}
+
+/**
+ * Pass-label suffix naming the binary's own arguments (those left
+ * after the shared harness flags): empty when there are none,
+ * otherwise "@" plus a hash of them. Appended to the labels of the
+ * passes those arguments shape, so a checkpoint journal written
+ * under other values is not replayed for them.
+ */
+inline std::string
+argumentsTag(const Harness &harness)
+{
+    std::string args;
+    for (const std::string &arg : harness.options().positional)
+        args += arg + '\0';
+    if (args.empty())
+        return {};
+    return "@" + runner::hashHex(runner::fnv1a64(args));
 }
 
 /**

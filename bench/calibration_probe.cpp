@@ -28,21 +28,23 @@ main(int argc, char **argv)
 
         const auto profiled = harness.profileAll(standardWorkloads());
 
-        struct Passes
-        {
-            SimResult perf;
-            SimResult mig;
-        };
-        const auto passes = harness.mapWorkloads(
-            profiled, [&](const ProfiledWorkloadPtr &wl) {
-                Passes out;
-                out.perf = runStaticPolicy(config, wl->data,
+        // Two passes per workload: even index = perf-focused
+        // static placement, odd index = perf-focused migration.
+        std::vector<PassDesc> descs;
+        for (const auto &wl : profiled) {
+            descs.push_back({wl, "perf-static"});
+            descs.push_back({wl, "perf-migration"});
+        }
+        const auto outcomes = harness.runPasses(
+            descs, [&](std::size_t i) {
+                const auto &wl = *profiled[i / 2];
+                if (i % 2 == 0)
+                    return runStaticPolicy(config, wl.data,
                                            StaticPolicy::PerfFocused,
-                                           wl->profile());
-                out.mig = runDynamic(config, wl->data,
-                                     DynamicScheme::PerfFocused,
-                                     wl->profile());
-                return out;
+                                           wl.profile());
+                return runDynamic(config, wl.data,
+                                  DynamicScheme::PerfFocused,
+                                  wl.profile());
             });
 
         TextTable table({"workload", "pages", "AVF", "MPKI",
@@ -52,10 +54,18 @@ main(int argc, char **argv)
         for (std::size_t i = 0; i < profiled.size(); ++i) {
             const auto &wl = *profiled[i];
             const PageProfile &profile = wl.profile();
-            const auto &perf =
-                harness.record(wl.name(), passes[i].perf);
-            const auto &mig =
-                harness.record(wl.name(), passes[i].mig);
+            const auto &perf_out = outcomes[2 * i];
+            const auto &mig_out = outcomes[2 * i + 1];
+            if (!perf_out.ok() || !mig_out.ok()) {
+                std::vector<std::string> row(12, "-");
+                row[0] = wl.name();
+                row[1] = statusCell(perf_out.ok() ? mig_out
+                                                  : perf_out);
+                table.addRow(row);
+                continue;
+            }
+            const auto &perf = perf_out.result;
+            const auto &mig = mig_out.result;
 
             const auto quadrants = analyzeQuadrants(profile);
 

@@ -36,11 +36,8 @@ reportDynamicScheme(DynamicScheme scheme, const std::string &title,
         // migration baseline, odd index = the scheme under study.
         std::vector<PassDesc> descs;
         for (const auto &wl : profiled) {
-            descs.push_back(
-                {wl->name(),
-                 Harness::passKey(wl, "perf-migration")});
-            descs.push_back(
-                {wl->name(), Harness::passKey(wl, "scheme")});
+            descs.push_back({wl, "perf-migration"});
+            descs.push_back({wl, "scheme"});
         }
         const auto outcomes = harness.runPasses(
             descs, [&](std::size_t i) {

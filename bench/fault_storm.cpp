@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "bench_common.hh"
-#include "eventlog/eventlog.hh"
 #include "faults/plan.hh"
 
 using namespace ramp;
@@ -110,26 +109,27 @@ main(int argc, char **argv)
         const auto profiled =
             harness.profileAll(motivationWorkloads());
 
-        struct PolicyPasses
-        {
-            SimResult clean;
-            SimResult storm;
-        };
-        const auto passes = harness.mapWorkloads(
-            profiled, [&](const ProfiledWorkloadPtr &wl) {
-                std::vector<PolicyPasses> out;
-                for (const PolicyCase &pc : cases) {
-                    PolicyPasses pair;
-                    pair.clean = runPolicyCase(
-                        config, wl->data, pc, wl->profile(),
-                        wl->name() + "/" + pc.label + "/clean");
-                    pair.storm = runPolicyCaseFaulted(
-                        config, wl->data, pc, wl->profile(), faults,
-                        wl->name() + "/" + pc.label + "/storm");
-                    pair.storm.label += "+storm";
-                    out.push_back(std::move(pair));
-                }
-                return out;
+        // Two passes per (workload, case), in report order: even
+        // index = the clean run, odd index = the same case under the
+        // storm. --inject and --fault-seed tag the storm labels.
+        const std::string storm = "/storm" + argumentsTag(harness);
+        std::vector<PassDesc> descs;
+        for (const auto &wl : profiled)
+            for (const PolicyCase &pc : cases) {
+                descs.push_back({wl, pc.label + "/clean"});
+                descs.push_back({wl, pc.label + storm});
+            }
+        const auto outcomes = harness.runPasses(
+            descs, [&](std::size_t i) {
+                const auto &wl = *profiled[i / (2 * cases.size())];
+                const PolicyCase &pc = cases[i / 2 % cases.size()];
+                if (i % 2 == 0)
+                    return runPolicyCase(config, wl.data, pc,
+                                         wl.profile());
+                SimResult storm = runPolicyCaseFaulted(
+                    config, wl.data, pc, wl.profile(), faults);
+                storm.label += "+storm";
+                return storm;
             });
 
         TextTable table({"workload", "policy", "status", "slowdown",
@@ -141,10 +141,19 @@ main(int argc, char **argv)
         for (std::size_t i = 0; i < profiled.size(); ++i) {
             const auto &wl = *profiled[i];
             for (std::size_t c = 0; c < cases.size(); ++c) {
-                const auto &clean = harness.record(
-                    wl.name(), passes[i][c].clean);
-                const auto &storm = harness.record(
-                    wl.name(), passes[i][c].storm);
+                const std::size_t pass = 2 * (i * cases.size() + c);
+                const auto &clean_out = outcomes[pass];
+                const auto &storm_out = outcomes[pass + 1];
+                if (!clean_out.ok() || !storm_out.ok()) {
+                    table.addRow({wl.name(), cases[c].label,
+                                  statusCell(clean_out.ok()
+                                                 ? storm_out
+                                                 : clean_out),
+                                  "-", "-", "-", "-"});
+                    continue;
+                }
+                const auto &clean = clean_out.result;
+                const auto &storm = storm_out.result;
                 const double slowdown =
                     static_cast<double>(storm.makespan) /
                     static_cast<double>(clean.makespan);

@@ -48,9 +48,7 @@ main(int argc, char **argv)
                     f == fractions.size()
                         ? "balanced"
                         : "hot@" + TextTable::num(fractions[f], 1);
-                descs.push_back(
-                    {profiled[w]->name(),
-                     Harness::passKey(profiled[w], label)});
+                descs.push_back({profiled[w], label});
             }
 
         const auto outcomes = harness.runPasses(

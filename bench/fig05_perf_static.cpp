@@ -29,8 +29,7 @@ main(int argc, char **argv)
             harness.profileAll(standardWorkloads());
         std::vector<PassDesc> descs;
         for (const auto &wl : profiled)
-            descs.push_back(
-                {wl->name(), Harness::passKey(wl, "perf-static")});
+            descs.push_back({wl, "perf-static"});
         const auto outcomes = harness.runPasses(
             descs, [&](std::size_t i) {
                 const auto &wl = *profiled[i];

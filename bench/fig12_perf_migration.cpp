@@ -32,11 +32,8 @@ main(int argc, char **argv)
         // reference, odd index = the dynamic scheme.
         std::vector<PassDesc> descs;
         for (const auto &wl : profiled) {
-            descs.push_back(
-                {wl->name(), Harness::passKey(wl, "perf-static")});
-            descs.push_back(
-                {wl->name(),
-                 Harness::passKey(wl, "perf-migration")});
+            descs.push_back({wl, "perf-static"});
+            descs.push_back({wl, "perf-migration"});
         }
         const auto outcomes = harness.runPasses(
             descs, [&](std::size_t i) {

@@ -44,11 +44,8 @@ main(int argc, char **argv)
             for (std::size_t w = 0; w < profiled.size(); ++w) {
                 fc_points.push_back({s, w});
                 fc_descs.push_back(
-                    {profiled[w]->name(),
-                     Harness::passKey(
-                         profiled[w],
-                         "fc@" +
-                             std::to_string(fc_intervals[s]))});
+                    {profiled[w],
+                     "fc@" + std::to_string(fc_intervals[s])});
             }
 
         const auto fc_outcomes = harness.runPasses(
@@ -108,11 +105,8 @@ main(int argc, char **argv)
             for (std::size_t w = 0; w < profiled.size(); ++w) {
                 mea_points.push_back({s, w});
                 mea_descs.push_back(
-                    {profiled[w]->name(),
-                     Harness::passKey(
-                         profiled[w],
-                         "mea@" +
-                             std::to_string(mea_intervals[s]))});
+                    {profiled[w],
+                     "mea@" + std::to_string(mea_intervals[s])});
             }
 
         const auto mea_outcomes = harness.runPasses(

@@ -28,11 +28,8 @@ main(int argc, char **argv)
         // baseline, odd index = the annotation-based placement.
         std::vector<PassDesc> descs;
         for (const auto &wl : profiled) {
-            descs.push_back(
-                {wl->name(),
-                 Harness::passKey(wl, "perf-baseline")});
-            descs.push_back(
-                {wl->name(), Harness::passKey(wl, "annotated")});
+            descs.push_back({wl, "perf-baseline"});
+            descs.push_back({wl, "annotated"});
         }
         const auto outcomes = harness.runPasses(
             descs, [&](std::size_t i) {

@@ -22,7 +22,9 @@ main(int argc, char **argv)
         const SystemConfig &config = harness.config();
 
         const auto profiled = harness.profileAll(standardWorkloads());
-        const auto selections = harness.mapWorkloads(
+        // Selecting annotations runs no simulation pass, so it maps
+        // over the pool directly instead of through runPasses.
+        const auto selections = harness.pool().map(
             profiled, [&](const ProfiledWorkloadPtr &wl) {
                 return annotationsFor(wl->data, wl->profile(),
                                       config.hbmPages());

@@ -5,9 +5,12 @@
  * iterations, min-of-N reporting).
  *
  * Covers every inner loop the figure binaries spend their time in:
- * trace generation, the cache hierarchy, the full HmaSystem access
- * path, migration-epoch processing, FaultSim trial batches, and
- * thread-pool dispatch overhead. Run with --bench-out to emit the
+ * trace generation and its Zipf sampler (two table sizes), one
+ * cache and the full cache hierarchy, the AVF tracker, the DDR and
+ * HBM timing models, the migration counters (Full Counters, MEA),
+ * the full HmaSystem access path, migration-epoch processing,
+ * FaultSim trial batches, and thread-pool dispatch overhead (4
+ * workers and 1). Run with --bench-out to emit the
  * BENCH_perf_suite.json document that bench_diff gates regressions
  * against (the committed baseline lives at the repo root); name one
  * or more cases as positional arguments to run a subset.
@@ -17,8 +20,12 @@
 #include <iostream>
 
 #include "bench_common.hh"
+#include "cache/cache.hh"
 #include "cache/hierarchy.hh"
 #include "common/rng.hh"
+#include "dram/memory.hh"
+#include "migration/counters.hh"
+#include "reliability/avf.hh"
 #include "reliability/faultsim.hh"
 #include "runner/pool.hh"
 #include "trace/generator.hh"
@@ -28,6 +35,17 @@ using namespace ramp::bench;
 
 namespace
 {
+
+/**
+ * A kernel's item count, made to depend on `sink` (a fold of every
+ * result the kernel computed) so the compiler cannot drop the work.
+ * The count is off by one only for one sink value out of 2^64.
+ */
+std::uint64_t
+keepLive(std::uint64_t items, std::uint64_t sink)
+{
+    return items + (sink == ~std::uint64_t{0} ? 1 : 0);
+}
 
 /** Register the suite over workload data prepared once. */
 perf::Microbench
@@ -56,6 +74,78 @@ buildSuite(const SystemConfig &config, const WorkloadData &data)
                                      rng.nextBool(0.3));
         }
         return accesses;
+    });
+
+    suite.add("cache_access", "accesses", [] {
+        SetAssocCache cache({512 * 1024, 16, lineSize});
+        Rng rng(6);
+        constexpr std::uint64_t accesses = 400'000;
+        std::uint64_t hits = 0;
+        for (std::uint64_t i = 0; i < accesses; ++i)
+            hits += cache.access(rng.nextRange(8 << 20),
+                                 rng.nextBool(0.3))
+                        .hit;
+        return keepLive(accesses, hits);
+    });
+
+    for (const auto &[name, pages] :
+         {std::pair{"zipf_sample", std::uint64_t{65'536}},
+          std::pair{"zipf_sample_1k", std::uint64_t{1'024}}}) {
+        const ZipfSampler zipf(pages, 0.8);
+        suite.add(name, "samples", [zipf] {
+            Rng rng(1);
+            constexpr std::uint64_t samples = 200'000;
+            std::uint64_t sink = 0;
+            for (std::uint64_t i = 0; i < samples; ++i)
+                sink += zipf.sample(rng);
+            return keepLive(samples, sink);
+        });
+    }
+
+    suite.add("avf_tracker", "accesses", [] {
+        AvfTracker tracker;
+        Rng rng(2);
+        constexpr std::uint64_t accesses = 400'000;
+        Cycle now = 0;
+        for (std::uint64_t i = 0; i < accesses; ++i)
+            tracker.onAccess(rng.nextRange(1 << 26),
+                             rng.nextBool(0.3), now += 10);
+        return keepLive(accesses, tracker.touchedPages());
+    });
+
+    for (const auto &[name, dram_config] :
+         {std::pair{"dram_access_ddr", ddr3Config()},
+          std::pair{"dram_access_hbm", hbmConfig()}}) {
+        suite.add(name, "accesses", [dram_config] {
+            DramMemory dram(dram_config);
+            Rng rng(3);
+            constexpr std::uint64_t accesses = 400'000;
+            Cycle now = 0;
+            std::uint64_t sink = 0;
+            for (std::uint64_t i = 0; i < accesses; ++i)
+                sink += dram.access(now += 4, rng.nextRange(16 << 20),
+                                    rng.nextBool(0.3));
+            return keepLive(accesses, sink);
+        });
+    }
+
+    suite.add("full_counters", "accesses", [] {
+        FullCounterTable counters;
+        Rng rng(4);
+        constexpr std::uint64_t accesses = 400'000;
+        for (std::uint64_t i = 0; i < accesses; ++i)
+            counters.onAccess(rng.nextRange(10'000),
+                              rng.nextBool(0.3));
+        return keepLive(accesses, counters.touched().size());
+    });
+
+    suite.add("mea_tracker", "accesses", [] {
+        MeaTracker mea(32);
+        Rng rng(5);
+        constexpr std::uint64_t accesses = 400'000;
+        for (std::uint64_t i = 0; i < accesses; ++i)
+            mea.onAccess(rng.nextRange(10'000));
+        return keepLive(accesses, mea.hotPages().size());
     });
 
     suite.add("hma_access", "accesses", [&config, &data] {
@@ -99,18 +189,22 @@ buildSuite(const SystemConfig &config, const WorkloadData &data)
         return result.trials;
     });
 
-    suite.add("pool_dispatch", "tasks", [] {
-        runner::ThreadPool pool(4);
-        constexpr std::size_t rounds = 64;
-        constexpr std::size_t tasks = 64;
-        std::atomic<std::uint64_t> sink{0};
-        for (std::size_t round = 0; round < rounds; ++round)
-            pool.runIndexed(tasks, [&](std::size_t index) {
-                sink.fetch_add(runner::taskSeed(1, index),
-                               std::memory_order_relaxed);
-            });
-        return static_cast<std::uint64_t>(rounds * tasks);
-    });
+    for (const auto &[name, width] :
+         {std::pair{"pool_dispatch", 4u},
+          std::pair{"pool_dispatch_1", 1u}}) {
+        suite.add(name, "tasks", [width] {
+            runner::ThreadPool pool(width);
+            constexpr std::size_t rounds = 64;
+            constexpr std::size_t tasks = 64;
+            std::atomic<std::uint64_t> sink{0};
+            for (std::size_t round = 0; round < rounds; ++round)
+                pool.runIndexed(tasks, [&](std::size_t index) {
+                    sink.fetch_add(runner::taskSeed(1, index),
+                                   std::memory_order_relaxed);
+                });
+            return static_cast<std::uint64_t>(rounds * tasks);
+        });
+    }
 
     return suite;
 }

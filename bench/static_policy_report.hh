@@ -44,11 +44,8 @@ reportStaticPolicy(StaticPolicy policy, const std::string &title,
         // baseline, odd index = the policy under study.
         std::vector<PassDesc> descs;
         for (const auto &wl : profiled) {
-            descs.push_back(
-                {wl->name(),
-                 Harness::passKey(wl, "perf-baseline")});
-            descs.push_back(
-                {wl->name(), Harness::passKey(wl, "policy")});
+            descs.push_back({wl, "perf-baseline"});
+            descs.push_back({wl, "policy"});
         }
         const auto outcomes = harness.runPasses(
             descs, [&](std::size_t i) {

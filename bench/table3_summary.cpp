@@ -61,8 +61,7 @@ main(int argc, char **argv)
         std::vector<PassDesc> descs;
         for (const auto &wl : profiled)
             for (const auto &label : labels)
-                descs.push_back(
-                    {wl->name(), Harness::passKey(wl, label)});
+                descs.push_back({wl, label});
 
         const auto outcomes = harness.runPasses(
             descs, [&](std::size_t i) {

@@ -64,8 +64,7 @@ main(int argc, char **argv)
             "fc-migration"};
         std::vector<runner::PassDesc> descs;
         for (const auto &label : labels)
-            descs.push_back(
-                {spec.name, runner::Harness::passKey(wl, label)});
+            descs.push_back({wl, label});
         const auto outcomes = harness.runPasses(
             descs, [&](std::size_t i) {
                 if (i < policies.size())

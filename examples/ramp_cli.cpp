@@ -23,7 +23,9 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "common/table.hh"
 #include "hma/experiment.hh"
@@ -94,53 +96,51 @@ int
 cmdRun(Harness &harness, const std::string &workload,
        const std::string &policy)
 {
+    const std::map<std::string, StaticPolicy> statics = {
+        {"perf", StaticPolicy::PerfFocused},
+        {"rel", StaticPolicy::ReliabilityFocused},
+        {"balanced", StaticPolicy::Balanced},
+        {"wr", StaticPolicy::WrRatio},
+        {"wr2", StaticPolicy::Wr2Ratio}};
+    const std::map<std::string, DynamicScheme> dynamics = {
+        {"perf-mig", DynamicScheme::PerfFocused},
+        {"fc-mig", DynamicScheme::FcReliability},
+        {"cc-mig", DynamicScheme::CrossCounter}};
+    if (policy != "ddr-only" && policy != "annotated" &&
+        !statics.contains(policy) && !dynamics.contains(policy)) {
+        std::cerr << "unknown policy: " << policy << "\n";
+        return 1;
+    }
+
     const auto wl = harness.profile(specFor(workload));
     const SystemConfig &config = harness.config();
     const SimResult &base = wl->base;
 
-    SimResult result;
-    if (policy == "ddr-only")
-        result = base;
-    else if (policy == "perf")
-        result = runStaticPolicy(config, wl->data,
-                                 StaticPolicy::PerfFocused,
-                                 wl->profile());
-    else if (policy == "rel")
-        result = runStaticPolicy(config, wl->data,
-                                 StaticPolicy::ReliabilityFocused,
-                                 wl->profile());
-    else if (policy == "balanced")
-        result = runStaticPolicy(config, wl->data,
-                                 StaticPolicy::Balanced,
-                                 wl->profile());
-    else if (policy == "wr")
-        result = runStaticPolicy(config, wl->data,
-                                 StaticPolicy::WrRatio,
-                                 wl->profile());
-    else if (policy == "wr2")
-        result = runStaticPolicy(config, wl->data,
-                                 StaticPolicy::Wr2Ratio,
-                                 wl->profile());
-    else if (policy == "annotated")
-        result = runAnnotated(config, wl->data, wl->profile());
-    else if (policy == "perf-mig")
-        result = runDynamic(config, wl->data,
-                            DynamicScheme::PerfFocused,
-                            wl->profile());
-    else if (policy == "fc-mig")
-        result = runDynamic(config, wl->data,
-                            DynamicScheme::FcReliability,
-                            wl->profile());
-    else if (policy == "cc-mig")
-        result = runDynamic(config, wl->data,
-                            DynamicScheme::CrossCounter,
-                            wl->profile());
-    else {
-        std::cerr << "unknown policy: " << policy << "\n";
-        return 1;
+    // ddr-only is the profiling baseline itself; every other policy
+    // is one recorded pass.
+    SimResult result = base;
+    if (policy != "ddr-only") {
+        const auto outcomes = harness.runPasses(
+            std::vector<runner::PassDesc>{{wl, policy}},
+            [&](std::size_t) {
+                if (const auto it = statics.find(policy);
+                    it != statics.end())
+                    return runStaticPolicy(config, wl->data,
+                                           it->second, wl->profile());
+                if (const auto it = dynamics.find(policy);
+                    it != dynamics.end())
+                    return runDynamic(config, wl->data, it->second,
+                                      wl->profile());
+                return runAnnotated(config, wl->data, wl->profile());
+            });
+        if (!outcomes[0].ok()) {
+            std::cout << workload << " / " << policy << ": "
+                      << runner::passStatusName(outcomes[0].status)
+                      << "\n";
+            return 0; // finish() reports the failure and exits 3.
+        }
+        result = outcomes[0].result;
     }
-    if (policy != "ddr-only")
-        harness.record(workload, result);
 
     TextTable table({"metric", "value"});
     table.addRow({"IPC", TextTable::num(result.ipc, 3)});
@@ -168,10 +168,7 @@ cmdSweep(Harness &harness, const std::string &workload)
                                            1.0};
     std::vector<runner::PassDesc> descs;
     for (const double fraction : fractions)
-        descs.push_back(
-            {workload,
-             Harness::passKey(wl, "hot@" +
-                                      TextTable::num(fraction, 2))});
+        descs.push_back({wl, "hot@" + TextTable::num(fraction, 2)});
     const auto outcomes = harness.runPasses(
         descs, [&](std::size_t i) {
             SimResult result = runHotFraction(

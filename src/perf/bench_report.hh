@@ -12,10 +12,10 @@
  * the microbenchmark suite — the per-kernel BenchResult rows.
  *
  * compareBenchReports() is the regression gate: it joins two parsed
- * documents metric by metric, applies a per-family noise threshold
- * (seconds and RSS regress upward, throughput regresses downward),
- * and reports every comparison so CI can fail a PR with a
- * human-readable table. Committed baselines live at the repo root
+ * documents metric by metric, applies a per-family noise band from
+ * one constant table (seconds and RSS regress upward, throughput
+ * regresses downward), and reports every comparison so CI can fail
+ * a PR with a human-readable table. Committed baselines live at the repo root
  * (BENCH_fig01_pareto.json, BENCH_perf_suite.json).
  */
 
@@ -106,43 +106,13 @@ struct MetricDiff
 };
 
 /**
- * Per-family noise thresholds, in percent. The defaults are
- * deliberately generous: the committed baselines are gated on
- * shared CI runners whose run-to-run noise is far above a local
- * machine's.
+ * Gate settings. The per-family noise bands and noise floors are
+ * one constant table in bench_report.cc; a run only scales them or
+ * narrows the comparison to some families.
  */
 struct DiffOptions
 {
-    double wallPct = 50;
-    double throughputPct = 40;
-    double rssPct = 50;
-    double percentilePct = 75;
-    double microPct = 50;
-
-    /** Decision-ledger family (throughput.events_per_second and
-     * eventlog.* percentiles): the ledger's cost scales with how
-     * chatty the policies are, so its noise band is wider. */
-    double eventlogPct = 60;
-
-    /**
-     * Multi-tenant service family (the "service" block emitted by
-     * datacenter_service): aggregate accesses/sec regresses
-     * downward, p99 slowdown upward, both inside this band. The
-     * fairness index is bounded in [0, 1] and nearly noise-free, so
-     * it gets its own much tighter band.
-     */
-    double servicePct = 40;
-    double fairnessPct = 5;
-
-    /**
-     * Health-monitor family (the "health" block: timeline samples,
-     * fired alerts/warns). Counts are deterministic for a fixed
-     * workload, but rule sets evolve with the defaults, so the band
-     * matches the throughput family rather than an exact gate.
-     */
-    double healthPct = 40;
-
-    /** Multiplies every threshold (CLI --relax). */
+    /** Multiplies every noise band (CLI --relax). */
     double relax = 1.0;
 
     /**
@@ -152,12 +122,6 @@ struct DiffOptions
      * be gated or relaxed independently of the others.
      */
     std::vector<std::string> families;
-
-    /** @{ @name Noise floors: skip metrics too small to compare */
-    double minSeconds = 1e-3;
-    double minBytes = 16.0 * 1024 * 1024;
-    double minPerSecond = 1.0;
-    /** @} */
 };
 
 /**

@@ -207,6 +207,17 @@ Harness::runPassesImpl(const std::vector<PassDesc> &descs,
     const std::size_t count = descs.size();
     std::vector<PassOutcome> outcomes(count);
 
+    // The pass identity, derived here and nowhere else: the
+    // report's workload column, the checkpoint key, and the ledger
+    // run label "<workload>/<label>". The label is unique per
+    // (workload, pass) and schedule-independent, so analyzers can
+    // sort runs deterministically at any --jobs width.
+    std::vector<std::string> names(count), keys(count);
+    for (std::size_t i = 0; i < count; ++i) {
+        names[i] = descs[i].workload->name();
+        keys[i] = passKey(descs[i].workload, descs[i].label);
+    }
+
     // Replay journaled passes; only the rest fan out.
     std::vector<std::size_t> missing;
     missing.reserve(count);
@@ -214,7 +225,7 @@ Harness::runPassesImpl(const std::vector<PassDesc> &descs,
         auto &out = outcomes[i];
         std::string workload;
         if (journal_ != nullptr &&
-            journal_->lookup(descs[i].key, workload, out.result)) {
+            journal_->lookup(keys[i], workload, out.result)) {
             out.status = PassStatus::Ok;
             out.fromCheckpoint = true;
         } else {
@@ -228,26 +239,18 @@ Harness::runPassesImpl(const std::vector<PassDesc> &descs,
 
     pool_.runIndexed(missing.size(), [&](std::size_t task) {
         const std::size_t index = missing[task];
-        const PassDesc &desc = descs[index];
+        const std::string &name = names[index];
+        const std::string &key = keys[index];
         PassOutcome &out = outcomes[index];
 
-        RAMP_TELEM_SPAN(
-            pass_span, "pass", "runner",
-            telemetry::traceArg("workload", desc.workload));
+        RAMP_TELEM_SPAN(pass_span, "pass", "runner",
+                        telemetry::traceArg("workload", name));
         RAMP_PROF_SCOPE(pass_prof, "runner.pass");
-        // Ledger run label: "<workload>/<pass label>". The label
-        // half of the checkpoint key is unique per (workload,
-        // pass) and schedule-independent, so analyzers can sort
-        // runs deterministically at any --jobs width.
-        const std::size_t label_at = desc.key.find('/');
-        eventlog::RunScope events_scope(
-            desc.workload + "/" +
-            (label_at == std::string::npos
-                 ? desc.key
-                 : desc.key.substr(label_at + 1)));
+        eventlog::RunScope events_scope(name + "/" +
+                                        descs[index].label);
         std::optional<Watchdog::Scope> scope;
         if (watchdog_ != nullptr)
-            scope.emplace(watchdog_->watch(desc.key));
+            scope.emplace(watchdog_->watch(key));
         const auto start = std::chrono::steady_clock::now();
         try {
             out.result = fn(index);
@@ -262,8 +265,7 @@ Harness::runPassesImpl(const std::vector<PassDesc> &descs,
                 out.status = PassStatus::Skipped;
             } else {
                 out.status = PassStatus::Failed;
-                ramp_warn("pass '", desc.key, "' (", desc.workload,
-                          ") failed [",
+                ramp_warn("pass '", key, "' (", name, ") failed [",
                           passErrorCodeName(info.code),
                           "]: ", info.message);
             }
@@ -297,7 +299,7 @@ Harness::runPassesImpl(const std::vector<PassDesc> &descs,
             return; // Not journaled: a resume re-runs it.
         }
         if (out.status == PassStatus::Ok && journal_ != nullptr)
-            journal_->append(desc.key, desc.workload, out.result);
+            journal_->append(key, name, out.result);
     });
 
     // Record in desc order, so the report never depends on the
@@ -309,9 +311,9 @@ Harness::runPassesImpl(const std::vector<PassDesc> &descs,
             out.message = "campaign cancelled before this pass ran";
         }
         if (out.status == PassStatus::Ok)
-            report_.add(descs[i].workload, out.result, out.seconds);
+            report_.add(names[i], out.result, out.seconds);
         else
-            report_.add(descs[i].workload, out.result, out.status,
+            report_.add(names[i], out.result, out.status,
                         passErrorCodeName(out.error), out.message,
                         out.seconds);
     }
@@ -336,13 +338,6 @@ Harness::runPassesImpl(const std::vector<PassDesc> &descs,
                                  : "campaign cancelled");
     }
     return outcomes;
-}
-
-SimResult
-Harness::record(const std::string &workload, const SimResult &result)
-{
-    report_.add(workload, result);
-    return result;
 }
 
 void

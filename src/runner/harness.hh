@@ -6,19 +6,23 @@
  * (--jobs, --json, --metrics-out, --trace-out, --bench-out,
  * --cache-dir, --checkpoint, --pass-timeout), owns the thread pool,
  * the profile cache, the checkpoint journal, the watchdog, the
- * resource sampler, and the result sink,
- * and provides the operations the
- * paper's methodology repeats everywhere — profile a workload set
- * (cached, parallel) and fan policy passes out over it (parallel,
- * deterministic, recorded, fault-contained).
+ * resource sampler, and the result sink, and provides the two
+ * operations the paper's methodology repeats everywhere: profile a
+ * workload set (cached, parallel) and fan policy passes out over it
+ * with runPasses().
  *
- * runPasses() is the fault-tolerant fan-out: a pass that throws
- * becomes a FAILED row instead of killing the campaign, completed
- * passes are journaled to the checkpoint directory the moment they
- * finish, journaled passes are replayed on resume (bit-identical to
- * an uninterrupted run), passes overstaying --pass-timeout are
- * flagged TIMEOUT, and SIGINT/SIGTERM winds the campaign down at a
- * pass boundary with the partial report flushed.
+ * runPasses() is the one pass path: every simulated pass a binary
+ * records runs through it, so every pass gets the same timing,
+ * ledger labelling, failure containment, watchdog and
+ * checkpoint/resume. A pass that throws becomes a FAILED row
+ * instead of killing the campaign, completed passes are journaled
+ * to the checkpoint directory the moment they finish, journaled
+ * passes are replayed on resume (bit-identical to an uninterrupted
+ * run), passes overstaying --pass-timeout are flagged TIMEOUT, and
+ * SIGINT/SIGTERM winds the campaign down at a pass boundary with
+ * the partial report flushed. A pass is named by its workload and a
+ * label; the harness alone derives the report row, checkpoint key
+ * and ledger run label from that pair.
  */
 
 #ifndef RAMP_RUNNER_HARNESS_HH
@@ -47,15 +51,18 @@ namespace ramp::runner
 /** One planned pass of a campaign. */
 struct PassDesc
 {
-    /** Workload name recorded in the report's "workload" column. */
-    std::string workload;
+    /** Profiled input (non-null); its name() fills the report's
+     * "workload" column. */
+    ProfiledWorkloadPtr workload;
 
     /**
-     * Checkpoint key, unique within the binary; build it with
-     * Harness::passKey() so it covers the profiled input. Sweep
-     * binaries must fold the sweep point into the pass label.
+     * Pass label, unique per workload within the binary (sweep
+     * binaries fold the sweep point, and any of their own flags
+     * that shape the pass, into it; it may contain '/').
+     * The checkpoint key is Harness::passKey(workload, label) and
+     * the ledger run label is "<workload name>/<label>".
      */
-    std::string key;
+    std::string label;
 };
 
 /** Terminal state of one runPasses() pass. */
@@ -122,18 +129,6 @@ class Harness
                const GeneratorOptions &options = {});
 
     /**
-     * Fan fn out over profiled workloads on the pool; results in
-     * workload order. fn must be pure in the shared state (it may
-     * build its own engines/systems).
-     */
-    template <typename Fn>
-    auto mapWorkloads(const std::vector<ProfiledWorkloadPtr> &wls,
-                      Fn fn)
-    {
-        return pool_.map(wls, fn);
-    }
-
-    /**
      * Checkpoint key of one pass: hash of the workload's profiling
      * fingerprint plus the pass label. The label must be unique per
      * (workload, pass) pair within the binary — sweep binaries
@@ -161,13 +156,6 @@ class Harness
         return runPassesImpl(
             descs, std::function<SimResult(std::size_t)>(fn));
     }
-
-    /**
-     * Record one pass into the JSON report; returns the result (by
-     * value, so recording a temporary pass is safe).
-     */
-    SimResult record(const std::string &workload,
-                     const SimResult &result);
 
     /**
      * Fold microbenchmark rows into the --bench-out document

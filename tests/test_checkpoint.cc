@@ -360,8 +360,7 @@ TEST(Journal, ResumedCampaignJsonIsByteIdentical)
                                         smallTraces());
         std::vector<PassDesc> descs;
         for (const char *label : labels)
-            descs.push_back(
-                {wl->name(), Harness::passKey(wl, label)});
+            descs.push_back({wl, label});
         const auto outcomes = harness.runPasses(
             descs, [&](std::size_t i) {
                 if (fail_mid && i == 1)
@@ -435,8 +434,7 @@ TEST(Harness, TimeoutFlushesOutputsEarly)
     Harness harness("timeout_flush_tool", options);
     const auto wl =
         harness.profile(homogeneousWorkload("astar"), smallTraces());
-    const std::vector<PassDesc> descs = {
-        {wl->name(), Harness::passKey(wl, "slow")}};
+    const std::vector<PassDesc> descs = {{wl, "slow"}};
     const auto outcomes =
         harness.runPasses(descs, [&](std::size_t) {
             return runStaticPolicy(harness.config(), wl->data,

@@ -437,8 +437,7 @@ TEST_F(PerfTest, HarnessWritesBenchDocumentUnderWatchdog)
         const auto wl = harness.profile(homogeneousWorkload("astar"),
                                         smallTraces());
         const SystemConfig &config = harness.config();
-        const std::vector<PassDesc> descs = {
-            {wl->name(), Harness::passKey(wl, "perf")}};
+        const std::vector<PassDesc> descs = {{wl, "perf"}};
         harness.runPasses(descs, [&](std::size_t) {
             return runStaticPolicy(config, wl->data,
                                    StaticPolicy::PerfFocused,
@@ -490,7 +489,7 @@ TEST_F(PerfTest, CancelledCampaignStillFlushesBenchDocument)
     const SystemConfig &config = harness.config();
     std::vector<PassDesc> descs;
     for (const char *label : {"one", "two", "three"})
-        descs.push_back({wl->name(), Harness::passKey(wl, label)});
+        descs.push_back({wl, label});
 
     try {
         testing::internal::CaptureStderr();

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "eventlog/eventlog.hh"
 #include "reliability/faultsim.hh"
 #include "runner/harness.hh"
 
@@ -422,9 +423,9 @@ TEST(Harness, FailingPassBecomesFailedRow)
     const SystemConfig &config = harness.config();
 
     const std::vector<PassDesc> descs = {
-        {wl->name(), Harness::passKey(wl, "good-a")},
-        {wl->name(), Harness::passKey(wl, "bad")},
-        {wl->name(), Harness::passKey(wl, "good-b")},
+        {wl, "good-a"},
+        {wl, "bad"},
+        {wl, "good-b"},
     };
     const auto outcomes = harness.runPasses(
         descs, [&](std::size_t i) {
@@ -473,8 +474,7 @@ TEST(Harness, TimeoutFlagsSlowPasses)
         harness.profile(homogeneousWorkload("astar"), smallTraces());
     const SystemConfig &config = harness.config();
 
-    const std::vector<PassDesc> descs = {
-        {wl->name(), Harness::passKey(wl, "slow")}};
+    const std::vector<PassDesc> descs = {{wl, "slow"}};
     const auto outcomes = harness.runPasses(
         descs, [&](std::size_t) {
             return runStaticPolicy(config, wl->data,
@@ -504,7 +504,7 @@ TEST(Harness, CancellationSkipsRemainingPasses)
 
     std::vector<PassDesc> descs;
     for (const char *label : {"one", "two", "three"})
-        descs.push_back({wl->name(), Harness::passKey(wl, label)});
+        descs.push_back({wl, label});
 
     std::atomic<int> ran{0};
     try {
@@ -565,19 +565,21 @@ TEST(Harness, RecordsAndWritesJson)
     runner::Harness harness("test_tool", options);
     const auto wl =
         harness.profile(homogeneousWorkload("astar"), smallTraces());
-    const auto perf = runStaticPolicy(
-        harness.config(), wl->data, StaticPolicy::PerfFocused,
-        wl->profile());
-    harness.record(wl->name(), perf);
-    // profile() recorded the baseline, record() the perf pass.
+    const auto outcomes = harness.runPasses(
+        std::vector<PassDesc>{{wl, "perf"}}, [&](std::size_t) {
+            return runStaticPolicy(harness.config(), wl->data,
+                                   StaticPolicy::PerfFocused,
+                                   wl->profile());
+        });
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_EQ(outcomes[0].status, PassStatus::Ok);
+    EXPECT_GT(outcomes[0].seconds, 0);
+    // profile() recorded the baseline, runPasses() the perf pass.
     EXPECT_EQ(harness.report().passes().size(), 2u);
     EXPECT_EQ(harness.finish(), 0);
 
-    std::ifstream in(options.jsonPath);
-    ASSERT_TRUE(in.good());
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    const std::string json = buffer.str();
+    const std::string json = slurp(options.jsonPath);
+    ASSERT_FALSE(json.empty());
     EXPECT_NE(json.find("\"tool\": \"test_tool\""),
               std::string::npos);
     EXPECT_NE(json.find("\"profile_cache\""), std::string::npos);
@@ -585,6 +587,75 @@ TEST(Harness, RecordsAndWritesJson)
     EXPECT_NE(json.find("\"workload\": \"astar\""),
               std::string::npos);
     std::remove(options.jsonPath.c_str());
+}
+
+TEST(Harness, DerivesPassIdentityFromWorkloadAndLabel)
+{
+    const std::string dir =
+        ::testing::TempDir() + "ramp_runner_identity_ckpt";
+    std::filesystem::remove_all(dir);
+    RunnerOptions options;
+    options.jobs = 2;
+    options.checkpointDir = dir;
+    const std::vector<std::string> labels = {"perf-focused/clean",
+                                             "perf-focused/storm"};
+
+    // One campaign: returns the outcomes and, per pass, the ledger
+    // run label the pass body ran under.
+    std::vector<std::string> run_labels(labels.size());
+    auto campaign = [&](Harness &harness) {
+        const auto wl = harness.profile(homogeneousWorkload("astar"),
+                                        smallTraces());
+        std::vector<PassDesc> descs;
+        for (const auto &label : labels)
+            descs.push_back({wl, label});
+        auto outcomes = harness.runPasses(descs, [&](std::size_t i) {
+            run_labels[i] = eventlog::currentRunLabel();
+            return runStaticPolicy(harness.config(), wl->data,
+                                   StaticPolicy::PerfFocused,
+                                   wl->profile());
+        });
+        return std::make_pair(wl, outcomes);
+    };
+
+    eventlog::reset();
+    eventlog::setEnabled(true);
+    Harness first("identity_tool", options);
+    const auto [wl, outcomes] = campaign(first);
+    eventlog::setEnabled(false);
+    eventlog::reset();
+    EXPECT_EQ(run_labels[0], "astar/perf-focused/clean");
+    EXPECT_EQ(run_labels[1], "astar/perf-focused/storm");
+    const auto passes = first.report().passes();
+    ASSERT_EQ(passes.size(), 3u); // baseline + two passes
+    for (const auto &pass : passes)
+        EXPECT_EQ(pass.workload, "astar");
+    for (const auto &out : outcomes)
+        EXPECT_FALSE(out.fromCheckpoint);
+    EXPECT_EQ(first.finish(), 0);
+
+    // A second harness on the same directory replays every pass,
+    // journaled under Harness::passKey(workload, label).
+    Harness second("identity_tool", options);
+    testing::internal::CaptureStderr();
+    const auto [wl2, replayed] = campaign(second);
+    EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                  "resumed 2 of 2"),
+              std::string::npos);
+    ASSERT_EQ(replayed.size(), labels.size());
+    runner::CheckpointJournal journal(dir, "identity_tool");
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+        EXPECT_TRUE(replayed[i].fromCheckpoint) << labels[i];
+        expectSameResult(replayed[i].result, outcomes[i].result);
+        std::string workload;
+        SimResult journaled;
+        EXPECT_TRUE(journal.lookup(Harness::passKey(wl2, labels[i]),
+                                   workload, journaled))
+            << labels[i];
+        EXPECT_EQ(workload, "astar");
+    }
+    EXPECT_EQ(second.finish(), 0);
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

@@ -4,8 +4,8 @@
  *
  *   bench_diff [options] BASELINE CANDIDATE
  *
- * Compares two ramp-bench-v1 documents metric by metric with
- * per-family noise thresholds (perf/bench_report.hh) and prints a
+ * Compares two ramp-bench-v1 documents metric by metric with the
+ * per-family noise bands of perf/bench_report.cc and prints a
  * human-readable verdict table. Exit code: 0 when no metric
  * regressed beyond its threshold, 1 on any regression, 2 on usage
  * or unreadable/incomparable inputs. CI runs it against the
@@ -36,22 +36,7 @@ usage()
         stderr,
         "usage: bench_diff [options] BASELINE.json CANDIDATE.json\n"
         "\n"
-        "  --relax F         multiply every threshold by F\n"
-        "  --wall-pct P      wall-time threshold (default 50)\n"
-        "  --throughput-pct P  throughput threshold (default 40)\n"
-        "  --rss-pct P       peak-RSS threshold (default 50)\n"
-        "  --percentile-pct P  histogram-quantile threshold "
-        "(default 75)\n"
-        "  --micro-pct P     microbenchmark threshold "
-        "(default 50)\n"
-        "  --eventlog-pct P  decision-ledger threshold "
-        "(default 60)\n"
-        "  --service-pct P   multi-tenant service threshold "
-        "(default 40;\n"
-        "                    the fairness index keeps its own "
-        "tight 5%% band)\n"
-        "  --health-pct P    health-monitor threshold "
-        "(default 40)\n"
+        "  --relax F         multiply every noise band by F\n"
         "  --family PREFIX   only compare metrics whose name "
         "starts\n"
         "                    with PREFIX (repeatable), so one "
@@ -119,30 +104,6 @@ main(int argc, char **argv)
         } else if (arg == "--relax") {
             options.relax = parsePositive("--relax",
                                           value("--relax"));
-        } else if (arg == "--wall-pct") {
-            options.wallPct =
-                parsePositive("--wall-pct", value("--wall-pct"));
-        } else if (arg == "--throughput-pct") {
-            options.throughputPct = parsePositive(
-                "--throughput-pct", value("--throughput-pct"));
-        } else if (arg == "--rss-pct") {
-            options.rssPct =
-                parsePositive("--rss-pct", value("--rss-pct"));
-        } else if (arg == "--percentile-pct") {
-            options.percentilePct = parsePositive(
-                "--percentile-pct", value("--percentile-pct"));
-        } else if (arg == "--micro-pct") {
-            options.microPct =
-                parsePositive("--micro-pct", value("--micro-pct"));
-        } else if (arg == "--eventlog-pct") {
-            options.eventlogPct = parsePositive(
-                "--eventlog-pct", value("--eventlog-pct"));
-        } else if (arg == "--service-pct") {
-            options.servicePct = parsePositive(
-                "--service-pct", value("--service-pct"));
-        } else if (arg == "--health-pct") {
-            options.healthPct = parsePositive(
-                "--health-pct", value("--health-pct"));
         } else if (arg == "--family") {
             options.families.push_back(value("--family"));
         } else if (!arg.empty() && arg[0] == '-') {
