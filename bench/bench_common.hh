@@ -218,11 +218,15 @@ inline std::string
 argumentsTag(const Harness &harness)
 {
     std::string args;
-    for (const std::string &arg : harness.options().positional)
-        args += arg + '\0';
+    for (const std::string &arg : harness.options().positional) {
+        args += arg;
+        args += '\0';
+    }
     if (args.empty())
         return {};
-    return "@" + runner::hashHex(runner::fnv1a64(args));
+    std::string tag = "@";
+    tag += runner::hashHex(runner::fnv1a64(args));
+    return tag;
 }
 
 /**

@@ -62,8 +62,8 @@ main(int argc, char **argv)
                 SimResult result =
                     runHotFraction(config, wl.data, wl.profile(),
                                    fractions[point.sweep]);
-                result.label +=
-                    "@" + TextTable::num(fractions[point.sweep], 1);
+                result.label += '@';
+                result.label += TextTable::num(fractions[point.sweep], 1);
                 return result;
             });
 

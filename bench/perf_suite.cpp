@@ -148,6 +148,18 @@ buildSuite(const SystemConfig &config, const WorkloadData &data)
         return keepLive(accesses, mea.hotPages().size());
     });
 
+    suite.add("remap_cache", "accesses", [] {
+        // MemPod's 64 KB remap cache over twice its reach, so about
+        // half the lookups miss and evict.
+        RemapCache cache(8192);
+        Rng rng(6);
+        constexpr std::uint64_t accesses = 400'000;
+        Cycle sink = 0;
+        for (std::uint64_t i = 0; i < accesses; ++i)
+            sink += cache.lookup(rng.nextRange(16'384));
+        return keepLive(accesses, sink);
+    });
+
     suite.add("hma_access", "accesses", [&config, &data] {
         // The full demand path: placement lookup, DRAM timing,
         // AVF tracking (the DDR-only profiling pass).

@@ -173,7 +173,8 @@ cmdSweep(Harness &harness, const std::string &workload)
         descs, [&](std::size_t i) {
             SimResult result = runHotFraction(
                 config, wl->data, wl->profile(), fractions[i]);
-            result.label += "@" + TextTable::num(fractions[i], 2);
+            result.label += '@';
+            result.label += TextTable::num(fractions[i], 2);
             return result;
         });
 

@@ -33,7 +33,7 @@ std::string
 formatMessage(Args &&...args)
 {
     std::ostringstream os;
-    (os << ... << args);
+    ((os << args), ...);
     return os.str();
 }
 

@@ -35,10 +35,13 @@ FaultInjector::onAccess(PageId page, bool is_write, MemoryId mem)
 {
     (void)is_write;
     (void)mem;
-    if (seenSet_.insert(page).second)
-        seen_.push_back(page);
-    if (config_.hammerThreshold > 0)
-        ++activations_[page];
+    const std::uint32_t slot = seen_.intern(page);
+    if (config_.hammerThreshold > 0) {
+        if (slot == activations_.size())
+            activations_.push_back(0);
+        if (activations_[slot]++ == 0)
+            activeSlots_.push_back(slot);
+    }
 }
 
 std::vector<InjectedFault>
@@ -66,13 +69,14 @@ FaultInjector::onEpoch(std::uint64_t epoch)
     }
 
     // 2. Poisson arrivals over the touched-page population.
-    if (config_.poissonFaultsPerEpoch > 0 && !seen_.empty()) {
+    if (config_.poissonFaultsPerEpoch > 0 && seen_.size() > 0) {
         const std::uint64_t arrivals =
             rng_.nextPoisson(config_.poissonFaultsPerEpoch);
         for (std::uint64_t i = 0; i < arrivals; ++i) {
             InjectedFault fault;
             fault.source = FaultSource::Poisson;
-            fault.page = seen_[rng_.nextRange(seen_.size())];
+            fault.page = seen_.page(static_cast<std::uint32_t>(
+                rng_.nextRange(seen_.size())));
             fault.kind = rng_.nextDouble() <
                                  config_.poissonUncorrectedShare
                              ? FaultEventKind::Uncorrected
@@ -82,14 +86,15 @@ FaultInjector::onEpoch(std::uint64_t epoch)
     }
 
     // 3. Hammer: aggressors over the threshold disturb their
-    // neighbour page. Iterate in ascending page order — the counts
-    // live in an unordered_map, and the schedule must not depend on
-    // hash iteration order.
-    if (config_.hammerThreshold > 0 && !activations_.empty()) {
+    // neighbour page, in ascending page order.
+    if (!activeSlots_.empty()) {
         std::vector<std::pair<PageId, std::uint32_t>> hot;
-        for (const auto &[page, count] : activations_)
-            if (count >= config_.hammerThreshold)
-                hot.emplace_back(page, count);
+        for (const std::uint32_t slot : activeSlots_) {
+            if (activations_[slot] >= config_.hammerThreshold)
+                hot.emplace_back(seen_.page(slot), activations_[slot]);
+            activations_[slot] = 0;
+        }
+        activeSlots_.clear();
         std::sort(hot.begin(), hot.end());
         for (const auto &[aggressor, count] : hot) {
             InjectedFault fault;
@@ -100,7 +105,6 @@ FaultInjector::onEpoch(std::uint64_t epoch)
                              : FaultEventKind::Correctable;
             faults.push_back(fault);
         }
-        activations_.clear();
     }
 
     produced_ += faults.size();

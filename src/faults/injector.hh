@@ -27,10 +27,9 @@
 #define RAMP_FAULTS_INJECTOR_HH
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "common/page_index.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 #include "faults/plan.hh"
@@ -149,9 +148,11 @@ class FaultInjector
   private:
     InjectorConfig config_;
     Rng rng_;
-    std::vector<PageId> seen_;          ///< first-touch order
-    std::unordered_set<PageId> seenSet_;
-    std::unordered_map<PageId, std::uint32_t> activations_;
+    /** Touched pages; slot order (first touch) is the Poisson
+     *  victim population. */
+    PageIndex seen_;
+    std::vector<std::uint32_t> activations_; ///< by slot, this epoch
+    std::vector<std::uint32_t> activeSlots_; ///< slots counted this epoch
     std::vector<bool> fired_; ///< script events already landed
     std::uint64_t produced_ = 0;
 };

@@ -24,7 +24,10 @@ FullCounterTable::FullCounterTable(std::uint32_t bits)
 void
 FullCounterTable::onAccess(PageId page, bool is_write)
 {
-    auto &counts = counters_[page];
+    const std::uint32_t slot = index_.intern(page);
+    if (slot == counters_.size())
+        counters_.emplace_back(page, Counts{});
+    auto &counts = counters_[slot].second;
     auto &field = is_write ? counts.writes : counts.reads;
     if (field < maxCount_)
         ++field; // saturating: no overflow (Section 6.3)
@@ -33,8 +36,8 @@ FullCounterTable::onAccess(PageId page, bool is_write)
 FullCounterTable::Counts
 FullCounterTable::countsOf(PageId page) const
 {
-    const auto it = counters_.find(page);
-    return it == counters_.end() ? Counts{} : it->second;
+    const std::uint32_t slot = index_.find(page);
+    return slot == PageIndex::none ? Counts{} : counters_[slot].second;
 }
 
 double
@@ -62,6 +65,7 @@ FullCounterTable::meanWrRatio() const
 void
 FullCounterTable::reset()
 {
+    index_.clear();
     counters_.clear();
 }
 
@@ -78,51 +82,51 @@ MeaTracker::MeaTracker(std::size_t entries)
 {
     if (entries == 0)
         ramp_fatal("MEA tracker needs at least one entry");
+    entries_.reserve(entries);
 }
 
 void
 MeaTracker::onAccess(PageId page)
 {
-    const auto it = map_.find(page);
-    if (it != map_.end()) {
-        ++it->second;
-        return;
+    for (Entry &entry : entries_) {
+        if (entry.page == page) {
+            ++entry.count;
+            return;
+        }
     }
-    if (map_.size() < capacity_) {
-        map_.emplace(page, 1);
+    if (entries_.size() < capacity_) {
+        entries_.push_back({page, 1});
         return;
     }
     // Misra-Gries step: decrement everyone, drop zeros.
-    for (auto entry = map_.begin(); entry != map_.end();) {
-        if (--entry->second == 0)
-            entry = map_.erase(entry);
-        else
-            ++entry;
-    }
+    std::size_t kept = 0;
+    for (Entry &entry : entries_)
+        if (--entry.count != 0)
+            entries_[kept++] = entry;
+    entries_.resize(kept);
 }
 
 std::vector<PageId>
 MeaTracker::hotPages() const
 {
-    std::vector<std::pair<PageId, std::uint64_t>> entries(
-        map_.begin(), map_.end());
-    std::sort(entries.begin(), entries.end(),
-              [](const auto &a, const auto &b) {
-                  if (a.second != b.second)
-                      return a.second > b.second;
-                  return a.first < b.first;
+    std::vector<Entry> sorted = entries_;
+    std::sort(sorted.begin(), sorted.end(),
+              [](const Entry &a, const Entry &b) {
+                  if (a.count != b.count)
+                      return a.count > b.count;
+                  return a.page < b.page;
               });
     std::vector<PageId> pages;
-    pages.reserve(entries.size());
-    for (const auto &[page, count] : entries)
-        pages.push_back(page);
+    pages.reserve(sorted.size());
+    for (const Entry &entry : sorted)
+        pages.push_back(entry.page);
     return pages;
 }
 
 void
 MeaTracker::reset()
 {
-    map_.clear();
+    entries_.clear();
 }
 
 std::uint64_t
@@ -137,24 +141,56 @@ RemapCache::RemapCache(std::size_t entries, Cycle miss_penalty)
 {
     if (entries == 0)
         ramp_fatal("remap cache needs at least one entry");
+    if (entries >= nil)
+        ramp_fatal("remap cache entries must fit a 32-bit node index");
+    nodes_.reserve(entries);
+}
+
+void
+RemapCache::unlink(std::uint32_t node)
+{
+    const Node &n = nodes_[node];
+    (n.prev == nil ? head_ : nodes_[n.prev].next) = n.next;
+    (n.next == nil ? tail_ : nodes_[n.next].prev) = n.prev;
+}
+
+void
+RemapCache::pushFront(std::uint32_t node)
+{
+    nodes_[node].prev = nil;
+    nodes_[node].next = head_;
+    (head_ == nil ? tail_ : nodes_[head_].prev) = node;
+    head_ = node;
 }
 
 Cycle
 RemapCache::lookup(PageId page)
 {
-    const auto it = index_.find(page);
-    if (it != index_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second);
+    const std::uint32_t slot = index_.intern(page);
+    if (slot == nodeOf_.size())
+        nodeOf_.push_back(nil);
+    std::uint32_t node = nodeOf_[slot];
+    if (node != nil) {
+        if (node != head_) {
+            unlink(node);
+            pushFront(node);
+        }
         ++hits_;
         return 0;
     }
     ++misses_;
-    if (lru_.size() >= capacity_) {
-        index_.erase(lru_.back());
-        lru_.pop_back();
+    if (nodes_.size() >= capacity_) {
+        // Reuse the LRU entry's node for the incoming page.
+        node = tail_;
+        unlink(node);
+        nodeOf_[nodes_[node].slot] = nil;
+    } else {
+        node = static_cast<std::uint32_t>(nodes_.size());
+        nodes_.push_back({});
     }
-    lru_.push_front(page);
-    index_[page] = lru_.begin();
+    nodes_[node].slot = slot;
+    pushFront(node);
+    nodeOf_[slot] = node;
     return missPenalty_;
 }
 

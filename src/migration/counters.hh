@@ -11,16 +11,21 @@
  *    (Section 6.4).
  *  - RemapCache: model of MemPod's remap-table cache; misses charge
  *    a lookup latency penalty on the access path.
+ *
+ * All three run on every demand access of a migration pass, so their
+ * storage is flat: the counters and the remap cache hash a PageId
+ * once, through their own PageIndex, into a dense slot that indexes
+ * plain vectors; the MEA scans its few entries (DESIGN.md §16).
  */
 
 #ifndef RAMP_MIGRATION_COUNTERS_HH
 #define RAMP_MIGRATION_COUNTERS_HH
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/page_index.hh"
 #include "common/types.hh"
 
 namespace ramp
@@ -52,8 +57,8 @@ class FullCounterTable
     /** Counters of one page this interval (zeros if untouched). */
     Counts countsOf(PageId page) const;
 
-    /** All pages touched this interval. */
-    const std::unordered_map<PageId, Counts> &touched() const
+    /** All pages touched this interval, in first-touch order. */
+    const std::vector<std::pair<PageId, Counts>> &touched() const
     {
         return counters_;
     }
@@ -64,7 +69,7 @@ class FullCounterTable
     /** Mean Wr ratio over touched pages (the risk threshold). */
     double meanWrRatio() const;
 
-    /** Clear all counters (interval boundary). */
+    /** Clear all counters (interval boundary); capacity is kept. */
     void reset();
 
     /** Saturation limit. */
@@ -81,7 +86,8 @@ class FullCounterTable
 
   private:
     std::uint32_t maxCount_;
-    std::unordered_map<PageId, Counts> counters_;
+    PageIndex index_;
+    std::vector<std::pair<PageId, Counts>> counters_; ///< by slot
 };
 
 /** Misra-Gries majority-element hot-page tracker (32 entries). */
@@ -106,8 +112,14 @@ class MeaTracker
     static std::uint64_t storageBytes(std::size_t entries);
 
   private:
+    struct Entry
+    {
+        PageId page;
+        std::uint64_t count;
+    };
+
     std::size_t capacity_;
-    std::unordered_map<PageId, std::uint64_t> map_;
+    std::vector<Entry> entries_; ///< at most capacity_, any order
 };
 
 /** LRU model of the remap-table cache (64 KB in MemPod). */
@@ -134,12 +146,28 @@ class RemapCache
     static std::uint64_t storageBytes(std::size_t entries);
 
   private:
+    static constexpr std::uint32_t nil = UINT32_MAX;
+
+    /** One cached entry; prev/next link the LRU list by node index. */
+    struct Node
+    {
+        std::uint32_t slot; ///< cached page, as a slot of index_
+        std::uint32_t prev;
+        std::uint32_t next;
+    };
+
+    void unlink(std::uint32_t node);
+    void pushFront(std::uint32_t node);
+
     std::size_t capacity_;
     Cycle missPenalty_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
-    std::list<PageId> lru_; ///< front = MRU
-    std::unordered_map<PageId, std::list<PageId>::iterator> index_;
+    std::vector<Node> nodes_; ///< at most capacity_
+    std::uint32_t head_ = nil; ///< MRU
+    std::uint32_t tail_ = nil; ///< LRU
+    PageIndex index_;                 ///< every page ever looked up
+    std::vector<std::uint32_t> nodeOf_; ///< by slot; nil when uncached
 };
 
 } // namespace ramp

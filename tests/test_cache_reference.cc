@@ -92,9 +92,10 @@ TEST_P(CacheFuzzTest, MatchesReferenceExactly)
         const auto want = reference.access(addr, is_write);
         ASSERT_EQ(got.hit, want.hit) << "access " << i;
         ASSERT_EQ(got.writeback, want.writeback) << "access " << i;
-        if (want.writeback)
+        if (want.writeback) {
             ASSERT_EQ(got.writebackAddr, want.writebackAddr)
                 << "access " << i;
+        }
     }
 }
 

@@ -6,6 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <list>
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "common/rng.hh"
 #include "migration/counters.hh"
 
 namespace ramp
@@ -171,6 +179,232 @@ TEST(RemapCache, StorageMatchesMemPod)
 {
     // 64 KB remap cache = 8192 entries x 8 B.
     EXPECT_EQ(RemapCache::storageBytes(8192), 64ULL * 1024);
+}
+
+// ---------------------------------------------------------------
+// Reference models: each structure against a plain map/list model
+// on seeded random page streams.
+
+/** A page stream over a small hot set and a wider cold range. */
+PageId
+drawPage(Rng &rng, std::uint64_t hot_pages, std::uint64_t universe)
+{
+    return rng.nextBool(0.5) ? rng.nextRange(hot_pages)
+                             : rng.nextRange(universe);
+}
+
+/** Full Counters as a std::map plus a first-touch list. */
+struct RefCounters
+{
+    std::uint32_t maxCount;
+    std::map<PageId, FullCounterTable::Counts> counts;
+    std::vector<PageId> order;
+
+    void onAccess(PageId page, bool is_write)
+    {
+        auto [it, inserted] = counts.try_emplace(page);
+        if (inserted)
+            order.push_back(page);
+        auto &field = is_write ? it->second.writes : it->second.reads;
+        field = std::min(field + 1, maxCount);
+    }
+
+    double meanHotness() const
+    {
+        double sum = 0;
+        for (const PageId page : order)
+            sum += counts.at(page).hotness();
+        return order.empty() ? 0.0 : sum / order.size();
+    }
+
+    double meanWrRatio() const
+    {
+        double sum = 0;
+        for (const PageId page : order)
+            sum += counts.at(page).wrRatio();
+        return order.empty() ? 0.0 : sum / order.size();
+    }
+
+    void reset()
+    {
+        counts.clear();
+        order.clear();
+    }
+};
+
+void
+expectSameCounters(const FullCounterTable &table, const RefCounters &ref,
+                   std::uint64_t universe)
+{
+    const auto &touched = table.touched();
+    ASSERT_EQ(touched.size(), ref.order.size());
+    for (std::size_t i = 0; i < touched.size(); ++i) {
+        // First-touch order, and the same counts per page.
+        ASSERT_EQ(touched[i].first, ref.order[i]);
+        const auto &want = ref.counts.at(ref.order[i]);
+        EXPECT_EQ(touched[i].second.reads, want.reads);
+        EXPECT_EQ(touched[i].second.writes, want.writes);
+    }
+    for (PageId page = 0; page < universe; ++page) {
+        const auto it = ref.counts.find(page);
+        const auto want =
+            it == ref.counts.end() ? FullCounterTable::Counts{}
+                                   : it->second;
+        const auto got = table.countsOf(page);
+        ASSERT_EQ(got.reads, want.reads) << "page " << page;
+        ASSERT_EQ(got.writes, want.writes) << "page " << page;
+    }
+    EXPECT_EQ(table.meanHotness(), ref.meanHotness());
+    EXPECT_EQ(table.meanWrRatio(), ref.meanWrRatio());
+}
+
+TEST(FullCounters, MatchesMapReferenceOnRandomStreams)
+{
+    for (const std::uint32_t bits : {3u, 8u}) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            SCOPED_TRACE(testing::Message()
+                         << "bits " << bits << " seed " << seed);
+            constexpr std::uint64_t universe = 600;
+            FullCounterTable table(bits);
+            RefCounters ref{table.maxCount(), {}, {}};
+            Rng rng(seed);
+            for (int interval = 0; interval < 6; ++interval) {
+                // Intervals of varying length; pages recur across
+                // reset() boundaries.
+                const std::uint64_t accesses =
+                    1 + rng.nextRange(3000);
+                for (std::uint64_t i = 0; i < accesses; ++i) {
+                    const PageId page = drawPage(rng, 8, universe);
+                    const bool is_write = rng.nextBool(0.3);
+                    table.onAccess(page, is_write);
+                    ref.onAccess(page, is_write);
+                }
+                expectSameCounters(table, ref, universe);
+                table.reset();
+                ref.reset();
+                expectSameCounters(table, ref, universe);
+            }
+        }
+    }
+}
+
+/** Misra-Gries over a std::map, the textbook form. */
+struct RefMea
+{
+    std::size_t capacity;
+    std::map<PageId, std::uint64_t> map;
+
+    void onAccess(PageId page)
+    {
+        if (const auto it = map.find(page); it != map.end()) {
+            ++it->second;
+        } else if (map.size() < capacity) {
+            map.emplace(page, 1);
+        } else {
+            for (auto entry = map.begin(); entry != map.end();)
+                entry = --entry->second == 0 ? map.erase(entry)
+                                             : std::next(entry);
+        }
+    }
+
+    std::vector<PageId> hotPages() const
+    {
+        std::vector<std::pair<PageId, std::uint64_t>> entries(
+            map.begin(), map.end());
+        std::stable_sort(entries.begin(), entries.end(),
+                         [](const auto &a, const auto &b) {
+                             return a.second > b.second;
+                         });
+        std::vector<PageId> pages;
+        for (const auto &[page, count] : entries)
+            pages.push_back(page);
+        return pages;
+    }
+};
+
+TEST(Mea, MatchesMapReferenceOnRandomStreams)
+{
+    for (const std::size_t capacity : {1u, 2u, 5u, 32u}) {
+        for (const std::uint64_t universe : {3u, 40u, 5000u}) {
+            for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+                SCOPED_TRACE(testing::Message()
+                             << "capacity " << capacity << " universe "
+                             << universe << " seed " << seed);
+                MeaTracker mea(capacity);
+                RefMea ref{capacity, {}};
+                Rng rng(seed);
+                for (int i = 0; i < 4000; ++i) {
+                    if (rng.nextRange(700) == 0) {
+                        mea.reset();
+                        ref.map.clear();
+                    }
+                    const PageId page = drawPage(rng, 4, universe);
+                    mea.onAccess(page);
+                    ref.onAccess(page);
+                    if (i % 7 == 0) {
+                        ASSERT_EQ(mea.hotPages(), ref.hotPages())
+                            << "access " << i;
+                    }
+                }
+                EXPECT_EQ(mea.hotPages(), ref.hotPages());
+            }
+        }
+    }
+}
+
+/** LRU over a std::list, front = MRU. */
+struct RefLru
+{
+    std::size_t capacity;
+    std::list<PageId> lru;
+    std::map<PageId, std::list<PageId>::iterator> index;
+
+    bool lookup(PageId page)
+    {
+        if (const auto it = index.find(page); it != index.end()) {
+            lru.splice(lru.begin(), lru, it->second);
+            return true;
+        }
+        if (lru.size() >= capacity) {
+            index.erase(lru.back());
+            lru.pop_back();
+        }
+        lru.push_front(page);
+        index[page] = lru.begin();
+        return false;
+    }
+};
+
+TEST(RemapCache, MatchesListReferenceOnRandomStreams)
+{
+    constexpr Cycle penalty = 24;
+    for (const std::size_t capacity : {1u, 2u, 8u, 64u}) {
+        // Universes below, at and far above the capacity, so pages
+        // are evicted and seen again.
+        for (const std::uint64_t universe :
+             {std::uint64_t{capacity}, capacity + 1, 4 * capacity,
+              std::uint64_t{4096}}) {
+            for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+                SCOPED_TRACE(testing::Message()
+                             << "capacity " << capacity << " universe "
+                             << universe << " seed " << seed);
+                RemapCache cache(capacity, penalty);
+                RefLru ref{capacity, {}, {}};
+                Rng rng(seed);
+                std::uint64_t hits = 0;
+                for (int i = 0; i < 5000; ++i) {
+                    const PageId page =
+                        drawPage(rng, capacity / 2 + 1, universe);
+                    const bool hit = ref.lookup(page);
+                    ASSERT_EQ(cache.lookup(page), hit ? 0 : penalty)
+                        << "lookup " << i << " page " << page;
+                    hits += hit;
+                }
+                EXPECT_EQ(cache.hits(), hits);
+                EXPECT_EQ(cache.misses(), 5000 - hits);
+            }
+        }
+    }
 }
 
 TEST(CountersDeathTest, InvalidConfigs)

@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/rng.hh"
 #include "faults/injector.hh"
 #include "faults/plan.hh"
 #include "faults/response.hh"
@@ -171,6 +173,117 @@ TEST(FaultInjector, HammerStrikesTheNeighbourDeterministically)
     EXPECT_EQ(faults[0].source, FaultSource::Hammer);
     // Activation counts reset per epoch.
     EXPECT_TRUE(injector.onEpoch(2).empty());
+}
+
+TEST(FaultInjector, ScheduleIsPinnedForFixedSeeds)
+{
+    // Poisson victims are drawn from the first-touch population and
+    // hammer victims from per-epoch activation counts; a mixed
+    // stream of eight hot aggressors and scattered cold pages must
+    // produce exactly this schedule for each seed.
+    const auto schedule = [](std::uint64_t seed) {
+        InjectorConfig config;
+        config.seed = seed;
+        config.poissonFaultsPerEpoch = 2.0;
+        config.poissonUncorrectedShare = 0.25;
+        config.hammerThreshold = 8;
+        FaultInjector injector(config);
+        Rng stream(seed + 1);
+        std::vector<std::string> faults;
+        for (std::uint64_t epoch = 1; epoch <= 4; ++epoch) {
+            for (int i = 0; i < 300; ++i) {
+                const PageId page =
+                    stream.nextBool(0.3)
+                        ? 1000 + 17 * stream.nextRange(8)
+                        : stream.nextRange(1 << 20);
+                injector.onAccess(page, stream.nextBool(0.3),
+                                  MemoryId::DDR);
+            }
+            for (const InjectedFault &fault : injector.onEpoch(epoch)) {
+                std::ostringstream line;
+                line << 'e' << epoch << ' '
+                     << faultSourceName(fault.source) << ' ' << fault.page
+                     << (fault.kind == FaultEventKind::Uncorrected ? " U"
+                                                                   : " C");
+                faults.push_back(line.str());
+            }
+        }
+        return faults;
+    };
+    EXPECT_EQ(schedule(7), (std::vector<std::string>{
+        "e1 poisson 349771 C",
+        "e1 poisson 970264 C",
+        "e1 poisson 209338 C",
+        "e1 poisson 6916 C",
+        "e1 poisson 299073 C",
+        "e1 poisson 476636 U",
+        "e1 hammer 1018 C",
+        "e1 hammer 1052 C",
+        "e1 hammer 1069 C",
+        "e1 hammer 1086 U",
+        "e1 hammer 1103 C",
+        "e2 hammer 1001 C",
+        "e2 hammer 1018 C",
+        "e2 hammer 1052 C",
+        "e2 hammer 1069 C",
+        "e2 hammer 1086 C",
+        "e2 hammer 1103 C",
+        "e2 hammer 1120 C",
+        "e3 poisson 156666 C",
+        "e3 hammer 1035 C",
+        "e3 hammer 1052 U",
+        "e3 hammer 1069 C",
+        "e3 hammer 1086 C",
+        "e3 hammer 1103 C",
+        "e4 poisson 1039811 C",
+        "e4 hammer 1001 C",
+        "e4 hammer 1018 C",
+        "e4 hammer 1035 C",
+        "e4 hammer 1052 C",
+        "e4 hammer 1069 C",
+        "e4 hammer 1086 C",
+        "e4 hammer 1103 C",
+        "e4 hammer 1120 C",
+    }));
+    EXPECT_EQ(schedule(2026), (std::vector<std::string>{
+        "e1 poisson 248087 C",
+        "e1 poisson 244371 C",
+        "e1 hammer 1001 C",
+        "e1 hammer 1018 C",
+        "e1 hammer 1052 C",
+        "e1 hammer 1069 C",
+        "e1 hammer 1086 C",
+        "e1 hammer 1103 C",
+        "e1 hammer 1120 C",
+        "e2 poisson 905784 C",
+        "e2 poisson 396821 C",
+        "e2 poisson 694126 U",
+        "e2 poisson 298770 C",
+        "e2 hammer 1001 C",
+        "e2 hammer 1018 C",
+        "e2 hammer 1035 C",
+        "e2 hammer 1052 C",
+        "e2 hammer 1069 C",
+        "e2 hammer 1086 C",
+        "e2 hammer 1103 C",
+        "e2 hammer 1120 C",
+        "e3 hammer 1001 C",
+        "e3 hammer 1018 U",
+        "e3 hammer 1035 C",
+        "e3 hammer 1052 C",
+        "e3 hammer 1069 C",
+        "e3 hammer 1086 C",
+        "e3 hammer 1103 C",
+        "e3 hammer 1120 C",
+        "e4 poisson 453743 U",
+        "e4 poisson 220466 C",
+        "e4 hammer 1018 U",
+        "e4 hammer 1035 C",
+        "e4 hammer 1052 C",
+        "e4 hammer 1069 C",
+        "e4 hammer 1086 C",
+        "e4 hammer 1103 C",
+    }));
 }
 
 // ---------------------------------------------------------------

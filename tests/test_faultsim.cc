@@ -31,12 +31,15 @@ TEST(FaultSim, DrawFaultRespectsGeometry)
     for (int i = 0; i < 2000; ++i) {
         const auto fault = sim.drawFault(rng);
         EXPECT_LT(fault.chip, sim.config().chips);
-        if (fault.bank != faultWildcard)
+        if (fault.bank != faultWildcard) {
             EXPECT_LT(fault.bank, sim.config().geometry.banks);
-        if (fault.row != faultWildcard)
+        }
+        if (fault.row != faultWildcard) {
             EXPECT_LT(fault.row, sim.config().geometry.rows);
-        if (fault.column != faultWildcard)
+        }
+        if (fault.column != faultWildcard) {
             EXPECT_LT(fault.column, sim.config().geometry.columns);
+        }
     }
 }
 

@@ -386,7 +386,7 @@ TEST(BenchDiff, FlagsRegressionsDirectionally)
 
     // A generous relax multiplier absorbs the same deltas.
     const auto relaxed = perf::compareBenchReports(
-        base, cand, DiffOptions{.relax = 10.0}, error);
+        base, cand, DiffOptions{.relax = 10.0, .families = {}}, error);
     for (const auto &diff : relaxed)
         EXPECT_FALSE(diff.regressed) << diff.name;
 }
