@@ -14,8 +14,7 @@
 #define RAMP_HMA_CORE_MODEL_HH
 
 #include <cstdint>
-#include <deque>
-#include <queue>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -68,7 +67,12 @@ class CoreModel
     Cycle finishTime() const { return finishTime_; }
 
   private:
+    /** (completion, instruction index) of an in-flight read. */
+    using RobEntry = std::pair<Cycle, std::uint64_t>;
+
     void computeNextReady();
+    void popOldestRead();
+    void pushRob(Cycle completion, std::uint64_t index);
 
     const CoreTrace *trace_;
     std::uint32_t issueWidth_;
@@ -81,12 +85,21 @@ class CoreModel
     std::uint64_t instructions_ = 0;
     Cycle finishTime_ = 0;
 
-    /** Completion times of outstanding reads (min-heap). */
-    std::priority_queue<Cycle, std::vector<Cycle>,
-                        std::greater<>> outstanding_;
+    /**
+     * Completion times of outstanding reads, a min-heap under
+     * std::push_heap/pop_heap. Reserved to maxReads + 1 entries, so
+     * it never reallocates.
+     */
+    std::vector<Cycle> outstanding_;
 
-    /** (completion, instruction index) of in-flight reads. */
-    std::deque<std::pair<Cycle, std::uint64_t>> robWindow_;
+    /**
+     * In-flight reads in issue order: a power-of-two ring of
+     * robSize_ + 1 entries at most (every request retires at least
+     * one instruction), grown by doubling while the core warms up.
+     */
+    std::vector<RobEntry> rob_;
+    std::size_t robHead_ = 0;
+    std::size_t robCount_ = 0;
 };
 
 } // namespace ramp

@@ -1,7 +1,6 @@
 #include "hma/system.hh"
 
 #include <algorithm>
-#include <queue>
 
 #include "common/logging.hh"
 #include "eventlog/eventlog.hh"
@@ -662,12 +661,14 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
         cores.emplace_back(trace, config_.issueWidth, config_.robSize,
                            config_.maxOutstandingReads);
 
-    // Global issue order: earliest-ready core first.
-    using Entry = std::pair<Cycle, std::size_t>;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
+    // Global issue order: earliest-ready core first, the lowest index
+    // on ties. A linear scan over this array picks it; a finished
+    // core reads `idle`.
+    constexpr Cycle idle = UINT64_MAX;
+    std::vector<Cycle> ready_at(cores.size(), idle);
     for (std::size_t i = 0; i < cores.size(); ++i)
         if (!cores[i].done())
-            pq.push({cores[i].nextIssueTime(), i});
+            ready_at[i] = cores[i].nextIssueTime();
 
     Cycle next_boundary =
         engine != nullptr ? engine->interval() : 0;
@@ -730,9 +731,13 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
         }
     };
 
-    while (!pq.empty()) {
-        const auto [ready, core_idx] = pq.top();
-        pq.pop();
+    while (true) {
+        std::size_t core_idx = 0;
+        for (std::size_t i = 1; i < ready_at.size(); ++i)
+            if (ready_at[i] < ready_at[core_idx])
+                core_idx = i;
+        if (ready_at.empty() || ready_at[core_idx] == idle)
+            break;
         CoreModel &core = cores[core_idx];
         const Cycle issue_t = core.nextIssueTime();
 
@@ -857,8 +862,24 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
                        ? systemTelemetry().hbmAccesses.add(1)
                        : systemTelemetry().ddrAccesses.add(1));
 
-        if (core.retire(req.isWrite ? issue_t : completion))
-            pq.push({core.nextIssueTime(), core_idx});
+        if (!core.retire(req.isWrite ? issue_t : completion)) {
+            ready_at[core_idx] = idle;
+            continue;
+        }
+        ready_at[core_idx] = core.nextIssueTime();
+
+        // Software pipeline: this core issues again about one turn
+        // of the other cores from now, so start the loads its next
+        // access will wait on. Hints only; no state changes.
+        const std::size_t next = run.coreBase[core_idx] +
+                                 core.position();
+        const std::uint32_t next_slot = run.requestSlot[next];
+        placement.prefetch(run.slots[next_slot].handle);
+        run.avf.prefetch(next_slot, lineInPage(core.current().addr));
+        // The request after that: its Slot, so that next turn's
+        // entry prefetch finds the handle in cache.
+        if (core.position() + 1 < traces[core_idx].size())
+            __builtin_prefetch(&run.slots[run.requestSlot[next + 1]]);
     }
 
     // Finish any still-draining page copies.

@@ -241,7 +241,9 @@ PlacementMap::retirePage(PageId page)
 
     if (entry.mem == MemoryId::HBM) {
         // The dead frame shrinks the tier; the page leaves with it.
-        --hbmCapacity_;
+        // Capacity loss may already have spent the whole budget.
+        if (hbmCapacity_ > 0)
+            --hbmCapacity_;
         --hbmUsed_;
         entry.mem = MemoryId::DDR;
         entry.pinned = true;

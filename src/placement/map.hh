@@ -94,6 +94,17 @@ class PlacementMap
 
     /** deviceAddr() for an access to the handle's page. */
     Addr deviceAddr(Handle page, Addr addr);
+
+    /**
+     * Cache hint: start loading the handle's entry ahead of a
+     * memoryOf()/deviceAddr(). No-op for an empty handle; changes no
+     * state.
+     */
+    void prefetch(Handle page) const
+    {
+        if (page)
+            __builtin_prefetch(page.entry_);
+    }
     /** @} */
 
     /**

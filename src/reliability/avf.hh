@@ -68,6 +68,16 @@ class AvfTracker
         last = now;
     }
 
+    /**
+     * Cache hint: start loading the state onAccess(slot, line, ...)
+     * will update. Changes no state.
+     */
+    void prefetch(std::uint32_t slot, std::uint64_t line) const
+    {
+        __builtin_prefetch(&lastAccess_[slot * linesPerPage + line]);
+        __builtin_prefetch(&ace_[slot]);
+    }
+
     /** The tracker's page index (slot <-> PageId). */
     const PageIndex &index() const { return index_; }
 

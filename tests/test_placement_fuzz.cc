@@ -128,6 +128,122 @@ TEST_P(PlacementFuzzTest, InvariantsHoldUnderRandomOps)
     EXPECT_LE(hbm_frames.size(), capacity);
 }
 
+/**
+ * Entry handles under every placement operation: a handle taken when
+ * a page is first seen must keep answering exactly like the PageId
+ * path after any later mix of initial placement, migration, range
+ * ops, retirement and capacity loss. Alongside, the frames stay sane:
+ * no frame is shared within a tier, no quarantined frame is handed
+ * out again, and HBM frames stay within the ones that survive.
+ */
+TEST_P(PlacementFuzzTest, HandlesTrackEveryOperation)
+{
+    Rng rng(GetParam());
+    const std::uint64_t capacity = 24;
+    const PageId universe = 400;
+    PlacementMap map(capacity);
+    std::map<PageId, PlacementMap::Handle> handles;
+
+    auto see = [&](PageId page) {
+        if (handles.find(page) == handles.end())
+            handles.emplace(page, map.handleOf(page));
+    };
+    auto see_span = [&](PageId first, std::uint64_t pages) {
+        for (std::uint64_t i = 0; i < pages; ++i)
+            see(first + i);
+    };
+    auto random_tier = [&] {
+        return rng.nextBool(0.5) ? MemoryId::HBM : MemoryId::DDR;
+    };
+
+    for (int op = 0; op < 1500; ++op) {
+        const PageId a = rng.nextRange(universe);
+        const PageId b = rng.nextRange(universe);
+        const std::uint64_t span = 1 + rng.nextRange(8);
+        const std::uint64_t kind = rng.nextRange(10);
+        SCOPED_TRACE(::testing::Message()
+                     << "op " << op << " kind " << kind << " page "
+                     << a);
+        switch (kind) {
+          case 0:
+          case 1: { // place / placePinned a page the map never saw
+            if (handles.count(a) != 0)
+                break;
+            const MemoryId mem =
+                map.hbmFreePages() > 0 ? random_tier() : MemoryId::DDR;
+            if (kind == 0)
+                map.place(a, mem);
+            else
+                map.placePinned(a, mem);
+            ASSERT_EQ(map.memoryOf(a), mem);
+            see(a);
+            break;
+          }
+          case 2:
+            map.swap(a, b);
+            see(a);
+            see(b);
+            break;
+          case 3:
+            map.evictToDdr(a);
+            see(a);
+            break;
+          case 4:
+            map.promoteToHbm(a);
+            see(a);
+            break;
+          case 5:
+            map.retirePage(a);
+            ASSERT_TRUE(map.isRetired(a));
+            see(a);
+            break;
+          case 6:
+            // Rare, small losses, so HBM keeps some capacity a while.
+            if (rng.nextBool(0.2))
+                map.loseCapacity(random_tier(), 1 + rng.nextRange(2));
+            break;
+          case 7:
+            map.moveRange(a, span, random_tier());
+            see_span(a, span);
+            break;
+          case 8:
+            map.placeRange(a, span, random_tier());
+            see_span(a, span);
+            break;
+          default:
+            map.pinRange(a, span);
+            see_span(a, span);
+            break;
+        }
+
+        // Handles answer like the PageId path; frames stay sane.
+        std::set<std::uint64_t> hbm_frames, ddr_frames;
+        for (const auto &[page, handle] : handles) {
+            const MemoryId mem = map.memoryOf(page);
+            ASSERT_EQ(map.memoryOf(handle), mem) << "page " << page;
+            const Addr addr = page * pageSize + rng.nextRange(pageSize);
+            const Addr dev = map.deviceAddr(handle, addr);
+            ASSERT_EQ(dev, map.deviceAddr(addr)) << "page " << page;
+            const std::uint64_t frame = dev / pageSize;
+            ASSERT_FALSE(map.isFrameRetired(mem, frame))
+                << "page " << page << " frame " << frame;
+            auto &frames =
+                mem == MemoryId::HBM ? hbm_frames : ddr_frames;
+            ASSERT_TRUE(frames.insert(frame).second)
+                << "page " << page << " frame " << frame;
+            if (mem == MemoryId::HBM) {
+                ASSERT_LT(frame, capacity) << "page " << page;
+            }
+        }
+        ASSERT_EQ(hbm_frames.size(), map.hbmUsedPages());
+        ASSERT_LE(map.hbmUsedPages() +
+                      map.retiredFrames(MemoryId::HBM),
+                  capacity);
+        ASSERT_LE(map.hbmCapacityPages(),
+                  capacity - map.retiredFrames(MemoryId::HBM));
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, PlacementFuzzTest,
                          ::testing::Values(101, 202, 303, 404, 505,
                                            606));

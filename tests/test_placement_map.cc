@@ -244,6 +244,21 @@ TEST(PlacementMap, LoseCapacityGoesOverfullAndFreeSaturates)
     EXPECT_EQ(map.hbmCapacityPages(), 0u);
 }
 
+TEST(PlacementMap, RetireWithNoHbmBudgetLeftKeepsCapacityAtZero)
+{
+    PlacementMap map(2);
+    map.place(0, MemoryId::HBM);
+    map.place(1, MemoryId::HBM);
+    EXPECT_EQ(map.loseCapacity(MemoryId::HBM, 2), 2u);
+
+    // The dead frame cannot shrink a budget that is already zero.
+    EXPECT_TRUE(map.retirePage(0).retired);
+    EXPECT_EQ(map.hbmCapacityPages(), 0u);
+    EXPECT_EQ(map.hbmUsedPages(), 1u);
+    EXPECT_EQ(map.hbmFreePages(), 0u);
+    EXPECT_FALSE(map.promoteToHbm(5));
+}
+
 TEST(PlacementMap, HbmPagesEnumerates)
 {
     PlacementMap map(3);

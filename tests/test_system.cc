@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
 #include <string>
 
@@ -220,6 +221,67 @@ TEST(System, AvfMatchesStandaloneTracker)
     EXPECT_GT(busy.capacityLostPages, 0u);
     EXPECT_GT(busy.responseMoves, 0u);
     expectProfileMatchesTraces(busy, busy_traces);
+}
+
+/**
+ * Issue order on ties, pinned to exact values. Four cores with equal
+ * gaps contend for a single-bank DDR and HBM, so which core issues
+ * first on a tie decides row hits and queueing. Core 2 has no
+ * requests and core 3 finishes early; the earliest-ready core issues
+ * next and the lowest core index wins ties.
+ */
+TEST(System, IssueOrderOnTiesIsPinned)
+{
+    SystemConfig config = smallConfig();
+    config.cores = 4;
+    for (DramConfig *dram : {&config.hbm, &config.ddr}) {
+        dram->channels = 1;
+        dram->ranksPerChannel = 1;
+        dram->banksPerRank = 1;
+    }
+
+    const std::size_t lengths[] = {300, 300, 0, 40};
+    std::vector<CoreTrace> traces(4);
+    for (std::size_t core = 0; core < traces.size(); ++core) {
+        for (std::size_t i = 0; i < lengths[core]; ++i) {
+            MemRequest req;
+            const PageId page = core * 4 + i % 3;
+            req.addr = page * pageSize + (i * 5 % 64) * lineSize;
+            req.gap = 8;
+            req.core = static_cast<CoreId>(core);
+            req.isWrite = i % 4 == 3;
+            traces[core].push_back(req);
+        }
+    }
+    PlacementMap map(config.hbmPages());
+    map.place(0, MemoryId::HBM);
+    map.place(13, MemoryId::HBM);
+
+    HmaSystem system(config);
+    const SimResult r = system.run(traces, std::move(map));
+
+    EXPECT_EQ(r.requests, 640u);
+    EXPECT_EQ(r.makespan, 47850u);
+    EXPECT_EQ(r.instructions, 5760u);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.ipc),
+              4593338438252683526u);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.ser),
+              4551367405601212570u);
+    const auto expect_stats = [](const DramStats &s,
+                                 std::uint64_t reads,
+                                 std::uint64_t writes,
+                                 std::uint64_t hits,
+                                 std::uint64_t misses, Cycle busy,
+                                 Cycle latency) {
+        EXPECT_EQ(s.reads, reads);
+        EXPECT_EQ(s.writes, writes);
+        EXPECT_EQ(s.rowHits, hits);
+        EXPECT_EQ(s.rowMisses, misses);
+        EXPECT_EQ(s.busBusyCycles, busy);
+        EXPECT_EQ(s.totalReadLatency, latency);
+    };
+    expect_stats(r.hbmStats, 85, 28, 52, 61, 1469, 12748);
+    expect_stats(r.ddrStats, 395, 132, 82, 445, 8432, 706582);
 }
 
 TEST(System, EmptyTracesYieldEmptyResult)
