@@ -112,8 +112,9 @@ CacheHierarchy::accessData(CoreId core, Addr addr, bool is_write)
     // TSC-only: this is a per-access path, too hot for a PMU read.
     RAMP_PROF_SCOPE(access_prof, "cache.access");
     const Result result = accessThroughL2(l1d_[core], addr, is_write);
-    RAMP_TELEM(countAccess(result, hierarchyCounters().l1dHits,
-                           hierarchyCounters().l1dMisses));
+    RAMP_OBS(Telemetry,
+             countAccess(result, hierarchyCounters().l1dHits,
+                         hierarchyCounters().l1dMisses));
     return result;
 }
 
@@ -124,8 +125,9 @@ CacheHierarchy::accessInst(CoreId core, Addr addr)
         ramp_panic("inst access from unknown core ", core);
     RAMP_PROF_SCOPE(access_prof, "cache.access");
     const Result result = accessThroughL2(l1i_[core], addr, false);
-    RAMP_TELEM(countAccess(result, hierarchyCounters().l1iHits,
-                           hierarchyCounters().l1iMisses));
+    RAMP_OBS(Telemetry,
+             countAccess(result, hierarchyCounters().l1iHits,
+                         hierarchyCounters().l1iMisses));
     return result;
 }
 

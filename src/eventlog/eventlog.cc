@@ -8,13 +8,13 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "common/json.hh"
+
 namespace ramp::eventlog
 {
 
 namespace
 {
-
-std::atomic<bool> enabledFlag{false};
 
 /**
  * Process-wide ledger: drained ring batches in arrival order plus
@@ -103,31 +103,6 @@ thread_local detail::RunContext *currentContext = nullptr;
 
 /** Innermost TenantScope tenant of the calling thread (0 = none). */
 thread_local std::uint32_t currentTenant = 0;
-
-std::string
-escape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (unsigned char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
-        }
-    }
-    return out;
-}
 
 /** Score value as JSON: null when unmeasured, else shortest-ish. */
 std::string
@@ -224,7 +199,7 @@ headerJson(const std::string &tool, std::uint64_t records,
 {
     std::ostringstream out;
     out << "{\"schema\": \"" << eventsSchema << "\", \"tool\": \""
-        << escape(tool) << "\", \"records\": " << records
+        << jsonEscape(tool) << "\", \"records\": " << records
         << ", \"dropped\": " << dropped << "}";
     return out.str();
 }
@@ -243,18 +218,6 @@ renderJsonl(const std::string &tool,
 
 } // namespace
 
-bool
-enabled()
-{
-    return enabledFlag.load(std::memory_order_relaxed);
-}
-
-void
-setEnabled(bool on)
-{
-    enabledFlag.store(on, std::memory_order_relaxed);
-}
-
 LogStats
 stats()
 {
@@ -271,7 +234,8 @@ setCapacity(std::uint64_t max_records)
     store().capacity.store(max_records, std::memory_order_relaxed);
 }
 
-RunScope::RunScope(const std::string &label) : active_(enabled())
+RunScope::RunScope(const std::string &label)
+    : active_(obs::on(obs::Events))
 {
     if (!active_)
         return;
@@ -310,7 +274,7 @@ TenantScope::~TenantScope()
 void
 emit(EventRecord record)
 {
-    if (!enabled())
+    if (!obs::on(obs::Events))
         return;
     Store &s = store();
     const std::uint64_t cap =
@@ -393,7 +357,7 @@ std::string
 recordJson(const EventRecord &record)
 {
     std::ostringstream out;
-    out << "{\"run\": \"" << escape(runLabel(record.run))
+    out << "{\"run\": \"" << jsonEscape(runLabel(record.run))
         << "\", \"seq\": " << record.seq << ", \"kind\": \""
         << eventKindName(record.kind) << "\", \"policy\": \""
         << policyIdName(record.policy)

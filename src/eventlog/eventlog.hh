@@ -4,11 +4,9 @@
  *
  * Every placement and migration decision (and every attributed
  * fault landing) can be recorded as a compact EventRecord
- * (record.hh). Instrumentation sites are gated exactly like the
- * telemetry macros: recording disabled at runtime costs one relaxed
- * atomic load and branch per site, and defining
- * RAMP_EVENTLOG_DISABLED at compile time removes the sites entirely
- * (the subsystem still links; drains are just empty).
+ * (record.hh). Instrumentation sites gate on the obs::Events bit
+ * (common/obs.hh) through RAMP_OBS(Events, ...): while the ledger
+ * is off a site costs one relaxed atomic load and branch.
  *
  * Records land in per-thread ring buffers (one short uncontended
  * lock per record on the owning thread). A full ring drains into
@@ -41,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "common/obs.hh"
 #include "eventlog/record.hh"
 
 namespace ramp::eventlog
@@ -48,12 +47,6 @@ namespace ramp::eventlog
 
 /** Records one full per-thread ring holds before draining. */
 inline constexpr std::size_t ringCapacity = 4096;
-
-/** True when instrumentation sites should record (default off). */
-bool enabled();
-
-/** Toggle recording at runtime (the harness flips this on). */
-void setEnabled(bool on);
 
 /** Ledger volume counters. */
 struct LogStats
@@ -82,8 +75,8 @@ struct RunContext
 /**
  * Cap the ledger at `max_records` (0 = unlimited, the default).
  * Past the cap new records are dropped and counted, never silently:
- * the JSONL header reports the drop count. RAMP_EVENTS_LIMIT sets
- * this from the environment via the harness.
+ * the JSONL header reports the drop count. The harness sets it from
+ * RAMP_EVENTS_LIMIT.
  */
 void setCapacity(std::uint64_t max_records);
 
@@ -176,27 +169,5 @@ inline constexpr const char *eventsSchema = "ramp-events-v2";
 void reset();
 
 } // namespace ramp::eventlog
-
-/**
- * Run one or more statements only when the ledger is recording:
- *
- *   RAMP_EVLOG({
- *       ramp::eventlog::EventRecord record;
- *       ...
- *       ramp::eventlog::emit(record);
- *   });
- */
-#ifndef RAMP_EVENTLOG_DISABLED
-#define RAMP_EVLOG(...) \
-    do { \
-        if (::ramp::eventlog::enabled()) { \
-            __VA_ARGS__; \
-        } \
-    } while (0)
-#else
-#define RAMP_EVLOG(...) \
-    do { \
-    } while (0)
-#endif
 
 #endif // RAMP_EVENTLOG_EVENTLOG_HH

@@ -1,7 +1,6 @@
 #include "health/health.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <map>
 #include <mutex>
@@ -9,6 +8,7 @@
 #include <tuple>
 #include <utility>
 
+#include "common/json.hh"
 #include "eventlog/eventlog.hh"
 #include "telemetry/telemetry.hh"
 
@@ -17,8 +17,6 @@ namespace ramp::health
 
 namespace
 {
-
-std::atomic<bool> healthEnabled{false};
 
 /** Everything behind one lock; record() is epoch-rate, not hot. */
 struct Store
@@ -35,7 +33,7 @@ struct Store
     /** Consecutive breaches per (rule '\n' source '\n' run '\n' scope). */
     std::map<std::string, std::uint32_t> streaks;
 
-    /** Counter totals when health was enabled (delta baseline). */
+    /** Counter totals at setRules() (delta baseline). */
     std::map<std::string, std::uint64_t> baseline;
 };
 
@@ -98,7 +96,7 @@ fireLocked(Store &s, const HealthRule &rule, std::uint32_t rule_index,
                                                    : rule.threshold;
     s.alerts.push_back(alert);
 
-    RAMP_TELEM({
+    RAMP_OBS(Telemetry, {
         auto &metrics = telemetry::metrics();
         metrics.counter(rule.severity == Severity::Alert
                             ? "health.alerts"
@@ -106,7 +104,7 @@ fireLocked(Store &s, const HealthRule &rule, std::uint32_t rule_index,
             .add(1);
     });
 
-    RAMP_EVLOG({
+    RAMP_OBS(Events, {
         eventlog::TenantScope tenant_scope(tenant);
         eventlog::EventRecord record;
         record.kind = eventlog::EventKind::Alert;
@@ -234,8 +232,6 @@ evaluateLocked(Store &s, const TimelineSample &sample)
 std::string
 sampleJson(const TimelineSample &sample)
 {
-    using telemetry::jsonEscape;
-    using telemetry::jsonNumber;
     std::ostringstream out;
     out << "{\"type\": \"sample\", \"source\": \""
         << jsonEscape(sample.source) << "\", \"run\": \""
@@ -283,32 +279,17 @@ sampleJson(const TimelineSample &sample)
 
 } // namespace
 
-bool
-enabled()
-{
-    return healthEnabled.load(std::memory_order_relaxed);
-}
-
-void
-setEnabled(bool on)
-{
-    if (on) {
-        Store &s = store();
-        std::lock_guard<std::mutex> lock(s.mutex);
-        s.baseline = telemetry::metrics().snapshot().counters;
-    }
-    healthEnabled.store(on, std::memory_order_relaxed);
-}
-
 void
 setRules(std::vector<HealthRule> rules)
 {
     Store &s = store();
     std::lock_guard<std::mutex> lock(s.mutex);
+    s.baseline = telemetry::metrics().snapshot().counters;
     s.rules = std::move(rules);
     s.streaks.clear();
-    RAMP_TELEM(telemetry::metrics().gauge("health.rules").set(
-        static_cast<double>(s.rules.size())));
+    RAMP_OBS(Telemetry,
+             telemetry::metrics().gauge("health.rules").set(
+                 static_cast<double>(s.rules.size())));
 }
 
 std::vector<HealthRule>
@@ -341,13 +322,14 @@ addAlertCallback(AlertCallback callback)
 void
 record(TimelineSample sample)
 {
-    if (!enabled())
+    if (!obs::on(obs::Health))
         return;
     sample.run = eventlog::currentRunLabel();
     Store &s = store();
     std::lock_guard<std::mutex> lock(s.mutex);
     sample.seq = s.nextSeq[sample.source + '\n' + sample.run]++;
-    RAMP_TELEM(telemetry::metrics().counter("health.samples").add(1));
+    RAMP_OBS(Telemetry,
+             telemetry::metrics().counter("health.samples").add(1));
     evaluateLocked(s, sample);
     s.samples.push_back(std::move(sample));
 }
@@ -376,8 +358,6 @@ alerts()
 std::string
 alertJson(const HealthAlert &alert)
 {
-    using telemetry::jsonEscape;
-    using telemetry::jsonNumber;
     std::ostringstream out;
     out << "{\"type\": \"alert\", \"severity\": \""
         << severityName(alert.severity)
@@ -413,7 +393,6 @@ timelineJsonl(const std::string &tool)
         });
     const auto sorted_alerts = alerts();
 
-    using telemetry::jsonEscape;
     std::ostringstream out;
     out << "{\"schema\": \"" << timelineSchema << "\", \"tool\": \""
         << jsonEscape(tool) << "\", \"samples\": " << samples.size()

@@ -20,8 +20,8 @@
  * and are rendered sorted by (source, run label, seq) — so
  * timelineJsonl() is byte-identical at any --jobs. The registry
  * delta demanded by the timeline contract is carried by one final
- * "metrics" record: the counter totals accumulated since health was
- * enabled (sharded counters sum exactly, so the delta is
+ * "metrics" record: the counter totals accumulated since the rules
+ * were installed (sharded counters sum exactly, so the delta is
  * schedule-independent), minus the host-dependent `proc.` / `pool.`
  * families.
  *
@@ -31,9 +31,9 @@
  * document, and any registered callbacks (the hook the service
  * layer can use for admission control).
  *
- * Gating mirrors telemetry/eventlog exactly: disabled instrumented
- * sites cost one relaxed atomic load and branch (RAMP_HEALTH), and
- * defining RAMP_HEALTH_DISABLED compiles the sites out entirely.
+ * Instrumented sites gate on the obs::Health bit (common/obs.hh)
+ * through RAMP_OBS(Health, ...): while the monitor is off a site
+ * costs one relaxed atomic load and branch.
  *
  * Run labels come from the calling thread's eventlog::RunScope, so
  * the harness enables the ledger whenever the timeline is on;
@@ -49,6 +49,7 @@
 #include <string>
 #include <vector>
 
+#include "common/obs.hh"
 #include "health/rules.hh"
 
 namespace ramp::health
@@ -60,15 +61,6 @@ inline constexpr const char *timelineSchema = "ramp-timeline-v1";
 /** Signals with no measurement render as null. */
 inline constexpr double unmeasured =
     std::numeric_limits<double>::quiet_NaN();
-
-/** True when instrumentation sites should record (default off). */
-bool enabled();
-
-/**
- * Toggle recording at runtime. Turning it on snapshots the metrics
- * registry as the baseline of the final timeline "metrics" record.
- */
-void setEnabled(bool on);
 
 /** One tenant's slice of an epoch (service source only). */
 struct TenantSample
@@ -177,8 +169,9 @@ using AlertCallback = std::function<void(const HealthAlert &)>;
 
 /**
  * Install the monitor's rule set (replaces any previous set; resets
- * hysteresis streaks). The empty set disables the monitor but not
- * the timeline.
+ * hysteresis streaks) and snapshot the metrics registry's counters
+ * as the baseline of the final timeline "metrics" record. The empty
+ * set disables the monitor but not the timeline.
  */
 void setRules(std::vector<HealthRule> rules);
 
@@ -203,7 +196,7 @@ void addAlertCallback(AlertCallback callback);
 /**
  * Record one epoch-boundary sample: stamps the calling thread's run
  * label and the next (source, run) sequence number, evaluates the
- * rules, and fires any alerts. Call through RAMP_HEALTH.
+ * rules, and fires any alerts. Call through RAMP_OBS(Health, ...).
  */
 void record(TimelineSample sample);
 
@@ -221,7 +214,7 @@ std::string alertJson(const HealthAlert &alert);
  * "ramp-timeline-v1", "tool": ..., "rules": ...}), one "sample"
  * line per epoch sorted by (source, run, seq), one "alert" line per
  * fired rule, and a final "metrics" line carrying the deterministic
- * counter delta since health was enabled.
+ * counter delta since setRules().
  */
 std::string timelineJsonl(const std::string &tool);
 
@@ -229,28 +222,5 @@ std::string timelineJsonl(const std::string &tool);
 void reset();
 
 } // namespace ramp::health
-
-/**
- * Run one or more statements only when the health timeline is
- * recording:
- *
- *   RAMP_HEALTH({
- *       ramp::health::TimelineSample sample;
- *       ...
- *       ramp::health::record(std::move(sample));
- *   });
- */
-#ifndef RAMP_HEALTH_DISABLED
-#define RAMP_HEALTH(...) \
-    do { \
-        if (::ramp::health::enabled()) { \
-            __VA_ARGS__; \
-        } \
-    } while (0)
-#else
-#define RAMP_HEALTH(...) \
-    do { \
-    } while (0)
-#endif
 
 #endif // RAMP_HEALTH_HEALTH_HH

@@ -318,12 +318,12 @@ HmaSystem::applyDecision(PlacementMap &map,
         }
         if (op.action == RegionAction::Pin)
             map.pinRange(op.first, op.pages);
-        RAMP_TELEM({
+        RAMP_OBS(Telemetry, {
             auto &tel = systemTelemetry();
             tel.regionOps.add(1);
             tel.regionPages.add(moved);
         });
-        RAMP_EVLOG({
+        RAMP_OBS(Events, {
             eventlog::EventRecord record;
             record.kind = eventlog::EventKind::Region;
             record.policy = eventlog::PolicyId::RegionMigration;
@@ -378,8 +378,8 @@ HmaSystem::applyFaultEpoch(FaultInjector &injector,
             fault.kind == FaultEventKind::CapacityLoss
                 ? fault.tier
                 : map.memoryOf(fault.page);
-        RAMP_TELEM(systemTelemetry().faultsInjected.add(1));
-        RAMP_EVLOG({
+        RAMP_OBS(Telemetry, systemTelemetry().faultsInjected.add(1));
+        RAMP_OBS(Events, {
             eventlog::EventRecord record;
             record.kind = eventlog::EventKind::Inject;
             record.policy = eventlog::PolicyId::FaultInject;
@@ -401,16 +401,16 @@ HmaSystem::applyFaultEpoch(FaultInjector &injector,
           case FaultEventKind::Correctable: {
             // Correctable strikes survive ECC; they only raise the
             // page's effective risk for the classifiers.
-            RAMP_TELEM(
-                systemTelemetry().faultsCorrectable.add(1));
+            RAMP_OBS(Telemetry,
+                     systemTelemetry().faultsCorrectable.add(1));
             response.noteCorrectable(fault.page, fault.count);
             if (engine != nullptr)
                 engine->onFault(fault.page, false, now);
             break;
           }
           case FaultEventKind::Uncorrected: {
-            RAMP_TELEM(
-                systemTelemetry().faultsUncorrected.add(1));
+            RAMP_OBS(Telemetry,
+                     systemTelemetry().faultsUncorrected.add(1));
             // Capture the dying frame's addresses before the retire
             // drops it — the salvage copy reads from there.
             const auto src_addrs = pageLineAddrs(map, fault.page);
@@ -422,7 +422,7 @@ HmaSystem::applyFaultEpoch(FaultInjector &injector,
                 break; // second strike on an already-retired page
             }
             ++result.pagesRetired;
-            RAMP_TELEM(systemTelemetry().faultsRetired.add(1));
+            RAMP_OBS(Telemetry, systemTelemetry().faultsRetired.add(1));
             if (outcome.from == MemoryId::HBM &&
                 outcome.to == MemoryId::DDR)
                 run.leave(fault.page, now);
@@ -434,7 +434,7 @@ HmaSystem::applyFaultEpoch(FaultInjector &injector,
             scheduleTransfer(next_slot, src_addrs, outcome.from,
                              pageLineAddrs(map, fault.page),
                              outcome.to, transfers);
-            RAMP_EVLOG({
+            RAMP_OBS(Events, {
                 eventlog::EventRecord record;
                 record.kind = eventlog::EventKind::Retire;
                 record.policy = eventlog::PolicyId::FaultInject;
@@ -458,8 +458,8 @@ HmaSystem::applyFaultEpoch(FaultInjector &injector,
             });
             if (outcome.crossedTier) {
                 ++result.responseMoves;
-                RAMP_TELEM(systemTelemetry().faultsRemaps.add(1));
-                RAMP_EVLOG({
+                RAMP_OBS(Telemetry, systemTelemetry().faultsRemaps.add(1));
+                RAMP_OBS(Events, {
                     eventlog::EventRecord record;
                     record.kind = eventlog::EventKind::Remap;
                     record.policy =
@@ -483,17 +483,17 @@ HmaSystem::applyFaultEpoch(FaultInjector &injector,
             const std::uint64_t lost =
                 map.loseCapacity(fault.tier, capacity_pages);
             result.capacityLostPages += lost;
-            RAMP_TELEM(
-                systemTelemetry().faultsCapacityPages.add(lost));
+            RAMP_OBS(Telemetry,
+                     systemTelemetry().faultsCapacityPages.add(lost));
             if (lost > 0) {
                 // Losing tier capacity is permanent: the run keeps
                 // going, but in degraded mode from here on.
                 if (!response.degraded()) {
                     response.setDegraded();
-                    RAMP_TELEM(systemTelemetry()
-                                   .faultsDegradedRuns.add(1));
+                    RAMP_OBS(Telemetry, systemTelemetry()
+                                            .faultsDegradedRuns.add(1));
                 }
-                RAMP_EVLOG({
+                RAMP_OBS(Events, {
                     eventlog::EventRecord record;
                     record.kind = eventlog::EventKind::Degrade;
                     record.policy =
@@ -529,8 +529,8 @@ HmaSystem::applyFaultEpoch(FaultInjector &injector,
                              MemoryId::HBM, transfers);
             response.resolveRemap(page);
             ++result.responseMoves;
-            RAMP_TELEM(systemTelemetry().faultsRemaps.add(1));
-            RAMP_EVLOG({
+            RAMP_OBS(Telemetry, systemTelemetry().faultsRemaps.add(1));
+            RAMP_OBS(Events, {
                 eventlog::EventRecord record;
                 record.kind = eventlog::EventKind::Remap;
                 record.policy = eventlog::PolicyId::FaultInject;
@@ -543,17 +543,17 @@ HmaSystem::applyFaultEpoch(FaultInjector &injector,
                 eventlog::emit(record);
             });
         } else {
-            RAMP_TELEM(systemTelemetry().faultsRetries.add(1));
+            RAMP_OBS(Telemetry, systemTelemetry().faultsRetries.add(1));
             if (response.backoff(page, epoch)) {
                 // Out of retries: the page stays where it landed,
                 // pinned, and the run is degraded.
                 map.pinRange(page, 1);
                 if (!response.degraded()) {
                     response.setDegraded();
-                    RAMP_TELEM(systemTelemetry()
-                                   .faultsDegradedRuns.add(1));
+                    RAMP_OBS(Telemetry, systemTelemetry()
+                                            .faultsDegradedRuns.add(1));
                 }
-                RAMP_EVLOG({
+                RAMP_OBS(Events, {
                     eventlog::EventRecord record;
                     record.kind = eventlog::EventKind::Degrade;
                     record.policy =
@@ -590,8 +590,8 @@ HmaSystem::applyFaultEpoch(FaultInjector &injector,
                              MemoryId::DDR, transfers);
             ++swept;
             ++result.responseMoves;
-            RAMP_TELEM(systemTelemetry().faultsSweepMoves.add(1));
-            RAMP_EVLOG({
+            RAMP_OBS(Telemetry, systemTelemetry().faultsSweepMoves.add(1));
+            RAMP_OBS(Events, {
                 eventlog::EventRecord record;
                 record.kind = eventlog::EventKind::Remap;
                 record.policy = eventlog::PolicyId::FaultInject;
@@ -608,7 +608,7 @@ HmaSystem::applyFaultEpoch(FaultInjector &injector,
         if (remaining > 0) {
             // Budget exhausted with backlog left: note it once per
             // epoch so ramp_explain can chart the drain.
-            RAMP_EVLOG({
+            RAMP_OBS(Events, {
                 eventlog::EventRecord record;
                 record.kind = eventlog::EventKind::Degrade;
                 record.policy = eventlog::PolicyId::FaultInject;
@@ -762,7 +762,7 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
                                     response, result, run,
                                     transfers);
                 }
-                RAMP_HEALTH({
+                RAMP_OBS(Health, {
                     health_sample(inject_epoch,
                                   result.responseMoves -
                                       health_prev_moves);
@@ -775,10 +775,10 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
             RAMP_PROF_SCOPE(epoch_prof, "hma.migration_epoch");
             const auto decision =
                 engine->onInterval(next_boundary, placement);
-            RAMP_TELEM(systemTelemetry().boundaries.add(1));
+            RAMP_OBS(Telemetry, systemTelemetry().boundaries.add(1));
             if (!decision.empty()) {
                 ++result.migrationEvents;
-                RAMP_TELEM({
+                RAMP_OBS(Telemetry, {
                     auto &tel = systemTelemetry();
                     tel.epochs.add(1);
                     tel.promoted.add(decision.promotions.size() +
@@ -793,7 +793,7 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
                                             last_epoch) /
                         static_cast<double>(engine->interval()));
                 });
-                RAMP_EVLOG({
+                RAMP_OBS(Events, {
                     eventlog::EventRecord record;
                     record.kind = eventlog::EventKind::Epoch;
                     record.policy = eventlog::policyIdFromName(
@@ -812,9 +812,10 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
                 last_epoch = next_boundary;
                 applyDecision(placement, decision, next_boundary,
                               run, transfers);
-                RAMP_HEALTH(health_sample(
-                    next_boundary / engine->interval(),
-                    decision.pagesMoved()));
+                RAMP_OBS(Health,
+                         health_sample(
+                             next_boundary / engine->interval(),
+                             decision.pagesMoved()));
             }
             next_boundary += engine->interval();
         }
@@ -858,9 +859,9 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
             ++result.reads;
         if (mem == MemoryId::HBM)
             ++result.hbmAccessFraction; // normalised below
-        RAMP_TELEM(mem == MemoryId::HBM
-                       ? systemTelemetry().hbmAccesses.add(1)
-                       : systemTelemetry().ddrAccesses.add(1));
+        RAMP_OBS(Telemetry, mem == MemoryId::HBM
+                                ? systemTelemetry().hbmAccesses.add(1)
+                                : systemTelemetry().ddrAccesses.add(1));
 
         if (!core.retire(req.isWrite ? issue_t : completion)) {
             ready_at[core_idx] = idle;
@@ -939,7 +940,7 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
     result.migratedPages = placement.migrations();
     result.responseRetries = response.retries();
     result.degraded = response.degraded();
-    RAMP_TELEM({
+    RAMP_OBS(Telemetry, {
         auto &tel = systemTelemetry();
         tel.runs.add(1);
         tel.instructions.add(result.instructions);

@@ -141,7 +141,7 @@ PerfFocusedMigration::onInterval(Cycle now, const PlacementMap &map)
                                     candidates[candidate_idx].first);
     }
 
-    RAMP_EVLOG({
+    RAMP_OBS(Events, {
         using eventlog::EventKind;
         const auto policy = eventlog::PolicyId::PerfMigration;
         const auto thresh = static_cast<float>(mean);
@@ -279,7 +279,7 @@ FcReliabilityMigration::onInterval(Cycle now, const PlacementMap &map)
         }
     }
 
-    RAMP_EVLOG({
+    RAMP_OBS(Events, {
         using eventlog::EventKind;
         const auto policy = eventlog::PolicyId::FcMigration;
         const auto scored = [&](EventKind kind, PageId page,
@@ -394,7 +394,7 @@ CrossCounterMigration::onInterval(Cycle now, const PlacementMap &map)
             if (risky &&
                 decision.evictions.size() < fcEvictCapPages_) {
                 decision.evictions.push_back(page);
-                RAMP_EVLOG({
+                RAMP_OBS(Events, {
                     auto record = moveRecord(
                         eventlog::EventKind::Evict,
                         eventlog::PolicyId::CcMigration, now, page);
@@ -451,7 +451,7 @@ CrossCounterMigration::onInterval(Cycle now, const PlacementMap &map)
         if (free_frames > 0) {
             decision.promotions.push_back(page);
             --free_frames;
-            RAMP_EVLOG({
+            RAMP_OBS(Events, {
                 // MEA tracks recency, not counts: the promoted
                 // page's hotness is genuinely unmeasured.
                 eventlog::emit(moveRecord(
@@ -461,7 +461,7 @@ CrossCounterMigration::onInterval(Cycle now, const PlacementMap &map)
         } else if ((pending = pending_victim()) != invalidPage) {
             decision.swaps.emplace_back(pending, page);
             used.insert(pending);
-            RAMP_EVLOG({
+            RAMP_OBS(Events, {
                 auto out = moveRecord(
                     eventlog::EventKind::SwapOut,
                     eventlog::PolicyId::CcMigration, now, pending);
@@ -509,7 +509,7 @@ CrossCounterMigration::onInterval(Cycle now, const PlacementMap &map)
                 break; // every slot pinned or freshly promoted
             decision.swaps.emplace_back(victim, page);
             used.insert(victim);
-            RAMP_EVLOG({
+            RAMP_OBS(Events, {
                 auto out = moveRecord(
                     eventlog::EventKind::SwapOut,
                     eventlog::PolicyId::CcMigration, now, victim);

@@ -8,6 +8,7 @@
 
 #include <sys/utsname.h>
 
+#include "common/json.hh"
 #include "prof/tsc.hh"
 #include "telemetry/telemetry.hh"
 
@@ -16,9 +17,6 @@ namespace ramp::perf
 
 namespace
 {
-
-using telemetry::jsonEscape;
-using telemetry::jsonNumber;
 
 /** Throughput quote: count/wall, null-rendered when unmeasured. */
 double

@@ -283,6 +283,17 @@ JsonValue::boolOr(const std::string &key, bool fallback) const
                : fallback;
 }
 
+std::uint64_t
+JsonValue::uintOr(const std::string &key, std::uint64_t fallback) const
+{
+    const JsonValue *member = find(key);
+    // Ids are small in practice (double-exact); the UINT64_MAX
+    // sentinels only appear for absent fields, which writers omit.
+    return member != nullptr && member->isNumber()
+               ? static_cast<std::uint64_t>(member->number)
+               : fallback;
+}
+
 bool
 parseJson(std::string_view text, JsonValue &out, std::string &error)
 {

@@ -15,6 +15,7 @@
 #ifndef RAMP_PERF_JSON_HH
 #define RAMP_PERF_JSON_HH
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
@@ -62,6 +63,11 @@ class JsonValue
 
     /** Member's bool, or `fallback` when absent/not a bool. */
     bool boolOr(const std::string &key, bool fallback) const;
+
+    /** Member's number as an integral id, or `fallback` when
+     * absent/not a number. */
+    std::uint64_t uintOr(const std::string &key,
+                         std::uint64_t fallback) const;
 };
 
 /**

@@ -100,7 +100,7 @@ ResourceSampler::sampleOnce()
         summary_.majorFaults = usage.majorFaults;
         summary_.minorFaults = usage.minorFaults;
     }
-    RAMP_TELEM({
+    RAMP_OBS(Telemetry, {
         auto &registry = telemetry::metrics();
         registry.gauge("proc.rss_bytes")
             .set(static_cast<double>(usage.rssBytes));

@@ -38,7 +38,7 @@ fillFromOrder(const std::vector<std::pair<PageId, PageStats>> &order,
     // branch costs nothing per page when recording is off.
     float mean_hot = 0.0F;
     float mean_avf = 0.0F;
-    RAMP_EVLOG({
+    RAMP_OBS(Events, {
         mean_hot = static_cast<float>(profile.meanHotness());
         mean_avf = static_cast<float>(profile.meanAvf());
     });
@@ -48,7 +48,7 @@ fillFromOrder(const std::vector<std::pair<PageId, PageStats>> &order,
             break;
         map.place(page, MemoryId::HBM);
         ++placed;
-        RAMP_EVLOG({
+        RAMP_OBS(Events, {
             eventlog::EventRecord record;
             record.kind = eventlog::EventKind::Place;
             record.policy = policy;

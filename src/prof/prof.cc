@@ -1,7 +1,6 @@
 #include "prof/prof.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -10,15 +9,13 @@
 #include <sstream>
 
 #include "prof/tsc.hh"
-#include "telemetry/telemetry.hh"
+#include "common/json.hh"
 
 namespace ramp::prof
 {
 
 namespace detail
 {
-
-std::atomic<bool> profEnabled{false};
 
 /** One phase in a thread's call tree; owned by its parent. */
 struct PhaseNode
@@ -177,12 +174,6 @@ zeroTree(detail::PhaseNode &node)
 
 } // namespace
 
-void
-setEnabled(bool on)
-{
-    detail::profEnabled.store(on, std::memory_order_relaxed);
-}
-
 const char *
 internName(std::string_view name)
 {
@@ -282,8 +273,6 @@ snapshot()
 std::string
 profileJson(const std::string &tool, unsigned jobs)
 {
-    using telemetry::jsonEscape;
-    using telemetry::jsonNumber;
 
     const ProfileSnapshot snap = snapshot();
     const double hz = tscHz();
@@ -364,7 +353,6 @@ foldedStacks()
 std::string
 profileBlockJson()
 {
-    using telemetry::jsonEscape;
 
     const ProfileSnapshot snap = snapshot();
     if (snap.phases.empty())

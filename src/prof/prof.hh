@@ -21,10 +21,10 @@
  * same phases run the same number of times at any --jobs, only the
  * raw cycle counts carry timing noise.
  *
- * Gating follows the house pattern: a disabled site costs one
- * relaxed atomic load and a branch (and allocates nothing — thread
- * state is only created by enabled scopes), and defining
- * RAMP_PROF_DISABLED compiles the sites out entirely.
+ * Scopes gate on the obs::Prof bit (common/obs.hh): while it is off
+ * a site costs one relaxed atomic load and a branch, with no call,
+ * and allocates nothing — thread state is only created by recording
+ * scopes.
  *
  * Exports: profileJson() renders the self-describing
  * ramp-profile-v1 document, foldedStacks() the matching
@@ -37,12 +37,12 @@
 #ifndef RAMP_PROF_PROF_HH
 #define RAMP_PROF_PROF_HH
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/obs.hh"
 #include "prof/pmu.hh"
 
 namespace ramp::prof
@@ -50,28 +50,6 @@ namespace ramp::prof
 
 /** Schema identifier stamped into profile documents. */
 inline constexpr const char *profileSchema = "ramp-profile-v1";
-
-namespace detail
-{
-
-/** Backing flag for enabled(); flip through setEnabled() only. */
-extern std::atomic<bool> profEnabled;
-
-} // namespace detail
-
-/**
- * True when profiling scopes should record (default off). Inline so
- * a disabled site in a per-access loop is one relaxed load and a
- * branch, with no function call.
- */
-inline bool
-enabled()
-{
-    return detail::profEnabled.load(std::memory_order_relaxed);
-}
-
-/** Toggle recording at runtime. */
-void setEnabled(bool on);
 
 /**
  * Intern a dynamic phase name (e.g. "kernel." + microbench case)
@@ -160,16 +138,16 @@ struct PhaseNode;
 
 /**
  * RAII phase timer; use through RAMP_PROF_SCOPE /
- * RAMP_PROF_SCOPE_PMU. Captures enabled() at entry and commits at
- * exit even if profiling is toggled off mid-scope, so trees stay
- * balanced.
+ * RAMP_PROF_SCOPE_PMU. Samples the obs::Prof bit at entry and
+ * commits at exit even if profiling is toggled off mid-scope, so
+ * trees stay balanced.
  */
 class ScopedPhase
 {
   public:
     ScopedPhase(const char *name, bool with_pmu)
     {
-        if (!enabled())
+        if (!obs::on(obs::Prof))
             return;
         begin(name, with_pmu);
     }
@@ -188,7 +166,7 @@ class ScopedPhase
     void end();
 
     // Only active_ carries a default: a disabled construction must
-    // cost one byte store beyond the enabled() check, so the other
+    // cost one byte store beyond the obs::Prof check, so the other
     // members (including the PMU start values, stored raw rather
     // than as a PmuSample whose default constructor would zero
     // them) stay uninitialized until begin() runs.
@@ -210,18 +188,9 @@ class ScopedPhase
  *
  *   RAMP_PROF_SCOPE(prof_scope, "cache.access");
  */
-#ifndef RAMP_PROF_DISABLED
 #define RAMP_PROF_SCOPE(var, name) \
     ::ramp::prof::ScopedPhase var((name), false)
 #define RAMP_PROF_SCOPE_PMU(var, name) \
     ::ramp::prof::ScopedPhase var((name), true)
-#else
-#define RAMP_PROF_SCOPE(var, name) \
-    do { \
-    } while (0)
-#define RAMP_PROF_SCOPE_PMU(var, name) \
-    do { \
-    } while (0)
-#endif
 
 #endif // RAMP_PROF_PROF_HH

@@ -157,7 +157,7 @@ buildRegionStaticPlacement(StaticPolicy policy,
         if (placed == 0)
             continue;
         if (config.ledger) {
-            RAMP_EVLOG({
+            RAMP_OBS(Events, {
                 eventlog::EventRecord record;
                 record.kind = eventlog::EventKind::Region;
                 record.policy = eventlog::policyIdFromName(

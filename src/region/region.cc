@@ -40,7 +40,7 @@ void
 emitAdaptation(eventlog::EventKind kind, std::size_t index,
                const Region &result, PageId partner_first, Cycle now)
 {
-    RAMP_EVLOG({
+    RAMP_OBS(Events, {
         eventlog::EventRecord record;
         record.kind = kind;
         record.policy = eventlog::PolicyId::RegionMigration;
@@ -392,7 +392,7 @@ RegionMonitor::endEpoch(Cycle now)
     }
     lastHit_ = 0;
 
-    RAMP_TELEM({
+    RAMP_OBS(Telemetry, {
         auto &tel = regionTelemetry();
         tel.epochs.add(1);
         tel.merges.add(merges_ - merges_before);

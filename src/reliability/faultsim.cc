@@ -207,7 +207,7 @@ FaultSim::runShard(std::uint64_t trials, std::uint64_t seed,
             // Only the rare uncorrected trials put per-fault
             // records in the ledger, keeping fault volume bounded
             // while every reliability escape stays attributable.
-            RAMP_EVLOG({
+            RAMP_OBS(Events, {
                 for (const FaultRecord &fault : faults) {
                     eventlog::EventRecord record;
                     record.kind = eventlog::EventKind::Fault;
@@ -224,7 +224,7 @@ FaultSim::runShard(std::uint64_t trials, std::uint64_t seed,
             break;
         }
     }
-    RAMP_TELEM({
+    RAMP_OBS(Telemetry, {
         auto &tel = faultSimTelemetry();
         tel.shards.add(1);
         tel.trials.add(trials);

@@ -9,6 +9,7 @@
 #include <thread>
 #include <unistd.h>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "runner/codec.hh"
 #include "runner/error.hh"
@@ -93,32 +94,6 @@ tryAtomicWrite(const std::string &path, std::string_view bytes,
     return false;
 }
 
-/** Minimal JSON string escape for labels/keys. */
-std::string
-escape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buffer[8];
-                std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-                out += buffer;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 /**
  * Read an escaped JSON string starting at `pos` (just past the
  * opening quote); leaves `pos` past the closing quote.
@@ -180,7 +155,7 @@ std::string
 headerLine(const std::string &tool)
 {
     // Version 2: SimResult grew the fault-response fields.
-    return "{\"ramp_journal\":2,\"tool\":\"" + escape(tool) + "\"}";
+    return "{\"ramp_journal\":2,\"tool\":\"" + jsonEscape(tool) + "\"}";
 }
 
 } // namespace
@@ -211,8 +186,8 @@ CheckpointJournal::encodeLine(const std::string &key,
 {
     codec::Writer writer;
     writer.result(result);
-    std::string body = "{\"key\":\"" + escape(key) +
-                       "\",\"workload\":\"" + escape(workload) +
+    std::string body = "{\"key\":\"" + jsonEscape(key) +
+                       "\",\"workload\":\"" + jsonEscape(workload) +
                        "\",\"result\":\"" +
                        codec::hexEncode(writer.bytes) + "\"";
     return body + ",\"crc\":\"" + hashHex(fnv1a64(body)) + "\"}";

@@ -1,14 +1,14 @@
 #include "runner/harness.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <optional>
-
 #include <sstream>
 
-#include <cstdlib>
-
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "eventlog/eventlog.hh"
@@ -23,6 +23,41 @@ namespace ramp::runner
 namespace
 {
 
+/** Positive double for --pass-timeout; throws PassError(Usage). */
+double
+parseTimeout(const std::string &text)
+{
+    char *end = nullptr;
+    const double parsed = std::strtod(text.c_str(), &end);
+    if (end == text.c_str() || *end != '\0' || !(parsed > 0))
+        throw PassError(PassErrorCode::Usage,
+                        "--pass-timeout needs a positive number of "
+                        "seconds, got '" +
+                            text + "'");
+    return parsed;
+}
+
+/** Integer of at least `min`; throws PassError(Usage) with
+ * "<need>, got '<text>'" otherwise. */
+long
+parseInteger(const std::string &text, long min, const char *need)
+{
+    char *end = nullptr;
+    const long parsed = std::strtol(text.c_str(), &end, 10);
+    if (end == text.c_str() || *end != '\0' || parsed < min)
+        throw PassError(PassErrorCode::Usage,
+                        std::string(need) + ", got '" + text + "'");
+    return parsed;
+}
+
+unsigned
+parseSampleMs(const std::string &text)
+{
+    return static_cast<unsigned>(parseInteger(
+        text, 10,
+        "--sample-ms needs an integer of at least 10 milliseconds"));
+}
+
 /**
  * Render the --metrics-out document: the merged registry snapshot
  * plus derived hit-rates, histogram percentiles, and the per-pass
@@ -35,34 +70,34 @@ metricsJson(const std::string &tool, unsigned jobs,
     const auto snap = telemetry::metrics().snapshot();
     std::ostringstream out;
     out << "{\n"
-        << "  \"tool\": \"" << telemetry::jsonEscape(tool)
+        << "  \"tool\": \"" << jsonEscape(tool)
         << "\",\n"
         << "  \"jobs\": " << jobs << ",\n"
         << "  \"derived\": {\n"
         << "    \"l1d_hit_rate\": "
-        << telemetry::jsonNumber(
+        << jsonNumber(
                hitRate(snap.counterOr("cache.l1d.hits"),
                        snap.counterOr("cache.l1d.misses")))
         << ",\n"
         << "    \"l1i_hit_rate\": "
-        << telemetry::jsonNumber(
+        << jsonNumber(
                hitRate(snap.counterOr("cache.l1i.hits"),
                        snap.counterOr("cache.l1i.misses")))
         << ",\n"
         << "    \"l2_hit_rate\": "
-        << telemetry::jsonNumber(
+        << jsonNumber(
                hitRate(snap.counterOr("cache.l2.hits"),
                        snap.counterOr("cache.l2.misses")))
         << ",\n"
         // A share of traffic split across the memories, not a hit
         // rate: the HBM serving an access is not a "hit".
         << "    \"hbm_access_share\": "
-        << telemetry::jsonNumber(
+        << jsonNumber(
                accessShare(snap.counterOr("hma.accesses.hbm"),
                            snap.counterOr("hma.accesses.ddr")))
         << ",\n"
         << "    \"profile_cache_hit_rate\": "
-        << telemetry::jsonNumber(hitRate(
+        << jsonNumber(hitRate(
                snap.counterOr("profile_cache.memory_hits") +
                    snap.counterOr("profile_cache.disk_hits"),
                snap.counterOr("profile_cache.misses")))
@@ -71,10 +106,10 @@ metricsJson(const std::string &tool, unsigned jobs,
     bool first = true;
     for (const auto &[name, hist] : snap.histograms) {
         out << (first ? "\n" : ",\n") << "      \""
-            << telemetry::jsonEscape(name)
-            << "\": {\"p50\": " << telemetry::jsonNumber(hist.p50())
-            << ", \"p95\": " << telemetry::jsonNumber(hist.p95())
-            << ", \"p99\": " << telemetry::jsonNumber(hist.p99())
+            << jsonEscape(name)
+            << "\": {\"p50\": " << jsonNumber(hist.p50())
+            << ", \"p95\": " << jsonNumber(hist.p95())
+            << ", \"p99\": " << jsonNumber(hist.p99())
             << "}";
         first = false;
     }
@@ -85,12 +120,12 @@ metricsJson(const std::string &tool, unsigned jobs,
     for (std::size_t i = 0; i < passes.size(); ++i) {
         const auto &pass = passes[i];
         out << "    {\"workload\": \""
-            << telemetry::jsonEscape(pass.workload)
+            << jsonEscape(pass.workload)
             << "\", \"label\": \""
-            << telemetry::jsonEscape(pass.result.label)
+            << jsonEscape(pass.result.label)
             << "\", \"status\": \"" << passStatusName(pass.status)
             << "\", \"seconds\": "
-            << telemetry::jsonNumber(pass.seconds) << "}"
+            << jsonNumber(pass.seconds) << "}"
             << (i + 1 < passes.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
@@ -98,6 +133,206 @@ metricsJson(const std::string &tool, unsigned jobs,
 }
 
 } // namespace
+
+RunnerOptions
+RunnerOptions::parse(int argc, char **argv)
+{
+    RunnerOptions options;
+    for (const Harness::Output &out : Harness::outputs())
+        if (const char *env = std::getenv(out.env))
+            options.*out.value = env;
+    if (const char *env = std::getenv("RAMP_SAMPLE_MS"))
+        options.sampleMs = parseSampleMs(env);
+    if (const char *env = std::getenv("RAMP_EVENTS_LIMIT"))
+        options.eventsLimit = parseInteger(
+            env, 0, "RAMP_EVENTS_LIMIT needs a non-negative integer");
+    if (const char *env = std::getenv("RAMP_EVENTS_DUMP"))
+        options.eventsDump = parseInteger(
+            env, 0, "RAMP_EVENTS_DUMP needs a non-negative integer");
+    if (const char *env = std::getenv("RAMP_CACHE_DIR"))
+        options.cacheDir = env;
+    if (const char *env = std::getenv("RAMP_CHECKPOINT"))
+        options.checkpointDir = env;
+    if (const char *env = std::getenv("RAMP_PASS_TIMEOUT"))
+        options.passTimeout = parseTimeout(env);
+    // RAMP_JOBS is honoured by ThreadPool::defaultJobs(); jobs = 0
+    // defers to it.
+
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        auto value = [&](const char *flag) -> std::string {
+            if (i + 1 >= argc)
+                throw PassError(PassErrorCode::Usage,
+                                std::string(flag) +
+                                    " needs a value");
+            return argv[++i];
+        };
+        const auto outputs = Harness::outputs();
+        const auto out = std::ranges::find(outputs, arg,
+                                           &Harness::Output::flag);
+        if (out != outputs.end()) {
+            options.*out->value = value(out->flag);
+        } else if (arg == "--jobs" || arg == "-j") {
+            options.jobs = static_cast<unsigned>(
+                parseInteger(value("--jobs"), 1,
+                             "--jobs needs a positive integer"));
+        } else if (arg == "--sample-ms") {
+            options.sampleMs =
+                parseSampleMs(value("--sample-ms"));
+        } else if (arg == "--cache-dir") {
+            options.cacheDir = value("--cache-dir");
+        } else if (arg == "--checkpoint") {
+            options.checkpointDir = value("--checkpoint");
+        } else if (arg == "--pass-timeout") {
+            options.passTimeout =
+                parseTimeout(value("--pass-timeout"));
+        } else {
+            options.positional.push_back(arg);
+        }
+    }
+    return options;
+}
+
+const char *
+RunnerOptions::flagsHelp()
+{
+    static const std::string text = [] {
+        std::string help = "  --jobs N        parallel simulation passes "
+                           "(default: all cores; env RAMP_JOBS)\n";
+        for (const Harness::Output &out : Harness::outputs())
+            help += out.help;
+        return help +
+               "  --sample-ms N   resource-sampler period, >= 10 "
+               "(default 50; env RAMP_SAMPLE_MS)\n"
+               "  --cache-dir D   persist profiling passes on disk "
+               "(env RAMP_CACHE_DIR)\n"
+               "  --checkpoint D  journal completed passes; resume a "
+               "killed campaign (env RAMP_CHECKPOINT)\n"
+               "  --pass-timeout S  flag passes running longer than S "
+               "seconds (env RAMP_PASS_TIMEOUT)\n";
+    }();
+    return text.c_str();
+}
+
+std::span<const Harness::Output>
+Harness::outputs()
+{
+    using Path = const std::string &;
+    constexpr std::uint8_t monitor =
+        obs::Telemetry | obs::Events | obs::Health;
+    static constexpr auto capture_logs = [](Harness &) {
+        telemetry::captureLogEvents();
+    };
+    // Installs --health-rules, or the defaults when only the
+    // timeline is on.
+    static constexpr auto install_rules = [](Harness &h) {
+        auto rules = health::defaultRules();
+        if (!h.options_.healthRules.empty()) {
+            std::string error;
+            rules = health::parseHealthRules(h.options_.healthRules,
+                                             error);
+            if (!error.empty())
+                throw PassError(PassErrorCode::Usage, error);
+        }
+        health::setRules(std::move(rules));
+    };
+    // Help order. The flush ranks put the events file and the
+    // timeline before --json, which embeds both summaries.
+    static const Output table[] = {
+        {"--json", "RAMP_JSON",
+         "  --json PATH     write machine-readable results "
+         "(env RAMP_JSON)\n",
+         &RunnerOptions::jsonPath, 0, nullptr, 2,
+         {{{"", "JSON report",
+            [](Harness &h, Path path) {
+                return h.report_.writeJson(
+                    path, h.pool_.jobs(), h.cache_.stats(),
+                    h.eventsWritten_ ? &h.options_.eventsPath : nullptr,
+                    obs::on(obs::Health) ? &h.options_.timelinePath
+                                         : nullptr);
+            }}}}},
+        {"--metrics-out", "RAMP_METRICS_OUT",
+         "  --metrics-out PATH  write a telemetry metrics "
+         "snapshot (env RAMP_METRICS_OUT)\n",
+         &RunnerOptions::metricsPath, obs::Telemetry, capture_logs, 3,
+         {{{"", "metrics snapshot",
+            [](Harness &h, Path path) {
+                return atomicWriteFile(
+                    path, metricsJson(h.tool_, h.pool_.jobs(),
+                                      h.report_.passes()));
+            }}}}},
+        {"--trace-out", "RAMP_TRACE_OUT",
+         "  --trace-out PATH  write a Chrome trace-event file "
+         "(env RAMP_TRACE_OUT)\n",
+         &RunnerOptions::tracePath, obs::Telemetry, capture_logs, 4,
+         {{{"", "trace",
+            [](Harness &, Path path) {
+                return atomicWriteFile(path, telemetry::traceJson());
+            }}}}},
+        // The bench report derives its throughput quotes from the
+        // telemetry counters, so it switches telemetry on too.
+        {"--bench-out", "RAMP_BENCH_OUT",
+         "  --bench-out PATH  write a BENCH_<tool>.json "
+         "performance report (env RAMP_BENCH_OUT)\n",
+         &RunnerOptions::benchPath, obs::Telemetry,
+         [](Harness &h) {
+             telemetry::captureLogEvents();
+             h.sampler_ = std::make_unique<perf::ResourceSampler>(
+                 std::chrono::milliseconds(h.options_.sampleMs));
+         },
+         6,
+         {{{"", "bench report",
+            [](Harness &h, Path path) {
+                return atomicWriteFile(path, h.benchJson());
+            }}}}},
+        {"--events-out", "RAMP_EVENTS_OUT",
+         "  --events-out PATH  write the decision ledger as "
+         "JSONL (env RAMP_EVENTS_OUT)\n",
+         &RunnerOptions::eventsPath, obs::Events,
+         [](Harness &h) {
+             eventlog::setCapacity(h.options_.eventsLimit);
+         },
+         0,
+         {{{"", "events file",
+            [](Harness &h, Path path) {
+                h.eventsWritten_ =
+                    atomicWriteFile(path, eventlog::toJsonl(h.tool_));
+                return h.eventsWritten_;
+            }}}}},
+        // Health alerts are stamped into the decision ledger and
+        // sample attribution needs the ledger's run label, so the
+        // monitor switches telemetry and the ledger on with it.
+        {"--timeline-out", "RAMP_TIMELINE_OUT",
+         "  --timeline-out PATH  write the epoch health timeline "
+         "as JSONL (env RAMP_TIMELINE_OUT)\n",
+         &RunnerOptions::timelinePath, monitor, install_rules, 1,
+         {{{"", "health timeline",
+            [](Harness &h, Path path) {
+                return atomicWriteFile(path,
+                                       health::timelineJsonl(h.tool_));
+            }}}}},
+        {"--profile-out", "RAMP_PROF_OUT",
+         "  --profile-out PATH  write a ramp-profile-v1 cycle "
+         "profile (+PATH.folded flamegraph stacks; env "
+         "RAMP_PROF_OUT)\n",
+         &RunnerOptions::profilePath, obs::Prof, nullptr, 5,
+         {{{"", "cycle profile",
+            [](Harness &h, Path path) {
+                return atomicWriteFile(
+                    path, prof::profileJson(h.tool_, h.pool_.jobs()));
+            }},
+           {".folded", "folded stacks",
+            [](Harness &, Path path) {
+                return atomicWriteFile(path, prof::foldedStacks());
+            }}}}},
+        {"--health-rules", "RAMP_HEALTH_RULES",
+         "  --health-rules R  SLO rules evaluated per epoch, e.g. "
+         "alert:p99_slowdown>2,for=3 (env RAMP_HEALTH_RULES)\n",
+         &RunnerOptions::healthRules, monitor, install_rules, 7,
+         {}},
+    };
+    return table;
+}
 
 Harness::Harness(std::string tool, int argc, char **argv)
     : Harness(std::move(tool), RunnerOptions::parse(argc, argv))
@@ -113,48 +348,13 @@ Harness::Harness(std::string tool, RunnerOptions options)
       startTime_(std::chrono::steady_clock::now())
 {
     validateSystemConfig(config_);
-    if (!options_.metricsPath.empty() ||
-        !options_.tracePath.empty() ||
-        !options_.benchPath.empty()) {
-        // The bench report derives its throughput quotes from the
-        // telemetry counters, so --bench-out switches telemetry on
-        // like the other exporters do.
-        telemetry::setEnabled(true);
-        telemetry::captureLogEvents();
+    for (const Output &out : outputs()) {
+        if ((options_.*out.value).empty())
+            continue;
+        obs::set(out.layers, true);
+        if (out.start != nullptr)
+            out.start(*this);
     }
-    if (!options_.benchPath.empty())
-        sampler_ = std::make_unique<perf::ResourceSampler>(
-            std::chrono::milliseconds(options_.sampleMs));
-    if (!options_.eventsPath.empty()) {
-        eventlog::setEnabled(true);
-        if (const char *env = std::getenv("RAMP_EVENTS_LIMIT"))
-            eventlog::setCapacity(
-                std::strtoull(env, nullptr, 10));
-    }
-    if (!options_.timelinePath.empty() ||
-        !options_.healthRules.empty()) {
-        // Health alerts are stamped into the decision ledger and
-        // sample attribution needs the eventlog run label, so the
-        // monitor switches both substrates on. The telemetry
-        // baseline for the timeline's final metrics-delta record is
-        // captured by setEnabled(true), so telemetry goes first.
-        telemetry::setEnabled(true);
-        eventlog::setEnabled(true);
-        health::setEnabled(true);
-        std::vector<health::HealthRule> rules;
-        if (options_.healthRules.empty()) {
-            rules = health::defaultRules();
-        } else {
-            std::string error;
-            rules =
-                health::parseHealthRules(options_.healthRules, error);
-            if (!error.empty())
-                throw PassError(PassErrorCode::Usage, error);
-        }
-        health::setRules(std::move(rules));
-    }
-    if (!options_.profilePath.empty())
-        prof::setEnabled(true);
     if (!options_.cacheDir.empty())
         cache_.setDiskDir(options_.cacheDir);
     if (!options_.checkpointDir.empty())
@@ -373,7 +573,7 @@ Harness::benchJson()
     }
     spec.eventRecords = eventlog::stats().recorded;
     spec.microbenchmarks = microResults_;
-    if (prof::enabled())
+    if (obs::on(obs::Prof))
         spec.profileBlock = prof::profileBlockJson();
     return perf::renderBenchReport(spec);
 }
@@ -407,115 +607,41 @@ int
 Harness::flushOutputs()
 {
     int code = 0;
-    std::optional<EventsInfo> events_info;
-    if (!options_.eventsPath.empty()) {
-        if (atomicWriteFile(options_.eventsPath,
-                            eventlog::toJsonl(tool_))) {
-            const auto stats = eventlog::stats();
-            events_info = EventsInfo{options_.eventsPath,
-                                     stats.recorded, stats.dropped};
-        } else {
-            std::fprintf(stderr,
-                         "%s: cannot write events file to %s\n",
-                         tool_.c_str(), options_.eventsPath.c_str());
-            code = 1;
-        }
-    }
-    if (cancellationRequested() && eventlog::enabled()) {
+    auto cannot_write = [&](const char *noun, const std::string &path) {
+        std::fprintf(stderr, "%s: cannot write %s to %s\n",
+                     tool_.c_str(), noun, path.c_str());
+        code = 1;
+    };
+    if (cancellationRequested() && obs::on(obs::Events) &&
+        options_.eventsDump > 0) {
         // Post-mortem: park the trailing window of the ledger next
         // to the events file (or under the tool's name when none
         // was requested) so an interrupted campaign leaves its
         // final decisions behind for inspection.
-        std::size_t window = 256;
-        if (const char *env = std::getenv("RAMP_EVENTS_DUMP"))
-            window = std::strtoull(env, nullptr, 10);
         const std::string path =
             options_.eventsPath.empty()
                 ? tool_ + ".postmortem.jsonl"
                 : options_.eventsPath + ".postmortem";
-        if (window > 0 &&
-            !atomicWriteFile(
-                path, eventlog::postMortemJsonl(tool_, window))) {
-            std::fprintf(stderr,
-                         "%s: cannot write post-mortem dump to "
-                         "%s\n",
-                         tool_.c_str(), path.c_str());
-            code = 1;
+        if (!atomicWriteFile(path, eventlog::postMortemJsonl(
+                                       tool_, options_.eventsDump)))
+            cannot_write("post-mortem dump", path);
+    }
+    std::vector<const Output *> order;
+    for (const Output &out : outputs())
+        order.push_back(&out);
+    std::ranges::sort(order, {}, &Output::flushRank);
+    eventsWritten_ = false;
+    for (const Output *out : order) {
+        const std::string &path = options_.*out->value;
+        if (path.empty())
+            continue;
+        for (const OutputFile &file : out->files) {
+            if (file.write == nullptr)
+                break;
+            const std::string target = path + file.suffix;
+            if (!file.write(*this, target))
+                cannot_write(file.noun, target);
         }
-    }
-    if (!options_.timelinePath.empty() &&
-        !atomicWriteFile(options_.timelinePath,
-                         health::timelineJsonl(tool_))) {
-        std::fprintf(stderr,
-                     "%s: cannot write health timeline to %s\n",
-                     tool_.c_str(), options_.timelinePath.c_str());
-        code = 1;
-    }
-    std::optional<HealthInfo> health_info;
-    if (health::enabled()) {
-        health_info = HealthInfo{};
-        health_info->path = options_.timelinePath;
-        health_info->rules =
-            health::formatHealthRules(health::rules());
-        health_info->samples = health::sampleCount();
-        for (const auto &alert : health::alerts()) {
-            if (alert.severity == health::Severity::Alert)
-                ++health_info->alerts;
-            else
-                ++health_info->warns;
-            health_info->alertJson.push_back(
-                health::alertJson(alert));
-        }
-    }
-    if (!options_.jsonPath.empty() &&
-        !report_.writeJson(options_.jsonPath, pool_.jobs(),
-                           cache_.stats(),
-                           events_info ? &*events_info : nullptr,
-                           health_info ? &*health_info : nullptr)) {
-        std::fprintf(stderr, "%s: cannot write JSON report to %s\n",
-                     tool_.c_str(), options_.jsonPath.c_str());
-        code = 1;
-    }
-    if (!options_.metricsPath.empty() &&
-        !atomicWriteFile(options_.metricsPath,
-                         metricsJson(tool_, pool_.jobs(),
-                                     report_.passes()))) {
-        std::fprintf(stderr,
-                     "%s: cannot write metrics snapshot to %s\n",
-                     tool_.c_str(), options_.metricsPath.c_str());
-        code = 1;
-    }
-    if (!options_.tracePath.empty() &&
-        !atomicWriteFile(options_.tracePath,
-                         telemetry::traceJson())) {
-        std::fprintf(stderr, "%s: cannot write trace to %s\n",
-                     tool_.c_str(), options_.tracePath.c_str());
-        code = 1;
-    }
-    if (!options_.profilePath.empty()) {
-        if (!atomicWriteFile(
-                options_.profilePath,
-                prof::profileJson(tool_, pool_.jobs()))) {
-            std::fprintf(stderr,
-                         "%s: cannot write cycle profile to %s\n",
-                         tool_.c_str(),
-                         options_.profilePath.c_str());
-            code = 1;
-        }
-        const std::string folded = options_.profilePath + ".folded";
-        if (!atomicWriteFile(folded, prof::foldedStacks())) {
-            std::fprintf(stderr,
-                         "%s: cannot write folded stacks to %s\n",
-                         tool_.c_str(), folded.c_str());
-            code = 1;
-        }
-    }
-    if (!options_.benchPath.empty() &&
-        !atomicWriteFile(options_.benchPath, benchJson())) {
-        std::fprintf(stderr,
-                     "%s: cannot write bench report to %s\n",
-                     tool_.c_str(), options_.benchPath.c_str());
-        code = 1;
     }
     return code;
 }

@@ -3,7 +3,7 @@
  * The experiment harness every figure/table binary runs on.
  *
  * One Harness per binary: it parses the shared runner flags
- * (--jobs, --json, --metrics-out, --trace-out, --bench-out,
+ * (--jobs, the output flags of its output table, --sample-ms,
  * --cache-dir, --checkpoint, --pass-timeout), owns the thread pool,
  * the profile cache, the checkpoint journal, the watchdog, the
  * resource sampler, and the result sink, and provides the two
@@ -23,16 +23,25 @@
  * the partial report flushed. A pass is named by its workload and a
  * label; the harness alone derives the report row, checkpoint key
  * and ledger run label from that pair.
+ *
+ * Every output flag (--json, --metrics-out, ...) is one row of
+ * Harness::outputs(): its environment variable, help line, options
+ * field, the observability layers it switches on, and the files
+ * flushOutputs() writes for it. Option parsing, the help text, the
+ * constructor and the flush all iterate that table.
  */
 
 #ifndef RAMP_RUNNER_HARNESS_HH
 #define RAMP_RUNNER_HARNESS_HH
 
+#include <array>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,6 +56,68 @@
 
 namespace ramp::runner
 {
+
+/** Command-line/environment knobs shared by harness binaries. */
+struct RunnerOptions
+{
+    /** Simulation-pass parallelism; 0 = hardware concurrency. */
+    unsigned jobs = 0;
+
+    /** @{ @name Output targets ("" = off; see Harness::outputs()) */
+    std::string jsonPath;
+    std::string metricsPath;
+    std::string tracePath;
+    std::string benchPath;
+    std::string eventsPath;
+    std::string timelinePath;
+
+    /** Cycle profile; the folded flamegraph stacks land next to
+     * it at PATH.folded. */
+    std::string profilePath;
+
+    /** Health rule set ("" = defaults when the timeline is on). */
+    std::string healthRules;
+    /** @} */
+
+    /** Resource-sampler period in milliseconds (>= 10). */
+    unsigned sampleMs = 50;
+
+    /** Decision-ledger cap in records (RAMP_EVENTS_LIMIT; 0 =
+     * unlimited). */
+    std::uint64_t eventsLimit = 0;
+
+    /** Post-mortem ledger window in records (RAMP_EVENTS_DUMP; 0 =
+     * no dump). */
+    std::uint64_t eventsDump = 256;
+
+    /** On-disk profile-cache directory ("" = memory-only). */
+    std::string cacheDir;
+
+    /** Checkpoint-journal directory ("" = no checkpointing). */
+    std::string checkpointDir;
+
+    /** Watchdog threshold in seconds (0 = no watchdog). */
+    double passTimeout = 0;
+
+    /** Arguments not consumed by the runner, in order. */
+    std::vector<std::string> positional;
+
+    /**
+     * Parse --jobs N, every output flag of Harness::outputs(),
+     * --sample-ms N, --cache-dir PATH, --checkpoint DIR, and
+     * --pass-timeout S from argv, with environment fallbacks
+     * (RAMP_JOBS, each output's variable, RAMP_SAMPLE_MS,
+     * RAMP_CACHE_DIR, RAMP_CHECKPOINT, RAMP_PASS_TIMEOUT; a flag
+     * wins over its variable) plus RAMP_EVENTS_LIMIT and
+     * RAMP_EVENTS_DUMP; everything else lands in positional.
+     * Throws PassError(Usage) on a malformed flag or variable — the
+     * binary decides the exit code.
+     */
+    static RunnerOptions parse(int argc, char **argv);
+
+    /** Usage text of the flags parse() consumes. */
+    static const char *flagsHelp();
+};
 
 /** One planned pass of a campaign. */
 struct PassDesc
@@ -104,6 +175,48 @@ class Harness
     Harness(std::string tool, RunnerOptions options);
 
     const RunnerOptions &options() const { return options_; }
+
+    /** One file an output writes. */
+    struct OutputFile
+    {
+        /** Appended to the output's path. */
+        const char *suffix;
+
+        /** Stderr noun: "<tool>: cannot write <noun> to <path>". */
+        const char *noun;
+
+        /** Write the file; false when it cannot be written. */
+        bool (*write)(Harness &, const std::string &path);
+    };
+
+    /** One output flag and everything it drives. */
+    struct Output
+    {
+        const char *flag;
+        const char *env;
+
+        /** Its flagsHelp() text. */
+        const char *help;
+
+        /** The option the flag and the variable fill. */
+        std::string RunnerOptions::*value;
+
+        /** obs:: layers the output switches on. */
+        std::uint8_t layers;
+
+        /** Setup beyond the layers (nullptr = none). */
+        void (*start)(Harness &);
+
+        /** Position in the flush order. */
+        int flushRank;
+
+        /** Files the flush writes, in order (write == nullptr ends
+         * the list). */
+        std::array<OutputFile, 2> files;
+    };
+
+    /** The output table, in flagsHelp() order. */
+    static std::span<const Output> outputs();
 
     /** The system under experiment (Table 1, scaled). */
     const SystemConfig &config() const { return config_; }
@@ -173,14 +286,11 @@ class Harness
     }
 
     /**
-     * Finish the run: write the JSON report, telemetry metrics
-     * snapshot (--metrics-out), Chrome trace (--trace-out), and
-     * BENCH performance report (--bench-out; the resource sampler
-     * is stopped and joined first) when requested (each atomic
-     * tmp+rename) and print a failure summary to stderr when any
-     * pass is not Ok. Exit code: 0 on full success, 1 when any
-     * output file cannot be written, 3 when any pass failed or
-     * timed out.
+     * Finish the run: stop and join the resource sampler, print a
+     * failure summary to stderr when any pass is not Ok, and write
+     * every requested output (flushOutputs()). Exit code: 0 on full
+     * success, 1 when any output file cannot be written, 3 when any
+     * pass failed or timed out.
      */
     int finish();
 
@@ -190,9 +300,11 @@ class Harness
                   const std::function<SimResult(std::size_t)> &fn);
 
     /**
-     * Write every requested output artifact (--events-out, --json,
-     * --metrics-out, --trace-out, --bench-out), each atomic
-     * tmp+rename. Returns 0, or 1 when any file cannot be written.
+     * Write every requested output's files in flush order (the
+     * ledger and the timeline before --json, which embeds both),
+     * each atomic tmp+rename, plus the post-mortem ledger window
+     * when the campaign was cancelled. Returns 0, or 1 when any
+     * file cannot be written.
      * Idempotent: called early when a pass times out (so a campaign
      * an operator then kills still leaves artifacts behind, like
      * the SIGINT path) and again by finish(), which atomically
@@ -214,6 +326,10 @@ class Harness
     std::unique_ptr<perf::ResourceSampler> sampler_;
     std::vector<perf::BenchResult> microResults_;
     std::chrono::steady_clock::time_point startTime_;
+
+    /** This flush wrote the events file (--json then embeds the
+     * ledger summary). */
+    bool eventsWritten_ = false;
 };
 
 /**

@@ -40,8 +40,7 @@ runInstrumented(const std::function<void(std::size_t)> &task,
     // TSC-only: dispatch overhead is measured per task, and a PMU
     // read per task would swamp the thing being measured.
     RAMP_PROF_SCOPE(task_prof, "pool.task");
-#ifndef RAMP_TELEMETRY_DISABLED
-    if (telemetry::enabled()) {
+    if (obs::on(obs::Telemetry)) {
         auto &tel = poolTelemetry();
         tel.tasks.add(1);
         telemetry::ScopedSpan span("pool.task", "runner");
@@ -53,7 +52,6 @@ runInstrumented(const std::function<void(std::size_t)> &task,
                 .count());
         return;
     }
-#endif
     task(index);
 }
 

@@ -205,7 +205,7 @@ ProfileCache::compute(const SystemConfig &config,
             if (deserializeBaseline(bytes, key, profiled->base)) {
                 std::lock_guard<std::mutex> lock(mutex_);
                 ++stats_.diskHits;
-                RAMP_TELEM(cacheTelemetry().diskHits.add(1));
+                RAMP_OBS(Telemetry, cacheTelemetry().diskHits.add(1));
                 return profiled;
             }
             // Never trust a damaged entry: move it aside so it can
@@ -218,7 +218,7 @@ ProfileCache::compute(const SystemConfig &config,
                       ".corrupt and recomputing");
             std::lock_guard<std::mutex> lock(mutex_);
             ++stats_.quarantined;
-            RAMP_TELEM(cacheTelemetry().quarantined.add(1));
+            RAMP_OBS(Telemetry, cacheTelemetry().quarantined.add(1));
         }
     }
 
@@ -226,7 +226,7 @@ ProfileCache::compute(const SystemConfig &config,
     {
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.misses;
-        RAMP_TELEM(cacheTelemetry().misses.add(1));
+        RAMP_OBS(Telemetry, cacheTelemetry().misses.add(1));
     }
 
     if (!disk_path.empty()) {
@@ -240,7 +240,7 @@ ProfileCache::compute(const SystemConfig &config,
                 &error)) {
             std::lock_guard<std::mutex> lock(mutex_);
             ++stats_.diskWrites;
-            RAMP_TELEM(cacheTelemetry().diskWrites.add(1));
+            RAMP_OBS(Telemetry, cacheTelemetry().diskWrites.add(1));
         } else {
             ramp_warn("profile cache write failed: ", error);
         }
@@ -264,7 +264,7 @@ ProfileCache::get(const SystemConfig &config,
         if (it != entries_.end()) {
             future = it->second;
             ++stats_.memoryHits;
-            RAMP_TELEM(cacheTelemetry().memoryHits.add(1));
+            RAMP_OBS(Telemetry, cacheTelemetry().memoryHits.add(1));
         } else {
             future = promise.get_future().share();
             entries_.emplace(key, future);

@@ -1,13 +1,14 @@
 #include "runner/report.hh"
 
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <algorithm>
 #include <limits>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
+#include "eventlog/eventlog.hh"
+#include "health/health.hh"
 #include "runner/checkpoint.hh"
 
 namespace ramp::runner
@@ -61,155 +62,6 @@ RatioColumn::lossCell(int precision) const
     return TextTable::percent(1.0 - mean(), precision);
 }
 
-namespace
-{
-
-/** Positive double for --pass-timeout; throws PassError(Usage). */
-double
-parseTimeout(const std::string &text)
-{
-    char *end = nullptr;
-    const double parsed = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0' || !(parsed > 0))
-        throw PassError(PassErrorCode::Usage,
-                        "--pass-timeout needs a positive number of "
-                        "seconds, got '" +
-                            text + "'");
-    return parsed;
-}
-
-/** Sample period for --sample-ms; throws PassError(Usage). */
-unsigned
-parseSampleMs(const std::string &text)
-{
-    char *end = nullptr;
-    const long parsed = std::strtol(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0' || parsed < 10)
-        throw PassError(PassErrorCode::Usage,
-                        "--sample-ms needs an integer of at least "
-                        "10 milliseconds, got '" +
-                            text + "'");
-    return static_cast<unsigned>(parsed);
-}
-
-} // namespace
-
-RunnerOptions
-RunnerOptions::parse(int argc, char **argv)
-{
-    RunnerOptions options;
-    if (const char *env = std::getenv("RAMP_JSON"))
-        options.jsonPath = env;
-    if (const char *env = std::getenv("RAMP_METRICS_OUT"))
-        options.metricsPath = env;
-    if (const char *env = std::getenv("RAMP_TRACE_OUT"))
-        options.tracePath = env;
-    if (const char *env = std::getenv("RAMP_BENCH_OUT"))
-        options.benchPath = env;
-    if (const char *env = std::getenv("RAMP_EVENTS_OUT"))
-        options.eventsPath = env;
-    if (const char *env = std::getenv("RAMP_TIMELINE_OUT"))
-        options.timelinePath = env;
-    if (const char *env = std::getenv("RAMP_PROF_OUT"))
-        options.profilePath = env;
-    if (const char *env = std::getenv("RAMP_HEALTH_RULES"))
-        options.healthRules = env;
-    if (const char *env = std::getenv("RAMP_SAMPLE_MS"))
-        options.sampleMs = parseSampleMs(env);
-    if (const char *env = std::getenv("RAMP_CACHE_DIR"))
-        options.cacheDir = env;
-    if (const char *env = std::getenv("RAMP_CHECKPOINT"))
-        options.checkpointDir = env;
-    if (const char *env = std::getenv("RAMP_PASS_TIMEOUT"))
-        options.passTimeout = parseTimeout(env);
-    // RAMP_JOBS is honoured by ThreadPool::defaultJobs(); jobs = 0
-    // defers to it.
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc)
-                throw PassError(PassErrorCode::Usage,
-                                std::string(flag) +
-                                    " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--jobs" || arg == "-j") {
-            const std::string text = value("--jobs");
-            char *end = nullptr;
-            const long parsed =
-                std::strtol(text.c_str(), &end, 10);
-            if (end == text.c_str() || *end != '\0' || parsed < 1)
-                throw PassError(PassErrorCode::Usage,
-                                "--jobs needs a positive integer, "
-                                "got '" +
-                                    text + "'");
-            options.jobs = static_cast<unsigned>(parsed);
-        } else if (arg == "--json") {
-            options.jsonPath = value("--json");
-        } else if (arg == "--metrics-out") {
-            options.metricsPath = value("--metrics-out");
-        } else if (arg == "--trace-out") {
-            options.tracePath = value("--trace-out");
-        } else if (arg == "--bench-out") {
-            options.benchPath = value("--bench-out");
-        } else if (arg == "--events-out") {
-            options.eventsPath = value("--events-out");
-        } else if (arg == "--timeline-out") {
-            options.timelinePath = value("--timeline-out");
-        } else if (arg == "--profile-out") {
-            options.profilePath = value("--profile-out");
-        } else if (arg == "--health-rules") {
-            options.healthRules = value("--health-rules");
-        } else if (arg == "--sample-ms") {
-            options.sampleMs =
-                parseSampleMs(value("--sample-ms"));
-        } else if (arg == "--cache-dir") {
-            options.cacheDir = value("--cache-dir");
-        } else if (arg == "--checkpoint") {
-            options.checkpointDir = value("--checkpoint");
-        } else if (arg == "--pass-timeout") {
-            options.passTimeout =
-                parseTimeout(value("--pass-timeout"));
-        } else {
-            options.positional.push_back(arg);
-        }
-    }
-    return options;
-}
-
-const char *
-RunnerOptions::flagsHelp()
-{
-    return "  --jobs N        parallel simulation passes "
-           "(default: all cores; env RAMP_JOBS)\n"
-           "  --json PATH     write machine-readable results "
-           "(env RAMP_JSON)\n"
-           "  --metrics-out PATH  write a telemetry metrics "
-           "snapshot (env RAMP_METRICS_OUT)\n"
-           "  --trace-out PATH  write a Chrome trace-event file "
-           "(env RAMP_TRACE_OUT)\n"
-           "  --bench-out PATH  write a BENCH_<tool>.json "
-           "performance report (env RAMP_BENCH_OUT)\n"
-           "  --events-out PATH  write the decision ledger as "
-           "JSONL (env RAMP_EVENTS_OUT)\n"
-           "  --timeline-out PATH  write the epoch health timeline "
-           "as JSONL (env RAMP_TIMELINE_OUT)\n"
-           "  --profile-out PATH  write a ramp-profile-v1 cycle "
-           "profile (+PATH.folded flamegraph stacks; env "
-           "RAMP_PROF_OUT)\n"
-           "  --health-rules R  SLO rules evaluated per epoch, e.g. "
-           "alert:p99_slowdown>2,for=3 (env RAMP_HEALTH_RULES)\n"
-           "  --sample-ms N   resource-sampler period, >= 10 "
-           "(default 50; env RAMP_SAMPLE_MS)\n"
-           "  --cache-dir D   persist profiling passes on disk "
-           "(env RAMP_CACHE_DIR)\n"
-           "  --checkpoint D  journal completed passes; resume a "
-           "killed campaign (env RAMP_CHECKPOINT)\n"
-           "  --pass-timeout S  flag passes running longer than S "
-           "seconds (env RAMP_PASS_TIMEOUT)\n";
-}
-
 Report::Report(std::string tool)
     : tool_(std::move(tool))
 {
@@ -255,54 +107,11 @@ Report::failures() const
     return out;
 }
 
-namespace
-{
-
-/** JSON string escaping (control characters, quotes, backslash). */
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size() + 2);
-    for (const char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buffer[8];
-                std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-                out += buffer;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-/** Finite JSON number (JSON has no inf/nan; render as null). */
-std::string
-jsonNumber(double value)
-{
-    if (!std::isfinite(value))
-        return "null";
-    std::ostringstream out;
-    out.precision(17);
-    out << value;
-    return out.str();
-}
-
-} // namespace
-
 bool
 Report::writeJson(const std::string &path, unsigned jobs,
                   const ProfileCacheStats &cache_stats,
-                  const EventsInfo *events,
-                  const HealthInfo *health) const
+                  const std::string *events_path,
+                  const std::string *timeline_path) const
 {
     std::ostringstream out;
     const auto passes = this->passes();
@@ -316,27 +125,33 @@ Report::writeJson(const std::string &path, unsigned jobs,
         << "    \"misses\": " << cache_stats.misses << ",\n"
         << "    \"disk_writes\": " << cache_stats.diskWrites << "\n"
         << "  },\n";
-    if (events != nullptr)
+    if (events_path != nullptr) {
+        const auto stats = eventlog::stats();
         out << "  \"events\": {\n"
-            << "    \"path\": \"" << jsonEscape(events->path)
+            << "    \"path\": \"" << jsonEscape(*events_path)
             << "\",\n"
-            << "    \"records\": " << events->records << ",\n"
-            << "    \"dropped\": " << events->dropped << "\n"
+            << "    \"records\": " << stats.recorded << ",\n"
+            << "    \"dropped\": " << stats.dropped << "\n"
             << "  },\n";
-    if (health != nullptr) {
+    }
+    if (timeline_path != nullptr) {
+        const auto alerts = health::alerts();
+        const auto warns = static_cast<std::size_t>(
+            std::ranges::count(alerts, health::Severity::Warn,
+                               &health::HealthAlert::severity));
         out << "  \"health\": {\n"
-            << "    \"path\": \"" << jsonEscape(health->path)
+            << "    \"path\": \"" << jsonEscape(*timeline_path)
             << "\",\n"
-            << "    \"rules\": \"" << jsonEscape(health->rules)
+            << "    \"rules\": \""
+            << jsonEscape(health::formatHealthRules(health::rules()))
             << "\",\n"
-            << "    \"samples\": " << health->samples << ",\n"
-            << "    \"alerts\": " << health->alerts << ",\n"
-            << "    \"warns\": " << health->warns << ",\n"
+            << "    \"samples\": " << health::sampleCount() << ",\n"
+            << "    \"alerts\": " << alerts.size() - warns << ",\n"
+            << "    \"warns\": " << warns << ",\n"
             << "    \"fired\": [\n";
-        for (std::size_t i = 0; i < health->alertJson.size(); ++i)
-            out << "      " << health->alertJson[i]
-                << (i + 1 < health->alertJson.size() ? "," : "")
-                << "\n";
+        for (std::size_t i = 0; i < alerts.size(); ++i)
+            out << "      " << health::alertJson(alerts[i])
+                << (i + 1 < alerts.size() ? "," : "") << "\n";
         out << "    ]\n"
             << "  },\n";
     }

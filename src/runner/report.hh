@@ -79,107 +79,6 @@ class RatioColumn
     std::vector<double> values_;
 };
 
-/** Command-line/environment knobs shared by harness binaries. */
-struct RunnerOptions
-{
-    /** Simulation-pass parallelism; 0 = hardware concurrency. */
-    unsigned jobs = 0;
-
-    /** JSON report target ("" = no JSON). */
-    std::string jsonPath;
-
-    /** Telemetry metrics-snapshot target ("" = no metrics file). */
-    std::string metricsPath;
-
-    /** Chrome trace-event target ("" = no trace file). */
-    std::string tracePath;
-
-    /** BENCH_<tool>.json target ("" = no bench report). */
-    std::string benchPath;
-
-    /** Decision-ledger JSONL target ("" = no events file). */
-    std::string eventsPath;
-
-    /** Health-timeline JSONL target ("" = no timeline file). */
-    std::string timelinePath;
-
-    /** Health rule set ("" = defaults when the timeline is on). */
-    std::string healthRules;
-
-    /** Cycle-profile target ("" = profiler off). The folded
-     * flamegraph stacks land next to it at PATH.folded. */
-    std::string profilePath;
-
-    /** Resource-sampler period in milliseconds (>= 10). */
-    unsigned sampleMs = 50;
-
-    /** On-disk profile-cache directory ("" = memory-only). */
-    std::string cacheDir;
-
-    /** Checkpoint-journal directory ("" = no checkpointing). */
-    std::string checkpointDir;
-
-    /** Watchdog threshold in seconds (0 = no watchdog). */
-    double passTimeout = 0;
-
-    /** Arguments not consumed by the runner, in order. */
-    std::vector<std::string> positional;
-
-    /**
-     * Parse --jobs N, --json PATH, --metrics-out PATH, --trace-out
-     * PATH, --bench-out PATH, --events-out PATH, --timeline-out
-     * PATH, --health-rules RULES, --profile-out PATH, --sample-ms
-     * N, --cache-dir PATH, --checkpoint DIR, and --pass-timeout S
-     * from argv (with RAMP_JOBS / RAMP_JSON / RAMP_METRICS_OUT /
-     * RAMP_TRACE_OUT / RAMP_BENCH_OUT / RAMP_EVENTS_OUT /
-     * RAMP_TIMELINE_OUT / RAMP_HEALTH_RULES / RAMP_PROF_OUT /
-     * RAMP_SAMPLE_MS / RAMP_CACHE_DIR / RAMP_CHECKPOINT /
-     * RAMP_PASS_TIMEOUT environment fallbacks); everything else
-     * lands in positional.
-     * Throws PassError(Usage) on a malformed flag — the binary
-     * decides the exit code.
-     */
-    static RunnerOptions parse(int argc, char **argv);
-
-    /** Usage text of the flags parse() consumes. */
-    static const char *flagsHelp();
-};
-
-/** Decision-ledger summary stamped into the JSON document. */
-struct EventsInfo
-{
-    /** Events-file path as requested (--events-out). */
-    std::string path;
-
-    /** Records written to the events file. */
-    std::uint64_t records = 0;
-
-    /** Records dropped at the RAMP_EVENTS_LIMIT capacity cap. */
-    std::uint64_t dropped = 0;
-};
-
-/** Health-monitor summary stamped into the JSON document. */
-struct HealthInfo
-{
-    /** Timeline-file path as requested (--timeline-out). */
-    std::string path;
-
-    /** Installed rule set (canonical spelling). */
-    std::string rules;
-
-    /** Timeline samples recorded. */
-    std::uint64_t samples = 0;
-
-    /** alert-severity rules fired. */
-    std::uint64_t alerts = 0;
-
-    /** warn-severity rules fired. */
-    std::uint64_t warns = 0;
-
-    /** Fired alerts as pre-rendered JSON objects, in sorted order. */
-    std::vector<std::string> alertJson;
-};
-
 /** One recorded simulation pass. */
 struct PassRecord
 {
@@ -223,15 +122,18 @@ class Report
 
     /**
      * Write the JSON document: tool, jobs, per-pass metrics and
-     * status, the profile-cache counters, and (when written) the
-     * decision-ledger and health-monitor summaries. The write is
-     * atomic (unique temp file + rename), so a crash never leaves a
-     * torn report. Returns false when the file cannot be written.
+     * status, the profile-cache counters, the decision-ledger
+     * summary when `events_path` names the written events file, and
+     * the health-monitor summary when `timeline_path` is given (the
+     * monitor is on; "" when no timeline file was requested). The
+     * write is atomic (unique temp file + rename), so a crash never
+     * leaves a torn report. Returns false when the file cannot be
+     * written.
      */
     bool writeJson(const std::string &path, unsigned jobs,
                    const ProfileCacheStats &cache_stats,
-                   const EventsInfo *events = nullptr,
-                   const HealthInfo *health = nullptr) const;
+                   const std::string *events_path = nullptr,
+                   const std::string *timeline_path = nullptr) const;
 
   private:
     std::string tool_;

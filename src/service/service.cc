@@ -421,7 +421,7 @@ void
 emitMoveRecord(eventlog::EventKind kind, PageId page,
                const PageStats &stats, unsigned epoch)
 {
-    RAMP_EVLOG({
+    RAMP_OBS(Events, {
         eventlog::EventRecord record;
         record.kind = kind;
         record.policy = eventlog::PolicyId::Service;
@@ -501,7 +501,7 @@ placeTenantInitial(PlacementMap &map, Tenant &tenant,
             break;
         const auto &[page, stats] = tenant.ranking[i];
         map.place(page, MemoryId::HBM);
-        RAMP_EVLOG({
+        RAMP_OBS(Events, {
             eventlog::EventRecord record;
             record.kind = eventlog::EventKind::Place;
             record.policy = eventlog::PolicyId::Service;
@@ -598,7 +598,7 @@ PlacementService::admit(TenantSpec spec)
         spec.cores > static_cast<std::uint32_t>(system_.cores) ||
         !(spec.hbmQuotaFraction > 0.0) ||
         spec.hbmQuotaFraction > 1.0) {
-        RAMP_TELEM(serviceTelemetry().rejected.add(1));
+        RAMP_OBS(Telemetry, serviceTelemetry().rejected.add(1));
         return false;
     }
     if (spec.name.empty())
@@ -608,7 +608,7 @@ PlacementService::admit(TenantSpec spec)
         shardOf(spec.id, config_.shards, config_.routingSalt);
     tenant.spec = std::move(spec);
     tenants_.push_back(std::move(tenant));
-    RAMP_TELEM(serviceTelemetry().admitted.add(1));
+    RAMP_OBS(Telemetry, serviceTelemetry().admitted.add(1));
     return true;
 }
 
@@ -712,7 +712,7 @@ PlacementService::run(runner::ThreadPool &pool)
         sr.degraded = shard.degraded;
         result.arbitrationRounds += shard.rounds;
         result.shards.push_back(sr);
-        RAMP_TELEM({
+        RAMP_OBS(Telemetry, {
             const std::string prefix =
                 "service.shard" + std::to_string(s);
             telemetry::metrics()
@@ -750,7 +750,7 @@ PlacementService::run(runner::ThreadPool &pool)
         result.fairnessByEpoch.push_back(jainIndex(epoch_pages));
         result.p99ByEpoch.push_back(
             p99Of(std::move(epoch_slowdowns)));
-        RAMP_TELEM({
+        RAMP_OBS(Telemetry, {
             telemetry::metrics()
                 .gauge("service.fairness_index")
                 .set(result.fairnessByEpoch.back());
@@ -818,13 +818,13 @@ PlacementService::run(runner::ThreadPool &pool)
         sample.backlog = backlog;
         return sample;
     };
-    RAMP_HEALTH({
+    RAMP_OBS(Health, {
         eventlog::RunScope health_scope("svc/health");
         for (unsigned e = 0; e < config_.epochs; ++e)
             health::record(epoch_sample(e));
     });
 
-    RAMP_TELEM({
+    RAMP_OBS(Telemetry, {
         auto &tel = serviceTelemetry();
         tel.requests.add(result.totalRequests);
         telemetry::metrics()
@@ -859,10 +859,10 @@ PlacementService::applyShardFaults(Shard &shard, unsigned shard_index,
         if (fire_epoch != global_epoch)
             continue;
         ++shard.faults;
-        RAMP_TELEM(serviceTelemetry().faults.add(1));
+        RAMP_OBS(Telemetry, serviceTelemetry().faults.add(1));
         switch (event.kind) {
           case FaultEventKind::Correctable: {
-            RAMP_EVLOG({
+            RAMP_OBS(Events, {
                 eventlog::EventRecord record;
                 record.kind = eventlog::EventKind::Inject;
                 record.policy = eventlog::PolicyId::Service;
@@ -905,7 +905,7 @@ PlacementService::applyShardFaults(Shard &shard, unsigned shard_index,
                         break;
                     }
                 }
-                RAMP_EVLOG({
+                RAMP_OBS(Events, {
                     eventlog::EventRecord record;
                     record.kind = eventlog::EventKind::Retire;
                     record.policy = eventlog::PolicyId::Service;
@@ -931,7 +931,7 @@ PlacementService::applyShardFaults(Shard &shard, unsigned shard_index,
             shard.capacityLost += lost;
             if (lost > 0)
                 shard.degraded = true;
-            RAMP_EVLOG({
+            RAMP_OBS(Events, {
                 eventlog::EventRecord record;
                 record.kind = eventlog::EventKind::Degrade;
                 record.policy = eventlog::PolicyId::Service;
@@ -999,7 +999,7 @@ PlacementService::runShard(Shard &shard, unsigned shard_index)
 
     for (unsigned epoch = 0; epoch < config_.epochs; ++epoch) {
         RAMP_PROF_SCOPE_PMU(epoch_prof, "service.global_epoch");
-        RAMP_TELEM(serviceTelemetry().epochs.add(1));
+        RAMP_OBS(Telemetry, serviceTelemetry().epochs.add(1));
         applyShardFaults(shard, shard_index, epoch + 1);
 
         // Arbitrate the surviving capacity across the shard's
@@ -1026,7 +1026,7 @@ PlacementService::runShard(Shard &shard, unsigned shard_index)
                       &clipped);
         ++shard.rounds;
         shard.clips += clipped;
-        RAMP_TELEM({
+        RAMP_OBS(Telemetry, {
             serviceTelemetry().rounds.add(1);
             serviceTelemetry().clips.add(clipped);
         });
@@ -1053,7 +1053,7 @@ PlacementService::runShard(Shard &shard, unsigned shard_index)
                         config_.demoteBudgetPages, epoch);
                 }
                 tenant.moved += moved;
-                RAMP_TELEM(serviceTelemetry().moves.add(moved));
+                RAMP_OBS(Telemetry, serviceTelemetry().moves.add(moved));
 
                 const std::uint64_t resident =
                     residentHbmPages(shard.map, tenant);
@@ -1069,7 +1069,7 @@ PlacementService::runShard(Shard &shard, unsigned shard_index)
                 tenant.residentByEpoch.push_back(resident);
                 tenant.grantByEpoch.push_back(tenant.grant);
                 tenant.shareByEpoch.push_back(share);
-                RAMP_EVLOG({
+                RAMP_OBS(Events, {
                     eventlog::EventRecord record;
                     record.kind = eventlog::EventKind::Tenant;
                     record.policy = eventlog::PolicyId::Service;
@@ -1139,7 +1139,7 @@ PlacementService::runShard(Shard &shard, unsigned shard_index)
 void
 PlacementService::runSolo(Tenant &tenant)
 {
-    RAMP_TELEM(serviceTelemetry().solos.add(1));
+    RAMP_OBS(Telemetry, serviceTelemetry().solos.add(1));
     eventlog::TenantScope tenant_scope(tenant.spec.id);
     PlacementMap map(shardCapacity());
     std::uint64_t demand = hotSetPages(tenant);

@@ -3,6 +3,7 @@
 #include <limits>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "telemetry/telemetry.hh"
 

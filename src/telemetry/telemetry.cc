@@ -1,32 +1,11 @@
 #include "telemetry/telemetry.hh"
 
-#include <atomic>
-#include <cmath>
-#include <cstdio>
 #include <mutex>
-#include <sstream>
 
 #include "common/logging.hh"
 
 namespace ramp::telemetry
 {
-
-namespace
-{
-std::atomic<bool> telemetryEnabled{false};
-} // namespace
-
-bool
-enabled()
-{
-    return telemetryEnabled.load(std::memory_order_relaxed);
-}
-
-void
-setEnabled(bool on)
-{
-    telemetryEnabled.store(on, std::memory_order_relaxed);
-}
 
 void
 captureLogEvents()
@@ -46,42 +25,6 @@ resetAll()
 {
     metrics().resetValues();
     clearEvents();
-}
-
-std::string
-jsonEscape(std::string_view text)
-{
-    std::string out;
-    out.reserve(text.size() + 2);
-    for (const char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buffer[8];
-                std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-                out += buffer;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
-jsonNumber(double value)
-{
-    if (!std::isfinite(value))
-        return "null";
-    std::ostringstream out;
-    out.precision(17);
-    out << value;
-    return out.str();
 }
 
 } // namespace ramp::telemetry

@@ -5,6 +5,7 @@
 #include <mutex>
 #include <sstream>
 
+#include "common/json.hh"
 #include "telemetry/telemetry.hh"
 
 namespace ramp::telemetry
@@ -87,7 +88,7 @@ traceArgNumber(const std::string &key, double value)
 void
 emitEvent(TraceEvent event)
 {
-    if (!enabled())
+    if (!obs::on(obs::Telemetry))
         return;
     ThreadBuffer &buffer = threadBuffer();
     std::lock_guard<std::mutex> lock(buffer.mutex);
@@ -99,7 +100,7 @@ void
 instant(const std::string &name, const std::string &cat,
         const std::string &args_json)
 {
-    if (!enabled())
+    if (!obs::on(obs::Telemetry))
         return;
     TraceEvent event;
     event.name = name;
@@ -114,7 +115,7 @@ void
 counterEvent(const std::string &name, const std::string &cat,
              const std::string &series, double value)
 {
-    if (!enabled())
+    if (!obs::on(obs::Telemetry))
         return;
     TraceEvent event;
     event.name = name;
@@ -127,7 +128,7 @@ counterEvent(const std::string &name, const std::string &cat,
 
 ScopedSpan::ScopedSpan(const char *name, const char *cat,
                        std::string args_json)
-    : active_(enabled()), name_(name), cat_(cat)
+    : active_(obs::on(obs::Telemetry)), name_(name), cat_(cat)
 {
     if (!active_)
         return;

@@ -11,8 +11,8 @@
  * since the first telemetry use.
  *
  * Spans are scoped objects, so B/E pairs are well-nested per thread
- * by construction. All emission is gated on telemetry::enabled():
- * a disabled build records nothing and pays one branch per site.
+ * by construction. All emission is gated on the obs::Telemetry
+ * bit: while it is off nothing records and a site pays one branch.
  */
 
 #ifndef RAMP_TELEMETRY_TRACE_HH

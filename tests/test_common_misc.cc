@@ -1,13 +1,17 @@
 /**
  * @file
  * Tests for address arithmetic, logging formatting, the table
- * printer, and the dense page index (src/common).
+ * printer, the JSON writer helpers, and the dense page index
+ * (src/common).
  */
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <string_view>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/page_index.hh"
 #include "common/table.hh"
@@ -85,6 +89,24 @@ TEST(TextTableDeathTest, RowArityMismatchPanics)
 {
     TextTable table({"a", "b"});
     EXPECT_DEATH(table.addRow({"only-one"}), "arity");
+}
+
+TEST(Json, EscapesStringsAndRendersNonFiniteAsNull)
+{
+    EXPECT_EQ(jsonEscape("plain/text \xc3\xa9"), "plain/text \xc3\xa9");
+    EXPECT_EQ(jsonEscape("say \"hi\""), "say \\\"hi\\\"");
+    EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
+    EXPECT_EQ(jsonEscape("l1\nl2\tx\ry"), "l1\\nl2\\tx\\ry");
+    EXPECT_EQ(jsonEscape(std::string_view("\0\x01\x1f\x7f", 4)),
+              "\\u0000\\u0001\\u001f\x7f");
+
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    EXPECT_EQ(jsonNumber(1.5), "1.5");
+    EXPECT_EQ(jsonNumber(0.1), "0.10000000000000001");
+    EXPECT_EQ(jsonNumber(std::numeric_limits<double>::quiet_NaN()),
+              "null");
+    EXPECT_EQ(jsonNumber(inf), "null");
+    EXPECT_EQ(jsonNumber(-inf), "null");
 }
 
 TEST(PageIndex, InternsDenseSlotsInFirstSightOrder)

@@ -33,14 +33,13 @@ class EventlogTest : public ::testing::Test
     void SetUp() override
     {
         eventlog::reset();
-        eventlog::setEnabled(true);
+        obs::set(obs::Events, true);
     }
 
     void TearDown() override
     {
-        eventlog::setEnabled(false);
+        obs::set(obs::Events | obs::Telemetry, false);
         eventlog::reset();
-        telemetry::setEnabled(false);
         telemetry::resetAll();
     }
 };
@@ -122,11 +121,11 @@ TEST_F(EventlogTest, CapacityCapsAndCountsDrops)
 
 TEST_F(EventlogTest, DisabledScopeIsInert)
 {
-    eventlog::setEnabled(false);
+    obs::set(obs::Events, false);
     eventlog::RunScope scope("test/never");
     // Instrumentation sites are macro-gated, so nothing emits while
     // disabled; the scope itself must also not register its label.
-    eventlog::setEnabled(true);
+    obs::set(obs::Events, true);
     eventlog::emit(placeRecord(1));
     const auto records = eventlog::collect();
     ASSERT_EQ(records.size(), 1u);
@@ -311,9 +310,8 @@ void
 checkEngineAccounting(MigrationEngine &engine)
 {
     telemetry::resetAll();
-    telemetry::setEnabled(true);
     eventlog::reset();
-    eventlog::setEnabled(true);
+    obs::set(obs::Telemetry | obs::Events, true);
 
     const auto config = smallConfig();
     HmaSystem system(config);

@@ -33,6 +33,10 @@ namespace ramp
 namespace
 {
 
+/** The layers the harness switches on with the health timeline. */
+constexpr std::uint8_t monitorLayers =
+    obs::Telemetry | obs::Events | obs::Health;
+
 /** Fresh, enabled monitor per test; everything off afterwards. */
 class HealthTest : public ::testing::Test
 {
@@ -40,20 +44,16 @@ class HealthTest : public ::testing::Test
     void SetUp() override
     {
         telemetry::resetAll();
-        telemetry::setEnabled(true);
         eventlog::reset();
-        eventlog::setEnabled(true);
         health::reset();
-        health::setEnabled(true);
+        obs::set(monitorLayers, true);
     }
 
     void TearDown() override
     {
-        health::setEnabled(false);
+        obs::set(monitorLayers, false);
         health::reset();
-        eventlog::setEnabled(false);
         eventlog::reset();
-        telemetry::setEnabled(false);
         telemetry::resetAll();
     }
 };
@@ -193,11 +193,11 @@ TEST_F(HealthTest, HysteresisFiresOncePerSustainedBreach)
 
 TEST_F(HealthTest, MetricsDeltaExactUnderConcurrentWriters)
 {
-    // Counts accumulated before enable must not leak into the
-    // delta: re-enable after priming the counter.
+    // Counts accumulated before the rules are installed must not
+    // leak into the delta: install them after priming the counter.
     telemetry::metrics().counter("test.health.delta").add(1000);
     telemetry::metrics().counter("pool.fake").add(7);
-    health::setEnabled(true); // recapture the baseline
+    health::setRules({}); // captures the baseline
 
     runner::ThreadPool pool(4);
     constexpr std::uint64_t tasks = 256;
@@ -225,7 +225,7 @@ TEST_F(HealthTest, MetricsDeltaExactUnderConcurrentWriters)
     ASSERT_NE(counters, nullptr);
 
     // Exact delta — the sharded counters summed exactly, and the
-    // pre-enable 1000 stayed out of it.
+    // pre-install 1000 stayed out of it.
     EXPECT_DOUBLE_EQ(
         counters->numberOr("test.health.delta", -1),
         static_cast<double>(expected));
@@ -252,13 +252,10 @@ healthTenantSpec(std::uint32_t id)
 std::string
 serviceTimeline(unsigned jobs)
 {
-    // Mirror the harness enable order: telemetry, ledger, monitor.
     telemetry::resetAll();
-    telemetry::setEnabled(true);
     eventlog::reset();
-    eventlog::setEnabled(true);
     health::reset();
-    health::setEnabled(true);
+    obs::set(monitorLayers, true);
     health::setRules(health::defaultRules());
 
     SystemConfig system = SystemConfig::scaledDefault();
@@ -285,9 +282,6 @@ serviceTimeline(unsigned jobs)
 
 TEST_F(HealthTest, ServiceTimelineInvariantUnderJobs)
 {
-#ifdef RAMP_HEALTH_DISABLED
-    GTEST_SKIP() << "epoch capture hooks compiled out";
-#endif
     const std::string serial = serviceTimeline(1);
     const std::string wide = serviceTimeline(4);
     EXPECT_GT(health::sampleCount(), 0u);
@@ -302,9 +296,6 @@ TEST_F(HealthTest, ServiceTimelineInvariantUnderJobs)
 
 TEST_F(HealthTest, StormAlertsAgreeAcrossLedgerAndTelemetry)
 {
-#ifdef RAMP_HEALTH_DISABLED
-    GTEST_SKIP() << "epoch capture hooks compiled out";
-#endif
     health::setRules(health::defaultRules());
     const auto before = telemetry::metrics().snapshot();
 

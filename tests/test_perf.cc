@@ -49,12 +49,12 @@ class PerfTest : public ::testing::Test
     void SetUp() override
     {
         telemetry::resetAll();
-        telemetry::setEnabled(true);
+        obs::set(obs::Telemetry, true);
     }
 
     void TearDown() override
     {
-        telemetry::setEnabled(false);
+        obs::set(obs::Telemetry, false);
         telemetry::resetAll();
     }
 };

@@ -47,12 +47,12 @@ class ProfTest : public ::testing::Test
     void SetUp() override
     {
         prof::reset();
-        prof::setEnabled(true);
+        obs::set(obs::Prof, true);
     }
 
     void TearDown() override
     {
-        prof::setEnabled(false);
+        obs::set(obs::Prof, false);
         prof::detail::setCycleSourceForTest(nullptr);
         prof::pmuForceUnavailableForTest(false);
         prof::reset();
@@ -165,7 +165,7 @@ TEST_F(ProfTest, ThreadMergeConservesCallCounts)
 
 TEST_F(ProfTest, DisabledScopesAllocateNoThreadState)
 {
-    prof::setEnabled(false);
+    obs::set(obs::Prof, false);
     const std::size_t states_before =
         prof::threadStateCountForTest();
 

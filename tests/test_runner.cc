@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -18,7 +19,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/obs.hh"
 #include "eventlog/eventlog.hh"
+#include "health/health.hh"
 #include "reliability/faultsim.hh"
 #include "runner/harness.hh"
 
@@ -407,6 +410,158 @@ TEST(RunnerOptions, RejectsBadFlagsWithUsageErrors)
     expect_usage({"tool", "--pass-timeout", "-1"});
     expect_usage({"tool", "--checkpoint"});
     expect_usage({"tool", "--json"});
+
+    // The ledger knobs are environment-only and validated up front.
+    for (const char *env : {"RAMP_EVENTS_LIMIT", "RAMP_EVENTS_DUMP"}) {
+        for (const char *bad : {"abc", "-1", "12x", ""}) {
+            ::setenv(env, bad, 1);
+            expect_usage({"tool"});
+        }
+        ::unsetenv(env);
+    }
+    ::setenv("RAMP_EVENTS_LIMIT", "12", 1);
+    ::setenv("RAMP_EVENTS_DUMP", "0", 1);
+    const char *argv[] = {"tool"};
+    const auto options =
+        RunnerOptions::parse(1, const_cast<char **>(argv));
+    EXPECT_EQ(options.eventsLimit, 12u);
+    EXPECT_EQ(options.eventsDump, 0u);
+    ::unsetenv("RAMP_EVENTS_LIMIT");
+    ::unsetenv("RAMP_EVENTS_DUMP");
+}
+
+/** One output flag as the runner documents it. */
+struct OutputCase
+{
+    const char *flag;
+    const char *env;
+    std::string RunnerOptions::*value;
+
+    /** obs:: layers it switches on. */
+    std::uint8_t layers;
+
+    /** (suffix, noun) of each file it writes, in order. */
+    std::vector<std::pair<std::string, std::string>> files;
+};
+
+std::vector<OutputCase>
+outputCases()
+{
+    constexpr std::uint8_t monitor =
+        obs::Telemetry | obs::Events | obs::Health;
+    return {
+        {"--json", "RAMP_JSON", &RunnerOptions::jsonPath, 0,
+         {{"", "JSON report"}}},
+        {"--metrics-out", "RAMP_METRICS_OUT",
+         &RunnerOptions::metricsPath, obs::Telemetry,
+         {{"", "metrics snapshot"}}},
+        {"--trace-out", "RAMP_TRACE_OUT", &RunnerOptions::tracePath,
+         obs::Telemetry, {{"", "trace"}}},
+        {"--bench-out", "RAMP_BENCH_OUT", &RunnerOptions::benchPath,
+         obs::Telemetry, {{"", "bench report"}}},
+        {"--events-out", "RAMP_EVENTS_OUT", &RunnerOptions::eventsPath,
+         obs::Events, {{"", "events file"}}},
+        {"--timeline-out", "RAMP_TIMELINE_OUT",
+         &RunnerOptions::timelinePath, monitor,
+         {{"", "health timeline"}}},
+        {"--profile-out", "RAMP_PROF_OUT", &RunnerOptions::profilePath,
+         obs::Prof, {{"", "cycle profile"}, {".folded", "folded stacks"}}},
+        {"--health-rules", "RAMP_HEALTH_RULES",
+         &RunnerOptions::healthRules, monitor, {}},
+    };
+}
+
+/** Switch every layer off and drop what the monitors recorded. */
+void
+resetObservability()
+{
+    obs::set(obs::All, false);
+    eventlog::reset();
+    health::reset();
+}
+
+TEST(RunnerOptions, EveryOutputReadsItsEnvAndTheFlagWins)
+{
+    for (const OutputCase &out : outputCases()) {
+        ::setenv(out.env, "from-env", 1);
+        const char *env_only[] = {"tool"};
+        EXPECT_EQ(RunnerOptions::parse(1, const_cast<char **>(env_only))
+                      .*out.value,
+                  "from-env")
+            << out.env;
+        const char *both[] = {"tool", out.flag, "from-flag"};
+        EXPECT_EQ(
+            RunnerOptions::parse(3, const_cast<char **>(both)).*out.value,
+            "from-flag")
+            << out.flag;
+        ::unsetenv(out.env);
+    }
+}
+
+TEST(RunnerOptions, HelpTextIsUnchanged)
+{
+    EXPECT_STREQ(
+        RunnerOptions::flagsHelp(),
+        "  --jobs N        parallel simulation passes "
+        "(default: all cores; env RAMP_JOBS)\n"
+        "  --json PATH     write machine-readable results "
+        "(env RAMP_JSON)\n"
+        "  --metrics-out PATH  write a telemetry metrics "
+        "snapshot (env RAMP_METRICS_OUT)\n"
+        "  --trace-out PATH  write a Chrome trace-event file "
+        "(env RAMP_TRACE_OUT)\n"
+        "  --bench-out PATH  write a BENCH_<tool>.json "
+        "performance report (env RAMP_BENCH_OUT)\n"
+        "  --events-out PATH  write the decision ledger as "
+        "JSONL (env RAMP_EVENTS_OUT)\n"
+        "  --timeline-out PATH  write the epoch health timeline "
+        "as JSONL (env RAMP_TIMELINE_OUT)\n"
+        "  --profile-out PATH  write a ramp-profile-v1 cycle "
+        "profile (+PATH.folded flamegraph stacks; env "
+        "RAMP_PROF_OUT)\n"
+        "  --health-rules R  SLO rules evaluated per epoch, e.g. "
+        "alert:p99_slowdown>2,for=3 (env RAMP_HEALTH_RULES)\n"
+        "  --sample-ms N   resource-sampler period, >= 10 "
+        "(default 50; env RAMP_SAMPLE_MS)\n"
+        "  --cache-dir D   persist profiling passes on disk "
+        "(env RAMP_CACHE_DIR)\n"
+        "  --checkpoint D  journal completed passes; resume a "
+        "killed campaign (env RAMP_CHECKPOINT)\n"
+        "  --pass-timeout S  flag passes running longer than S "
+        "seconds (env RAMP_PASS_TIMEOUT)\n");
+}
+
+TEST(Harness, EachOutputSwitchesOnItsLayersAndNamesItsFiles)
+{
+    const std::string dir = ::testing::TempDir() + "ramp_outputs";
+    std::filesystem::create_directories(dir);
+    // A path below a regular file can never be created.
+    const std::string blocker = dir + "/blocker";
+    std::ofstream(blocker) << "x";
+    for (const OutputCase &out : outputCases()) {
+        const bool rules = out.value == &RunnerOptions::healthRules;
+        resetObservability();
+        RunnerOptions options;
+        options.*out.value = rules ? "alert:shard_degraded" : dir + "/out";
+        Harness writable("outputs_tool", options);
+        EXPECT_EQ(obs::mask.load(), out.layers) << out.flag;
+        EXPECT_EQ(writable.finish(), 0) << out.flag;
+        if (rules)
+            continue;
+
+        options.*out.value = blocker + "/out";
+        Harness unwritable("outputs_tool", options);
+        std::string expected;
+        for (const auto &[suffix, noun] : out.files)
+            expected += "outputs_tool: cannot write " + noun + " to " +
+                        blocker + "/out" + suffix + "\n";
+        testing::internal::CaptureStderr();
+        EXPECT_EQ(unwritable.finish(), 1) << out.flag;
+        EXPECT_EQ(testing::internal::GetCapturedStderr(), expected)
+            << out.flag;
+    }
+    resetObservability();
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Harness, FailingPassBecomesFailedRow)
@@ -619,10 +774,10 @@ TEST(Harness, DerivesPassIdentityFromWorkloadAndLabel)
     };
 
     eventlog::reset();
-    eventlog::setEnabled(true);
+    obs::set(obs::Events, true);
     Harness first("identity_tool", options);
     const auto [wl, outcomes] = campaign(first);
-    eventlog::setEnabled(false);
+    obs::set(obs::Events, false);
     eventlog::reset();
     EXPECT_EQ(run_labels[0], "astar/perf-focused/clean");
     EXPECT_EQ(run_labels[1], "astar/perf-focused/storm");

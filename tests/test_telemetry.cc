@@ -34,12 +34,12 @@ class TelemetryTest : public ::testing::Test
     void SetUp() override
     {
         resetAll();
-        setEnabled(true);
+        obs::set(obs::Telemetry, true);
     }
 
     void TearDown() override
     {
-        setEnabled(false);
+        obs::set(obs::Telemetry, false);
         resetAll();
     }
 };
@@ -256,9 +256,9 @@ TEST_F(TelemetryTest, SnapshotIsDeterministicUnderThePool)
 
 TEST_F(TelemetryTest, DisabledSitesRecordNothing)
 {
-    setEnabled(false);
+    obs::set(obs::Telemetry, false);
     Counter &counter = metrics().counter("test.disabled");
-    RAMP_TELEM(counter.add(1));
+    RAMP_OBS(Telemetry, counter.add(1));
     {
         RAMP_TELEM_SPAN(span, "test.span", "test");
     }
@@ -416,17 +416,6 @@ TEST_F(TelemetryTest, SnapshotQuantileAccessorMatchesHistogram)
     // Unknown names and empty histograms answer NaN, not zero.
     EXPECT_TRUE(
         std::isnan(snap.histogramPercentile("no.such.hist", 0.5)));
-}
-
-TEST(JsonNumber, NonFiniteValuesRenderAsNull)
-{
-    EXPECT_EQ(jsonNumber(1.5), "1.5");
-    EXPECT_EQ(jsonNumber(std::numeric_limits<double>::quiet_NaN()),
-              "null");
-    EXPECT_EQ(jsonNumber(std::numeric_limits<double>::infinity()),
-              "null");
-    EXPECT_EQ(jsonNumber(-std::numeric_limits<double>::infinity()),
-              "null");
 }
 
 TEST_F(TelemetryTest, CounterEventsAppearAsCounterPhase)

@@ -14,7 +14,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <set>
@@ -22,6 +21,7 @@
 #include <vector>
 
 #include "common/table.hh"
+#include "perf/artifact.hh"
 #include "perf/bench_report.hh"
 
 using namespace ramp;
@@ -44,21 +44,6 @@ usage()
         "                    gates/relaxes independently\n"
         "\n"
         "Exit: 0 ok, 1 regression, 2 usage/unreadable input.\n");
-}
-
-double
-parsePositive(const char *flag, const char *text)
-{
-    char *end = nullptr;
-    const double value = std::strtod(text, &end);
-    if (end == text || *end != '\0' || !(value > 0)) {
-        std::fprintf(stderr,
-                     "bench_diff: %s needs a positive number, "
-                     "got '%s'\n",
-                     flag, text);
-        std::exit(2);
-    }
-    return value;
 }
 
 std::string
@@ -89,21 +74,15 @@ main(int argc, char **argv)
     std::vector<std::string> paths;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "bench_diff: %s needs a value\n",
-                             flag);
-                std::exit(2);
-            }
-            return argv[++i];
+        auto value = [&](const char *flag) {
+            return perf::flagValue("bench_diff", argc, argv, i, flag);
         };
         if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
         } else if (arg == "--relax") {
-            options.relax = parsePositive("--relax",
-                                          value("--relax"));
+            options.relax = perf::parsePositiveArg(
+                "bench_diff", "--relax", value("--relax"));
         } else if (arg == "--family") {
             options.families.push_back(value("--family"));
         } else if (!arg.empty() && arg[0] == '-') {

@@ -30,9 +30,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <map>
@@ -41,7 +39,7 @@
 #include <vector>
 
 #include "common/table.hh"
-#include "perf/json.hh"
+#include "perf/artifact.hh"
 
 using namespace ramp;
 
@@ -111,78 +109,21 @@ usage()
         "result, 2 usage/malformed input.\n");
 }
 
-std::uint64_t
-parseCount(const char *flag, const char *text)
-{
-    char *end = nullptr;
-    const unsigned long long value = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0') {
-        std::fprintf(stderr,
-                     "ramp_explain: %s needs a non-negative "
-                     "integer, got '%s'\n",
-                     flag, text);
-        std::exit(2);
-    }
-    return value;
-}
-
-/** A member's integral value (handles noPage-sized ids exactly). */
-std::uint64_t
-idOr(const perf::JsonValue &object, const std::string &key,
-     std::uint64_t fallback)
-{
-    const perf::JsonValue *member = object.find(key);
-    if (member == nullptr || !member->isNumber())
-        return fallback;
-    // Page ids are small in practice (double-exact); the sentinel
-    // only appears for absent fields, which the writer omits.
-    return static_cast<std::uint64_t>(member->number);
-}
-
 bool
 loadEvents(const std::string &path, std::vector<Event> &events,
            std::string &error)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        error = "cannot read " + path;
-        return false;
-    }
-    std::string line;
-    std::size_t line_no = 0;
-    bool saw_header = false;
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (line.empty())
-            continue;
-        perf::JsonValue value;
-        if (!perf::parseJson(line, value, error)) {
-            error = path + ":" + std::to_string(line_no) + ": " +
-                    error;
-            return false;
-        }
-        if (!saw_header) {
-            const std::string schema = value.stringOr("schema", "");
-            if (schema != eventsSchemaV1 &&
-                schema != eventsSchemaV2) {
-                error = path + ": not a " +
-                        std::string(eventsSchemaV1) + " / " +
-                        std::string(eventsSchemaV2) +
-                        " file (schema '" + schema + "')";
-                return false;
-            }
-            saw_header = true;
-            continue;
-        }
+    perf::JsonValue header;
+    const auto add = [&](const perf::JsonValue &value) {
         Event event;
         event.run = value.stringOr("run", "unattributed");
-        event.seq = idOr(value, "seq", 0);
-        event.tenant = idOr(value, "tenant", 0);
+        event.seq = value.uintOr("seq", 0);
+        event.tenant = value.uintOr("tenant", 0);
         event.kind = value.stringOr("kind", "?");
         event.policy = value.stringOr("policy", "?");
-        event.epoch = idOr(value, "epoch", 0);
-        event.page = idOr(value, "page", noPage);
-        event.partner = idOr(value, "partner", noPage);
+        event.epoch = value.uintOr("epoch", 0);
+        event.page = value.uintOr("page", noPage);
+        event.partner = value.uintOr("partner", noPage);
         event.src = value.stringOr("src", "");
         event.dst = value.stringOr("dst", "");
         event.quadrant = value.stringOr("quadrant", "");
@@ -193,8 +134,8 @@ loadEvents(const std::string &path, std::vector<Event> &events,
         event.reason = value.stringOr("reason", "");
         event.backlog = value.numberOr("backlog", NAN);
         event.action = value.stringOr("action", "");
-        event.region = idOr(value, "region", noPage);
-        event.span = idOr(value, "span", 0);
+        event.region = value.uintOr("region", noPage);
+        event.span = value.uintOr("span", 0);
         event.density = value.numberOr("density", NAN);
         event.hotness = value.numberOr("hotness", NAN);
         event.wrRatio = value.numberOr("wr_ratio", NAN);
@@ -202,16 +143,15 @@ loadEvents(const std::string &path, std::vector<Event> &events,
         event.threshHot = value.numberOr("thresh_hot", NAN);
         event.threshRisk = value.numberOr("thresh_risk", NAN);
         event.moved = value.numberOr("moved", NAN);
-        event.shard = idOr(value, "shard", noPage);
-        event.grant = idOr(value, "grant", 0);
-        event.resident = idOr(value, "resident", 0);
+        event.shard = value.uintOr("shard", noPage);
+        event.grant = value.uintOr("grant", 0);
+        event.resident = value.uintOr("resident", 0);
         event.hbmShare = value.numberOr("hbm_share", NAN);
         events.push_back(std::move(event));
-    }
-    if (!saw_header) {
-        error = path + ": empty events file (no header line)";
+    };
+    if (!perf::readJsonl(path, {eventsSchemaV1, eventsSchemaV2},
+                         "events", false, header, add, error))
         return false;
-    }
     // Canonical order: run label, then the per-run sequence number.
     // Run ids are assigned in pool-scheduling order, but labels are
     // schedule-independent, so this sort makes every analysis
@@ -228,12 +168,7 @@ loadEvents(const std::string &path, std::vector<Event> &events,
 std::string
 num(double value, int precision = 6)
 {
-    if (!std::isfinite(value))
-        return "-";
-    std::ostringstream out;
-    out.precision(precision);
-    out << value;
-    return out.str();
+    return perf::numberCell(value, precision);
 }
 
 std::string
@@ -818,25 +753,20 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "ramp_explain: %s needs a value\n",
-                             flag);
-                std::exit(2);
-            }
-            return argv[++i];
+        auto value = [&](const char *flag) {
+            return perf::flagValue("ramp_explain", argc, argv, i, flag);
         };
         if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
         } else if (arg == "--page") {
             want_page = true;
-            page = parseCount("--page", value("--page"));
+            page = perf::parseCountArg("ramp_explain", "--page",
+                                       value("--page"));
         } else if (arg == "--top-regret") {
             want_regret = true;
-            regret_k =
-                parseCount("--top-regret", value("--top-regret"));
+            regret_k = perf::parseCountArg(
+                "ramp_explain", "--top-regret", value("--top-regret"));
         } else if (arg == "--migration-churn") {
             want_churn = true;
         } else if (arg == "--faults") {
@@ -847,8 +777,8 @@ main(int argc, char **argv)
             want_tenants = true;
         } else if (arg == "--tenant") {
             have_tenant_filter = true;
-            tenant_filter =
-                parseCount("--tenant", value("--tenant"));
+            tenant_filter = perf::parseCountArg(
+                "ramp_explain", "--tenant", value("--tenant"));
         } else if (!arg.empty() && arg[0] == '-') {
             std::fprintf(stderr,
                          "ramp_explain: unknown flag '%s'\n",

@@ -31,8 +31,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <set>
@@ -44,7 +42,7 @@
 #include <vector>
 
 #include "common/table.hh"
-#include "perf/json.hh"
+#include "perf/artifact.hh"
 
 using namespace ramp;
 
@@ -117,93 +115,23 @@ usage()
         "1 empty result, 2 usage/malformed input.\n");
 }
 
-std::uint64_t
-parseCount(const char *flag, const char *text)
-{
-    char *end = nullptr;
-    const unsigned long long value = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0') {
-        std::fprintf(stderr,
-                     "ramp_health: %s needs a non-negative "
-                     "integer, got '%s'\n",
-                     flag, text);
-        std::exit(2);
-    }
-    return value;
-}
-
-std::uint64_t
-idOr(const perf::JsonValue &object, const std::string &key,
-     std::uint64_t fallback)
-{
-    const perf::JsonValue *member = object.find(key);
-    if (member == nullptr || !member->isNumber())
-        return fallback;
-    return static_cast<std::uint64_t>(member->number);
-}
-
 bool
 loadTimeline(const std::string &path, Timeline &timeline,
              std::string &error, bool ignore_partial_tail = false)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        error = "cannot read " + path;
-        return false;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    std::string content = buffer.str();
-    if (ignore_partial_tail && !content.empty() &&
-        content.back() != '\n') {
-        // A live tail: the writer is mid-line. Drop the partial
-        // trailing line — the next poll re-reads the file and
-        // parses it once its newline has arrived — rather than
-        // failing the whole parse (or reading a torn sample).
-        const std::size_t last_newline = content.rfind('\n');
-        content.resize(last_newline == std::string::npos
-                           ? 0
-                           : last_newline + 1);
-    }
     timeline = Timeline{};
-    std::istringstream lines(content);
-    std::string line;
-    std::size_t line_no = 0;
-    bool saw_header = false;
-    while (std::getline(lines, line)) {
-        ++line_no;
-        if (line.empty())
-            continue;
-        perf::JsonValue value;
-        if (!perf::parseJson(line, value, error)) {
-            error = path + ":" + std::to_string(line_no) + ": " +
-                    error;
-            return false;
-        }
-        if (!saw_header) {
-            const std::string schema = value.stringOr("schema", "");
-            if (schema != timelineSchema) {
-                error = path + ": not a " +
-                        std::string(timelineSchema) +
-                        " file (schema '" + schema + "')";
-                return false;
-            }
-            timeline.tool = value.stringOr("tool", "?");
-            timeline.rules = value.stringOr("rules", "");
-            saw_header = true;
-            continue;
-        }
+    perf::JsonValue header;
+    const auto add = [&](const perf::JsonValue &value) {
         const std::string type = value.stringOr("type", "");
         if (type == "sample") {
             Sample sample;
             sample.source = value.stringOr("source", "?");
             sample.run = value.stringOr("run", "unattributed");
-            sample.epoch = idOr(value, "epoch", 0);
-            sample.seq = idOr(value, "seq", 0);
-            sample.moves = idOr(value, "moves", 0);
-            sample.faultsInjected =
-                idOr(value, "faults_injected", 0);
-            sample.pagesRetired = idOr(value, "pages_retired", 0);
+            sample.epoch = value.uintOr("epoch", 0);
+            sample.seq = value.uintOr("seq", 0);
+            sample.moves = value.uintOr("moves", 0);
+            sample.faultsInjected = value.uintOr("faults_injected", 0);
+            sample.pagesRetired = value.uintOr("pages_retired", 0);
             sample.backlog = value.numberOr("backlog", NAN);
             sample.degraded = value.boolOr("degraded", false);
             sample.fairness = value.numberOr("fairness", NAN);
@@ -214,14 +142,13 @@ loadTimeline(const std::string &path, Timeline &timeline,
                 tenants != nullptr && tenants->isArray()) {
                 sample.tenants = tenants->array.size();
                 for (const perf::JsonValue &row : tenants->array)
-                    sample.tenantIds.insert(
-                        idOr(row, "tenant", 0));
+                    sample.tenantIds.insert(row.uintOr("tenant", 0));
             }
             if (const perf::JsonValue *shards = value.find("shards");
                 shards != nullptr && shards->isArray()) {
                 sample.shards = shards->array.size();
                 for (const perf::JsonValue &row : shards->array) {
-                    sample.shardIds.insert(idOr(row, "shard", 0));
+                    sample.shardIds.insert(row.uintOr("shard", 0));
                     if (row.boolOr("degraded", false))
                         sample.anyShardDegraded = true;
                 }
@@ -230,27 +157,27 @@ loadTimeline(const std::string &path, Timeline &timeline,
         } else if (type == "alert") {
             Alert alert;
             alert.severity = value.stringOr("severity", "?");
-            alert.rule = idOr(value, "rule", 0);
+            alert.rule = value.uintOr("rule", 0);
             alert.signal = value.stringOr("signal", "?");
             alert.source = value.stringOr("source", "?");
             alert.run = value.stringOr("run", "unattributed");
-            alert.epoch = idOr(value, "epoch", 0);
-            alert.seq = idOr(value, "seq", 0);
-            alert.tenant = idOr(value, "tenant", 0);
-            alert.shard = static_cast<std::int64_t>(
-                idOr(value, "shard",
-                     static_cast<std::uint64_t>(-1)));
+            alert.epoch = value.uintOr("epoch", 0);
+            alert.seq = value.uintOr("seq", 0);
+            alert.tenant = value.uintOr("tenant", 0);
+            alert.shard = static_cast<std::int64_t>(value.uintOr(
+                "shard", static_cast<std::uint64_t>(-1)));
             alert.value = value.numberOr("value", NAN);
             alert.threshold = value.numberOr("threshold", NAN);
             timeline.alerts.push_back(std::move(alert));
         }
         // "metrics" lines are the registry delta for bench tooling;
         // no per-run analysis reads them.
-    }
-    if (!saw_header) {
-        error = path + ": empty timeline file (no header line)";
+    };
+    if (!perf::readJsonl(path, {timelineSchema}, "timeline",
+                         ignore_partial_tail, header, add, error))
         return false;
-    }
+    timeline.tool = header.stringOr("tool", "?");
+    timeline.rules = header.stringOr("rules", "");
     // Canonical order: the writer already sorts, but an analyzer
     // must not trust its input to keep the --jobs invariance.
     std::stable_sort(timeline.samples.begin(),
@@ -271,12 +198,7 @@ loadTimeline(const std::string &path, Timeline &timeline,
 std::string
 num(double value, int precision = 4)
 {
-    if (!std::isfinite(value))
-        return "-";
-    std::ostringstream out;
-    out.precision(precision);
-    out << value;
-    return out.str();
+    return perf::numberCell(value, precision);
 }
 
 std::string
@@ -522,31 +444,28 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "ramp_health: %s needs a value\n",
-                             flag);
-                std::exit(2);
-            }
-            return argv[++i];
+        auto value = [&](const char *flag) {
+            return perf::flagValue("ramp_health", argc, argv, i, flag);
         };
         if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
         } else if (arg == "--rule") {
             want_rule = true;
-            rule = parseCount("--rule", value("--rule"));
+            rule = perf::parseCountArg("ramp_health", "--rule",
+                                       value("--rule"));
         } else if (arg == "--runs") {
             want_runs = true;
         } else if (arg == "--follow") {
             want_follow = true;
         } else if (arg == "--tenant") {
             have_tenant = true;
-            tenant = parseCount("--tenant", value("--tenant"));
+            tenant = perf::parseCountArg("ramp_health", "--tenant",
+                                         value("--tenant"));
         } else if (arg == "--shard") {
             have_shard = true;
-            shard = parseCount("--shard", value("--shard"));
+            shard = perf::parseCountArg("ramp_health", "--shard",
+                                        value("--shard"));
         } else if (!arg.empty() && arg[0] == '-') {
             std::fprintf(stderr,
                          "ramp_health: unknown flag '%s'\n",

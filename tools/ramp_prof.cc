@@ -20,12 +20,12 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "perf/artifact.hh"
 #include "perf/prof_report.hh"
 
 using namespace ramp;
@@ -55,21 +55,6 @@ usage()
         "unreadable input.\n");
 }
 
-double
-parsePositive(const char *flag, const char *text)
-{
-    char *end = nullptr;
-    const double value = std::strtod(text, &end);
-    if (end == text || *end != '\0' || !(value > 0)) {
-        std::fprintf(stderr,
-                     "ramp_prof: %s needs a positive number, "
-                     "got '%s'\n",
-                     flag, text);
-        std::exit(2);
-    }
-    return value;
-}
-
 } // namespace
 
 int
@@ -85,13 +70,8 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "ramp_prof: %s needs a value\n", flag);
-                std::exit(2);
-            }
-            return argv[++i];
+        auto value = [&](const char *flag) {
+            return perf::flagValue("ramp_prof", argc, argv, i, flag);
         };
         if (arg == "--help" || arg == "-h") {
             usage();
@@ -104,13 +84,15 @@ main(int argc, char **argv)
             calls_view = true;
         } else if (arg == "--top") {
             top_n = static_cast<std::size_t>(
-                parsePositive("--top", value("--top")));
+                perf::parsePositiveArg("ramp_prof", "--top",
+                                       value("--top")));
         } else if (arg == "--threshold-pct") {
-            threshold_pct = parsePositive(
-                "--threshold-pct", value("--threshold-pct"));
+            threshold_pct = perf::parsePositiveArg(
+                "ramp_prof", "--threshold-pct", value("--threshold-pct"));
         } else if (arg == "--min-cycles") {
-            min_cycles = static_cast<std::uint64_t>(parsePositive(
-                "--min-cycles", value("--min-cycles")));
+            min_cycles =
+                static_cast<std::uint64_t>(perf::parsePositiveArg(
+                    "ramp_prof", "--min-cycles", value("--min-cycles")));
         } else if (!arg.empty() && arg[0] == '-') {
             std::fprintf(stderr, "ramp_prof: unknown flag '%s'\n",
                          arg.c_str());
