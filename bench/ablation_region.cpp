@@ -45,10 +45,10 @@ parseAblationOptions(const std::vector<std::string> &positional)
     for (std::size_t i = 0; i < positional.size(); ++i) {
         const std::string &arg = positional[i];
         if (arg == "--regions") {
-            options.maxRegions = parseUnsignedFlag(
+            options.maxRegions = perf::parseCountArg(
                 "ablation_region", "--regions",
-                flagValue("ablation_region", "--regions", positional,
-                          i));
+                perf::flagValue("ablation_region", positional, i,
+                                "--regions"));
             if (options.maxRegions == 0) {
                 std::cerr << "ablation_region: --regions needs a "
                              "positive integer, got '0'\n";
@@ -57,8 +57,8 @@ parseAblationOptions(const std::vector<std::string> &positional)
         } else if (arg == "--scheme") {
             std::string error;
             options.schemes = parseRegionSchemes(
-                flagValue("ablation_region", "--scheme", positional,
-                          i),
+                perf::flagValue("ablation_region", positional, i,
+                                "--scheme"),
                 error);
             if (!error.empty()) {
                 std::cerr << "ablation_region: --scheme: " << error

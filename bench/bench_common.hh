@@ -24,7 +24,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -32,6 +31,7 @@
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "hma/experiment.hh"
+#include "perf/artifact.hh"
 #include "perf/microbench.hh"
 #include "placement/profile.hh"
 #include "runner/harness.hh"
@@ -173,38 +173,6 @@ runPolicyCaseFaulted(const SystemConfig &config,
                                    faults)
                : runStaticFaulted(config, data, pc.policy, profile,
                                   faults);
-}
-
-/**
- * Parse a non-negative integer flag value or exit with usage
- * status 2 — the shared shape of every bench's ad-hoc flag loop.
- */
-inline std::uint64_t
-parseUnsignedFlag(const std::string &tool, const char *flag,
-                  const std::string &text)
-{
-    char *end = nullptr;
-    const unsigned long long parsed =
-        std::strtoull(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0') {
-        std::cerr << tool << ": " << flag
-                  << " needs a non-negative integer, got '" << text
-                  << "'\n";
-        std::exit(2);
-    }
-    return parsed;
-}
-
-/** Fetch the value of flag i from a positional list, or exit 2. */
-inline const std::string &
-flagValue(const std::string &tool, const char *flag,
-          const std::vector<std::string> &positional, std::size_t &i)
-{
-    if (i + 1 >= positional.size()) {
-        std::cerr << tool << ": " << flag << " needs a value\n";
-        std::exit(2);
-    }
-    return positional[++i];
 }
 
 /**

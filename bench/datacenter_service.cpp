@@ -31,10 +31,12 @@
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "bench_common.hh"
+#include "common/parse.hh"
 #include "common/table.hh"
 #include "faults/plan.hh"
 #include "service/service.hh"
@@ -62,58 +64,55 @@ struct ServiceBenchOptions
 ServiceBenchOptions
 parseServiceOptions(const std::vector<std::string> &positional)
 {
-    const std::string tool = "datacenter_service";
+    const char *tool = "datacenter_service";
     ServiceBenchOptions options;
     for (std::size_t i = 0; i < positional.size(); ++i) {
         const std::string &arg = positional[i];
+        const auto value = [&](const char *flag) -> const std::string & {
+            return perf::flagValue(tool, positional, i, flag);
+        };
+        const auto count = [&](const char *flag) {
+            return perf::parseCountArg(tool, flag, value(flag));
+        };
+        const auto small_count = [&](const char *flag) {
+            return static_cast<unsigned>(
+                perf::parseCountArg(tool, flag, value(flag), 0,
+                              std::numeric_limits<unsigned>::max()));
+        };
         if (arg == "--tenants") {
-            options.tenants = parseUnsignedFlag(
-                tool, "--tenants",
-                flagValue(tool, "--tenants", positional, i));
+            options.tenants = count("--tenants");
         } else if (arg == "--shards") {
-            options.shards =
-                static_cast<unsigned>(parseUnsignedFlag(
-                    tool, "--shards",
-                    flagValue(tool, "--shards", positional, i)));
+            options.shards = small_count("--shards");
         } else if (arg == "--arbiter") {
-            const std::string &name =
-                flagValue(tool, "--arbiter", positional, i);
-            if (!service::parseArbiterPolicy(name,
-                                             options.arbiter)) {
+            const std::string &name = value("--arbiter");
+            const auto policy = parseName(
+                name, service::ArbiterPolicy::FairShare,
+                service::ArbiterPolicy::ReliabilityWeighted,
+                service::arbiterPolicyName);
+            if (!policy) {
                 std::cerr << tool << ": --arbiter: unknown policy '"
                           << name
                           << "' (fair-share, "
                              "reliability-weighted)\n";
                 std::exit(2);
             }
+            options.arbiter = *policy;
         } else if (arg == "--epochs") {
-            options.epochs =
-                static_cast<unsigned>(parseUnsignedFlag(
-                    tool, "--epochs",
-                    flagValue(tool, "--epochs", positional, i)));
+            options.epochs = small_count("--epochs");
         } else if (arg == "--pages") {
-            options.pages = parseUnsignedFlag(
-                tool, "--pages",
-                flagValue(tool, "--pages", positional, i));
+            options.pages = count("--pages");
         } else if (arg == "--requests") {
-            options.requests = parseUnsignedFlag(
-                tool, "--requests",
-                flagValue(tool, "--requests", positional, i));
+            options.requests = count("--requests");
         } else if (arg == "--inject") {
             std::string error;
-            options.plan = parseFaultPlan(
-                flagValue(tool, "--inject", positional, i), error);
+            options.plan = parseFaultPlan(value("--inject"), error);
             if (!error.empty()) {
                 std::cerr << tool << ": --inject: " << error
                           << "\n";
                 std::exit(2);
             }
         } else if (arg == "--fault-shard") {
-            options.faultShard =
-                static_cast<unsigned>(parseUnsignedFlag(
-                    tool, "--fault-shard",
-                    flagValue(tool, "--fault-shard", positional,
-                              i)));
+            options.faultShard = small_count("--fault-shard");
         } else if (arg == "--no-solo") {
             options.solo = false;
         } else {

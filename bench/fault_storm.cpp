@@ -66,12 +66,12 @@ parseStormOptions(const std::vector<std::string> &positional)
         const std::string &arg = positional[i];
         if (arg == "--inject") {
             plan_text =
-                flagValue("fault_storm", "--inject", positional, i);
+                perf::flagValue("fault_storm", positional, i, "--inject");
         } else if (arg == "--fault-seed") {
-            options.seed = parseUnsignedFlag(
+            options.seed = perf::parseCountArg(
                 "fault_storm", "--fault-seed",
-                flagValue("fault_storm", "--fault-seed", positional,
-                          i));
+                perf::flagValue("fault_storm", positional, i,
+                                "--fault-seed"));
         } else {
             std::cerr << "fault_storm: unknown argument '" << arg
                       << "'\n";

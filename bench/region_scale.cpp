@@ -50,21 +50,6 @@ struct ScaleOptions
     std::vector<std::string> cases;
 };
 
-std::uint64_t
-parseCount(const std::string &flag, const std::string &text)
-{
-    char *end = nullptr;
-    const unsigned long long value =
-        std::strtoull(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0' || value == 0) {
-        std::cerr << "region_scale: " << flag
-                  << " needs a positive integer, got '" << text
-                  << "'\n";
-        std::exit(2);
-    }
-    return static_cast<std::uint64_t>(value);
-}
-
 /** Pull the bench-specific flags out of the harness positionals. */
 ScaleOptions
 parseScaleOptions(const std::vector<std::string> &positional)
@@ -73,24 +58,22 @@ parseScaleOptions(const std::vector<std::string> &positional)
     options.schemes = defaultRegionSchemes();
     for (std::size_t i = 0; i < positional.size(); ++i) {
         const std::string &arg = positional[i];
-        auto value = [&](const char *flag) -> const std::string & {
-            if (i + 1 >= positional.size()) {
-                std::cerr << "region_scale: " << flag
-                          << " needs a value\n";
-                std::exit(2);
-            }
-            return positional[++i];
+        const auto count = [&](const char *flag) {
+            return perf::parseCountArg(
+                "region_scale", flag,
+                perf::flagValue("region_scale", positional, i, flag), 1);
         };
         if (arg == "--pages") {
-            options.pages = parseCount(arg, value("--pages"));
+            options.pages = count("--pages");
         } else if (arg == "--accesses") {
-            options.accesses = parseCount(arg, value("--accesses"));
+            options.accesses = count("--accesses");
         } else if (arg == "--regions") {
-            options.maxRegions = parseCount(arg, value("--regions"));
+            options.maxRegions = count("--regions");
         } else if (arg == "--scheme") {
             std::string error;
-            options.schemes =
-                parseRegionSchemes(value("--scheme"), error);
+            options.schemes = parseRegionSchemes(
+                perf::flagValue("region_scale", positional, i, "--scheme"),
+                error);
             if (!error.empty()) {
                 std::cerr << "region_scale: --scheme: " << error
                           << "\n";

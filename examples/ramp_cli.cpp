@@ -21,12 +21,12 @@
  * `sweep` resumes from its journal.
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/parse.hh"
 #include "common/table.hh"
 #include "hma/experiment.hh"
 #include "placement/quadrant.hh"
@@ -264,12 +264,11 @@ main(int argc, char **argv)
             rc = cmdRun(harness, args[1], args[2]);
         else if (command == "sweep" && args.size() >= 2)
             rc = cmdSweep(harness, args[1]);
-        else if (command == "faultsim")
-            rc = cmdFaultsim(harness.pool(),
-                             args.size() >= 2
-                                 ? std::atof(args[1].c_str())
-                                 : 3.0);
-        else if (command == "trace" && args.size() >= 3)
+        else if (command == "faultsim") {
+            if (const auto factor =
+                    readFinite(args.size() >= 2 ? args[1] : "3"))
+                rc = cmdFaultsim(harness.pool(), *factor);
+        } else if (command == "trace" && args.size() >= 3)
             rc = cmdTrace(args[1], args[2]);
 
         if (rc < 0) {

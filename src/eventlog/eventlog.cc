@@ -2,13 +2,13 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <sstream>
 #include <unordered_map>
 
 #include "common/json.hh"
+#include "common/parse.hh"
 
 namespace ramp::eventlog
 {
@@ -108,12 +108,7 @@ thread_local std::uint32_t currentTenant = 0;
 std::string
 number(float value)
 {
-    if (!std::isfinite(value))
-        return "null";
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.9g",
-                  static_cast<double>(value));
-    return buf;
+    return std::isfinite(value) ? formatNumber(value) : "null";
 }
 
 /** FaultMode spellings (reliability/fault.hh order). */

@@ -1,7 +1,9 @@
 #include "faults/plan.hh"
 
-#include <cstdlib>
+#include <cmath>
 #include <sstream>
+
+#include "common/parse.hh"
 
 namespace ramp
 {
@@ -9,47 +11,15 @@ namespace ramp
 namespace
 {
 
-/** Trimmed copy (the grammar ignores whitespace around tokens). */
-std::string
-trim(const std::string &text)
-{
-    const auto begin = text.find_first_not_of(" \t");
-    if (begin == std::string::npos)
-        return "";
-    const auto end = text.find_last_not_of(" \t");
-    return text.substr(begin, end - begin + 1);
-}
-
-std::vector<std::string>
-splitOn(const std::string &text, char sep)
-{
-    std::vector<std::string> parts;
-    std::string part;
-    std::istringstream in(text);
-    while (std::getline(in, part, sep))
-        parts.push_back(trim(part));
-    return parts;
-}
-
-bool
-parseNumber(const std::string &text, double &value)
-{
-    char *end = nullptr;
-    value = std::strtod(text.c_str(), &end);
-    return end != text.c_str() && *end == '\0';
-}
+constexpr std::string_view grammar = "fault plan";
 
 bool
 parseField(const std::string &field, FaultEvent &event,
            std::string &error)
 {
-    const auto eq = field.find('=');
-    if (eq == std::string::npos) {
-        error = "fault plan: field '" + field + "' needs key=value";
+    std::string key, text;
+    if (!splitKeyValue(grammar, field, key, text, error))
         return false;
-    }
-    const std::string key = trim(field.substr(0, eq));
-    const std::string text = trim(field.substr(eq + 1));
     if (key == "tier") {
         if (text == "hbm") {
             event.tier = MemoryId::HBM;
@@ -62,26 +32,31 @@ parseField(const std::string &field, FaultEvent &event,
         }
         return true;
     }
-    double value = 0;
-    if (!parseNumber(text, value) || value < 0) {
+    const auto bad_number = [&] {
         error = "fault plan: bad number in '" + field + "'";
         return false;
+    };
+    const auto value = readNumber(text);
+    if (!value || *value < 0)
+        return bad_number();
+    const auto store = [&](auto &member) {
+        return assignFinite(member, *value) || bad_number();
+    };
+    if (key == "page")
+        return store(event.page);
+    if (key == "epoch")
+        return store(event.epoch);
+    if (key == "count")
+        return store(event.count);
+    if (key == "pages")
+        return store(event.pages);
+    if (key == "pct") {
+        // pct=inf stays for validate()'s "capacity pct above 100".
+        event.pct = *value;
+        return !std::isnan(*value) || bad_number();
     }
-    if (key == "page") {
-        event.page = static_cast<PageId>(value);
-    } else if (key == "epoch") {
-        event.epoch = static_cast<std::uint64_t>(value);
-    } else if (key == "count") {
-        event.count = static_cast<std::uint64_t>(value);
-    } else if (key == "pct") {
-        event.pct = value;
-    } else if (key == "pages") {
-        event.pages = static_cast<std::uint64_t>(value);
-    } else {
-        error = "fault plan: unknown field '" + key + "'";
-        return false;
-    }
-    return true;
+    error = "fault plan: unknown field '" + key + "'";
+    return false;
 }
 
 bool
@@ -129,39 +104,27 @@ parseFaultPlan(const std::string &text, std::string &error)
 {
     error.clear();
     std::vector<FaultEvent> events;
-    for (const std::string &spec : splitOn(text, ';')) {
-        if (spec.empty())
-            continue;
-        const auto colon = spec.find(':');
-        const std::string kind = trim(spec.substr(0, colon));
-        FaultEvent event;
-        if (kind == "correctable") {
-            event.kind = FaultEventKind::Correctable;
-        } else if (kind == "uncorrected") {
-            event.kind = FaultEventKind::Uncorrected;
-        } else if (kind == "capacity") {
-            event.kind = FaultEventKind::CapacityLoss;
-        } else {
-            error = "fault plan: unknown kind '" + kind +
+    for (const SpecEntry &entry : specEntries(text)) {
+        const auto kind =
+            parseName(entry.head, FaultEventKind::Correctable,
+                      FaultEventKind::CapacityLoss, faultEventKindName);
+        if (!kind) {
+            error = "fault plan: unknown kind '" + entry.head +
                     "' (want correctable|uncorrected|capacity)";
             return {};
         }
-        if (colon != std::string::npos) {
-            for (const std::string &field :
-                 splitOn(spec.substr(colon + 1), ',')) {
-                if (field.empty())
-                    continue;
-                if (!parseField(field, event, error))
-                    return {};
-            }
-        }
+        FaultEvent event;
+        event.kind = *kind;
+        for (const std::string &field : splitSpec(entry.body, ','))
+            if (!parseField(field, event, error))
+                return {};
         if (!validate(event, error))
             return {};
         events.push_back(event);
     }
     if (events.empty())
-        error = "fault plan: no events in '" + text + "'";
-    return error.empty() ? events : std::vector<FaultEvent>{};
+        error = noEntriesError(grammar, "events", text);
+    return events;
 }
 
 std::string
@@ -173,7 +136,7 @@ formatFaultEvent(const FaultEvent &event)
         out << "tier="
             << (event.tier == MemoryId::HBM ? "hbm" : "ddr");
         if (event.pct > 0)
-            out << ",pct=" << event.pct;
+            out << ",pct=" << formatNumber(event.pct);
         if (event.pages > 0)
             out << ",pages=" << event.pages;
     } else {
@@ -189,13 +152,7 @@ formatFaultEvent(const FaultEvent &event)
 std::string
 formatFaultPlan(const std::vector<FaultEvent> &events)
 {
-    std::string out;
-    for (const FaultEvent &event : events) {
-        if (!out.empty())
-            out += ";";
-        out += formatFaultEvent(event);
-    }
-    return out;
+    return joinSpecs(events, formatFaultEvent);
 }
 
 } // namespace ramp

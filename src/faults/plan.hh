@@ -69,6 +69,8 @@ struct FaultEvent
 
     /** Capacity lost as an absolute page count (0 = use pct). */
     std::uint64_t pages = 0;
+
+    bool operator==(const FaultEvent &other) const = default;
 };
 
 /**

@@ -1,8 +1,9 @@
 #include "health/rules.hh"
 
-#include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <sstream>
+
+#include "common/parse.hh"
 
 namespace ramp::health
 {
@@ -10,99 +11,40 @@ namespace ramp::health
 namespace
 {
 
-/** Trimmed copy (the grammar ignores whitespace around tokens). */
-std::string
-trim(const std::string &text)
-{
-    const auto begin = text.find_first_not_of(" \t");
-    if (begin == std::string::npos)
-        return "";
-    const auto end = text.find_last_not_of(" \t");
-    return text.substr(begin, end - begin + 1);
-}
-
-std::vector<std::string>
-splitOn(const std::string &text, char sep)
-{
-    std::vector<std::string> parts;
-    std::string part;
-    std::istringstream in(text);
-    while (std::getline(in, part, sep))
-        parts.push_back(trim(part));
-    return parts;
-}
-
-bool
-parseNumber(const std::string &text, double &value)
-{
-    char *end = nullptr;
-    value = std::strtod(text.c_str(), &end);
-    return end != text.c_str() && *end == '\0';
-}
-
-/** Shortest spelling that survives a parse round-trip. */
-std::string
-number(double value)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.9g", value);
-    return buf;
-}
-
-bool
-parseSignal(const std::string &name, HealthSignal &signal)
-{
-    for (int i = 0; i <= static_cast<int>(HealthSignal::ShardDegraded);
-         ++i) {
-        const auto candidate = static_cast<HealthSignal>(i);
-        if (name == healthSignalName(candidate)) {
-            signal = candidate;
-            return true;
-        }
-    }
-    return false;
-}
+constexpr std::string_view grammar = "health rules";
 
 bool
 parseField(const std::string &field, HealthRule &rule,
            std::string &error)
 {
-    const auto eq = field.find('=');
-    if (eq == std::string::npos) {
-        error = "health rules: field '" + field + "' needs key=value";
+    std::string key, text;
+    if (!splitKeyValue(grammar, field, key, text, error))
         return false;
-    }
-    const std::string key = trim(field.substr(0, eq));
-    const std::string text = trim(field.substr(eq + 1));
-    double value = 0;
-    if (!parseNumber(text, value)) {
+    const auto bad_number = [&] {
         error = "health rules: bad number in '" + field + "'";
         return false;
-    }
-    if (key == "for") {
-        if (value < 1) {
-            error = "health rules: for= must be at least 1";
+    };
+    const auto value = readNumber(text);
+    if (!value)
+        return bad_number();
+    // Below the field's bound is its own error; beyond its type, a
+    // bad number.
+    const auto store = [&](double min, const char *below, auto &member) {
+        if (*value < min) {
+            error = std::string("health rules: ") + below;
             return false;
         }
-        rule.forEpochs = static_cast<std::uint32_t>(value);
-    } else if (key == "tenant") {
-        if (value < 1) {
-            error = "health rules: tenant= must be a positive id";
-            return false;
-        }
-        rule.tenant = static_cast<std::uint32_t>(value);
-    } else if (key == "shard") {
-        if (value < 0) {
-            error = "health rules: shard= must be non-negative";
-            return false;
-        }
-        rule.shard = static_cast<std::int32_t>(value);
-    } else {
-        error = "health rules: unknown field '" + key +
-                "' (want for|tenant|shard)";
-        return false;
-    }
-    return true;
+        return assignFinite(member, *value) || bad_number();
+    };
+    if (key == "for")
+        return store(1, "for= must be at least 1", rule.forEpochs);
+    if (key == "tenant")
+        return store(1, "tenant= must be a positive id", rule.tenant);
+    if (key == "shard")
+        return store(0, "shard= must be non-negative", rule.shard);
+    error = "health rules: unknown field '" + key +
+            "' (want for|tenant|shard)";
+    return false;
 }
 
 bool
@@ -182,64 +124,66 @@ parseHealthRules(const std::string &text, std::string &error)
 {
     error.clear();
     std::vector<HealthRule> rules;
-    for (const std::string &spec : splitOn(text, ';')) {
-        if (spec.empty())
-            continue;
-        const auto colon = spec.find(':');
-        if (colon == std::string::npos) {
-            error = "health rules: rule '" + spec +
+    for (const SpecEntry &entry : specEntries(text)) {
+        if (!entry.hasBody) {
+            error = "health rules: rule '" + entry.text +
                     "' needs severity:signal";
             return {};
         }
-        const std::string severity = trim(spec.substr(0, colon));
-        HealthRule rule;
-        if (severity == "warn") {
-            rule.severity = Severity::Warn;
-        } else if (severity == "alert") {
-            rule.severity = Severity::Alert;
-        } else {
-            error = "health rules: unknown severity '" + severity +
+        const auto severity = parseName(entry.head, Severity::Warn,
+                                        Severity::Alert, severityName);
+        if (!severity) {
+            error = "health rules: unknown severity '" + entry.head +
                     "' (want warn|alert)";
             return {};
         }
-        const std::string body = trim(spec.substr(colon + 1));
-        const auto fields = splitOn(body, ',');
-        if (fields.empty() || fields.front().empty()) {
-            error = "health rules: rule '" + spec +
+        HealthRule rule;
+        rule.severity = *severity;
+        // The signal is the first field: an empty one is missing.
+        if (entry.body.empty() || entry.body.front() == ',') {
+            error = "health rules: rule '" + entry.text +
                     "' names no signal";
             return {};
         }
+        const auto fields = splitSpec(entry.body, ',');
         const std::string &head = fields.front();
         const auto cmp = head.find_first_of("><");
         std::string name = head;
+        std::optional<double> threshold;
         if (cmp != std::string::npos) {
-            name = trim(head.substr(0, cmp));
+            name = trimToken(std::string_view(head).substr(0, cmp));
             rule.cmp = head[cmp] == '>' ? Comparator::Greater
                                         : Comparator::Less;
-            if (!parseNumber(trim(head.substr(cmp + 1)),
-                             rule.threshold)) {
+            // readNumber skips leading blanks; the field ends trimmed.
+            threshold = readNumber(std::string_view(head).substr(cmp + 1));
+            if (!threshold) {
                 error = "health rules: bad threshold in '" + head +
                         "'";
                 return {};
             }
         }
-        if (!parseSignal(name, rule.signal)) {
+        const auto signal =
+            parseName(name, HealthSignal::P99Slowdown,
+                      HealthSignal::ShardDegraded, healthSignalName);
+        if (!signal) {
             error = "health rules: unknown signal '" + name + "'";
             return {};
         }
-        for (std::size_t i = 1; i < fields.size(); ++i) {
-            if (fields[i].empty())
-                continue;
+        rule.signal = *signal;
+        if (threshold && !assignFinite(rule.threshold, *threshold)) {
+            error = "health rules: bad threshold in '" + head + "'";
+            return {};
+        }
+        for (std::size_t i = 1; i < fields.size(); ++i)
             if (!parseField(fields[i], rule, error))
                 return {};
-        }
         if (!validate(rule, error))
             return {};
         rules.push_back(rule);
     }
     if (rules.empty())
-        error = "health rules: no rules in '" + text + "'";
-    return error.empty() ? rules : std::vector<HealthRule>{};
+        error = noEntriesError(grammar, "rules", text);
+    return rules;
 }
 
 std::string
@@ -250,7 +194,7 @@ formatHealthRule(const HealthRule &rule)
         << healthSignalName(rule.signal);
     if (rule.cmp != Comparator::None)
         out << (rule.cmp == Comparator::Greater ? ">" : "<")
-            << number(rule.threshold);
+            << formatNumber(rule.threshold);
     if (rule.forEpochs != 1)
         out << ",for=" << rule.forEpochs;
     if (rule.tenant != 0)
@@ -263,13 +207,7 @@ formatHealthRule(const HealthRule &rule)
 std::string
 formatHealthRules(const std::vector<HealthRule> &rules)
 {
-    std::string out;
-    for (const HealthRule &rule : rules) {
-        if (!out.empty())
-            out += ";";
-        out += formatHealthRule(rule);
-    }
-    return out;
+    return joinSpecs(rules, formatHealthRule);
 }
 
 } // namespace ramp::health

@@ -9,43 +9,37 @@
 namespace ramp::perf
 {
 
-const char *
-flagValue(const char *tool, int argc, char **argv, int &i,
-          const char *flag)
+const std::string &
+flagValue(const char *tool, const std::vector<std::string> &args,
+          std::size_t &i, const char *flag)
 {
-    if (i + 1 >= argc) {
+    if (i + 1 >= args.size()) {
         std::fprintf(stderr, "%s: %s needs a value\n", tool, flag);
         std::exit(2);
     }
-    return argv[++i];
+    return args[++i];
+}
+
+void
+badFlagValue(const char *tool, const char *flag, const char *need,
+             const std::string &text)
+{
+    std::fprintf(stderr, "%s: %s needs %s, got '%s'\n", tool, flag,
+                 need, text.c_str());
+    std::exit(2);
 }
 
 std::uint64_t
-parseCountArg(const char *tool, const char *flag, const char *text)
+parseCountArg(const char *tool, const char *flag, const std::string &text,
+              std::uint64_t min, std::uint64_t max)
 {
-    char *end = nullptr;
-    const unsigned long long value = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0') {
-        std::fprintf(stderr,
-                     "%s: %s needs a non-negative integer, got '%s'\n",
-                     tool, flag, text);
-        std::exit(2);
-    }
-    return value;
-}
-
-double
-parsePositiveArg(const char *tool, const char *flag, const char *text)
-{
-    char *end = nullptr;
-    const double value = std::strtod(text, &end);
-    if (end == text || *end != '\0' || !(value > 0)) {
-        std::fprintf(stderr,
-                     "%s: %s needs a positive number, got '%s'\n",
-                     tool, flag, text);
-        std::exit(2);
-    }
-    return value;
+    const auto value = readCount(text, max);
+    if (!value || *value < min)
+        badFlagValue(tool, flag,
+                     min > 0 ? "a positive integer"
+                             : "a non-negative integer",
+                     text);
+    return *value;
 }
 
 std::string

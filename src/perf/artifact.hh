@@ -1,8 +1,9 @@
 /**
  * @file
  * What the analysis tools (ramp_explain, ramp_health, ramp_prof,
- * bench_diff) share: the JSONL artifact reader, their flag-value
- * parsers, and the table cell for a measured number.
+ * bench_diff) share: the JSONL artifact reader, the flag-value
+ * parsers (the bench binaries' too), and the table cell for a
+ * measured number.
  */
 
 #ifndef RAMP_PERF_ARTIFACT_HH
@@ -11,31 +12,50 @@
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "common/parse.hh"
 #include "perf/json.hh"
 
 namespace ramp::perf
 {
 
-/** The value after flag argv[i], advancing i; prints "<tool>:
+/** The value after flag args[i], advancing i; prints "<tool>:
  * <flag> needs a value" and exits 2 when it is missing. */
-const char *flagValue(const char *tool, int argc, char **argv, int &i,
-                      const char *flag);
+const std::string &flagValue(const char *tool,
+                             const std::vector<std::string> &args,
+                             std::size_t &i, const char *flag);
 
-/**
- * Parse a non-negative integer flag value. On malformed input
- * prints "<tool>: <flag> needs a non-negative integer, got
- * '<text>'" to stderr and exits with status 2 (usage).
- */
-std::uint64_t parseCountArg(const char *tool, const char *flag,
-                            const char *text);
+/** Print "<tool>: <flag> needs <need>, got '<text>'" to stderr and
+ * exit with status 2 (usage): the sink of every flag reader. */
+[[noreturn]] void badFlagValue(const char *tool, const char *flag,
+                               const char *need,
+                               const std::string &text);
 
-/** Parse a positive number flag value; exits 2 like parseCountArg
- * ("<tool>: <flag> needs a positive number, got '<text>'"). */
-double parsePositiveArg(const char *tool, const char *flag,
-                        const char *text);
+/** Parse an integer flag value in [min, max] (min 0 or 1); else
+ * exit via badFlagValue() with "a non-negative integer" ("a
+ * positive integer" when min is 1). */
+std::uint64_t
+parseCountArg(const char *tool, const char *flag, const std::string &text,
+              std::uint64_t min = 0,
+              std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
+
+/** Parse a finite positive flag value as a T (truncated when T is
+ * an integer); else exit via badFlagValue(), "a positive number". */
+template <typename T = double>
+T
+parsePositiveArg(const char *tool, const char *flag,
+                 const std::string &text)
+{
+    T out{};
+    const auto value = readNumber(text);
+    if (!value || !(*value > 0) || !assignFinite(out, *value))
+        badFlagValue(tool, flag, "a positive number", text);
+    return out;
+}
 
 /** `value` at `precision` significant digits; "-" when not finite
  * (unmeasured). */

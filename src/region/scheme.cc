@@ -1,8 +1,9 @@
 #include "region/scheme.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <sstream>
+#include <utility>
+
+#include "common/parse.hh"
 
 namespace ramp
 {
@@ -10,93 +11,50 @@ namespace ramp
 namespace
 {
 
-/** Trimmed copy (the grammar ignores whitespace around tokens). */
-std::string
-trim(const std::string &text)
-{
-    const auto begin = text.find_first_not_of(" \t");
-    if (begin == std::string::npos)
-        return "";
-    const auto end = text.find_last_not_of(" \t");
-    return text.substr(begin, end - begin + 1);
-}
-
-std::vector<std::string>
-splitOn(const std::string &text, char sep)
-{
-    std::vector<std::string> parts;
-    std::string part;
-    std::istringstream in(text);
-    while (std::getline(in, part, sep))
-        parts.push_back(trim(part));
-    return parts;
-}
-
-bool
-parseNumber(const std::string &text, double &value)
-{
-    char *end = nullptr;
-    value = std::strtod(text.c_str(), &end);
-    return end != text.c_str() && *end == '\0';
-}
+/** The relative predicates: bare words that set a flag. */
+constexpr std::pair<const char *, bool RegionScheme::*> flagPredicates[] = {
+    {"hot", &RegionScheme::requireHot},
+    {"cold", &RegionScheme::requireCold},
+    {"lowrisk", &RegionScheme::requireLowRisk},
+    {"highrisk", &RegionScheme::requireHighRisk},
+};
 
 bool
 parsePredicate(const std::string &pred, RegionScheme &scheme,
                std::string &error)
 {
-    if (pred == "hot") {
-        scheme.requireHot = true;
-        return true;
-    }
-    if (pred == "cold") {
-        scheme.requireCold = true;
-        return true;
-    }
-    if (pred == "lowrisk") {
-        scheme.requireLowRisk = true;
-        return true;
-    }
-    if (pred == "highrisk") {
-        scheme.requireHighRisk = true;
-        return true;
-    }
-    const auto numeric = [&](const char *prefix,
-                             double &value) -> int {
-        const std::size_t n = std::string(prefix).size();
-        if (pred.compare(0, n, prefix) != 0)
-            return 0; // not this predicate
-        if (!parseNumber(pred.substr(n), value) || value < 0) {
-            error = "region scheme: bad number in '" + pred + "'";
-            return -1;
+    for (const auto &[name, flag] : flagPredicates) {
+        if (pred == name) {
+            scheme.*flag = true;
+            return true;
         }
-        return 1;
+    }
+    // A numeric predicate: its prefix, then a non-negative number.
+    const std::string_view text(pred);
+    const auto number = [&](std::string_view prefix, auto &field) {
+        const auto value = readNumber(text.substr(prefix.size()));
+        return value && *value >= 0 && assignFinite(field, *value);
     };
-    double value = 0;
-    int got;
-    if ((got = numeric("pages>=", value)) != 0) {
-        scheme.minPages = static_cast<std::uint64_t>(value);
-        return got > 0;
-    }
-    if ((got = numeric("density>=", value)) != 0) {
-        scheme.minDensity = value;
+    bool fits;
+    if (text.starts_with("pages>=")) {
+        fits = number("pages>=", scheme.minPages);
+    } else if (text.starts_with("density>=")) {
+        fits = number("density>=", scheme.minDensity);
         scheme.hasMinDensity = true;
-        return got > 0;
-    }
-    if ((got = numeric("avf<=", value)) != 0) {
-        scheme.maxAvf = value;
+    } else if (text.starts_with("avf<=")) {
+        fits = number("avf<=", scheme.maxAvf);
         scheme.hasMaxAvf = true;
-        return got > 0;
+    } else if (text.starts_with("age>=")) {
+        fits = number("age>=", scheme.minAge);
+    } else if (text.starts_with("quota=")) {
+        fits = number("quota=", scheme.quota);
+    } else {
+        error = "region scheme: unknown predicate '" + pred + "'";
+        return false;
     }
-    if ((got = numeric("age>=", value)) != 0) {
-        scheme.minAge = static_cast<std::uint32_t>(value);
-        return got > 0;
-    }
-    if ((got = numeric("quota=", value)) != 0) {
-        scheme.quota = static_cast<std::uint64_t>(value);
-        return got > 0;
-    }
-    error = "region scheme: unknown predicate '" + pred + "'";
-    return false;
+    if (!fits)
+        error = "region scheme: bad number in '" + pred + "'";
+    return fits;
 }
 
 /** Rank actions so capacity frees before it is claimed. */
@@ -141,83 +99,57 @@ parseRegionSchemes(const std::string &text, std::string &error)
 {
     error.clear();
     std::vector<RegionScheme> schemes;
-    for (const std::string &spec : splitOn(text, ';')) {
-        if (spec.empty())
-            continue;
-        const auto colon = spec.find(':');
-        const std::string action = trim(spec.substr(0, colon));
-        RegionScheme scheme;
-        if (action == "promote") {
-            scheme.action = RegionAction::Promote;
-        } else if (action == "demote") {
-            scheme.action = RegionAction::Demote;
-        } else if (action == "pin") {
-            scheme.action = RegionAction::Pin;
-        } else {
-            error = "region scheme: unknown action '" + action +
+    for (const SpecEntry &entry : specEntries(text)) {
+        const auto action =
+            parseName(entry.head, RegionAction::Promote,
+                      RegionAction::Pin, regionActionName);
+        if (!action) {
+            error = "region scheme: unknown action '" + entry.head +
                     "' (want promote|demote|pin)";
             return {};
         }
-        if (colon != std::string::npos) {
-            for (const std::string &pred :
-                 splitOn(spec.substr(colon + 1), ',')) {
-                if (pred.empty())
-                    continue;
-                if (!parsePredicate(pred, scheme, error))
-                    return {};
-            }
-        }
+        RegionScheme scheme;
+        scheme.action = *action;
+        for (const std::string &pred : splitSpec(entry.body, ','))
+            if (!parsePredicate(pred, scheme, error))
+                return {};
         schemes.push_back(scheme);
     }
     if (schemes.empty())
-        error = "region scheme: no schemes in '" + text + "'";
-    return error.empty() ? schemes : std::vector<RegionScheme>{};
+        error = noEntriesError("region scheme", "schemes", text);
+    return schemes;
 }
 
 std::string
 formatRegionScheme(const RegionScheme &scheme)
 {
-    std::ostringstream out;
-    out << regionActionName(scheme.action) << ":";
     std::vector<std::string> preds;
-    if (scheme.requireHot)
-        preds.push_back("hot");
-    if (scheme.requireCold)
-        preds.push_back("cold");
-    if (scheme.requireLowRisk)
-        preds.push_back("lowrisk");
-    if (scheme.requireHighRisk)
-        preds.push_back("highrisk");
-    const auto number = [](double value) {
-        std::ostringstream text;
-        text << value;
-        return text.str();
-    };
+    for (const auto &[name, flag] : flagPredicates)
+        if (scheme.*flag)
+            preds.push_back(name);
     if (scheme.minPages > 0)
         preds.push_back("pages>=" + std::to_string(scheme.minPages));
     if (scheme.hasMinDensity)
-        preds.push_back("density>=" + number(scheme.minDensity));
+        preds.push_back("density>=" + formatNumber(scheme.minDensity));
     if (scheme.hasMaxAvf)
-        preds.push_back("avf<=" + number(scheme.maxAvf));
+        preds.push_back("avf<=" + formatNumber(scheme.maxAvf));
     if (scheme.minAge > 0)
         preds.push_back("age>=" + std::to_string(scheme.minAge));
     if (scheme.quota != UINT64_MAX)
         preds.push_back("quota=" + std::to_string(scheme.quota));
-    for (std::size_t i = 0; i < preds.size(); ++i)
-        out << (i == 0 ? "" : ",") << preds[i];
-    return out.str();
+    std::string out = std::string(regionActionName(scheme.action)) + ":";
+    for (std::size_t i = 0; i < preds.size(); ++i) {
+        if (i > 0)
+            out += ',';
+        out += preds[i];
+    }
+    return out;
 }
 
 std::string
 formatRegionSchemes(const std::vector<RegionScheme> &schemes)
 {
-    std::string out;
-    for (const RegionScheme &scheme : schemes) {
-        if (!out.empty())
-            out += ";";
-        out += formatRegionScheme(scheme);
-    }
-    return out;
+    return joinSpecs(schemes, formatRegionScheme);
 }
 
 SchemeEngine::SchemeEngine(std::vector<RegionScheme> schemes)

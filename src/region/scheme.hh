@@ -69,6 +69,8 @@ struct RegionScheme
     /** True when the region satisfies every predicate. */
     bool matches(const Region &region, double mean_density,
                  double mean_avf) const;
+
+    bool operator==(const RegionScheme &other) const = default;
 };
 
 /**

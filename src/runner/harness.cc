@@ -5,11 +5,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/table.hh"
 #include "eventlog/eventlog.hh"
 #include "health/health.hh"
@@ -27,35 +29,40 @@ namespace
 double
 parseTimeout(const std::string &text)
 {
-    char *end = nullptr;
-    const double parsed = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0' || !(parsed > 0))
+    const auto parsed = readFinite(text);
+    if (!parsed || !(*parsed > 0))
         throw PassError(PassErrorCode::Usage,
                         "--pass-timeout needs a positive number of "
                         "seconds, got '" +
                             text + "'");
-    return parsed;
+    return *parsed;
 }
 
-/** Integer of at least `min`; throws PassError(Usage) with
+/** A T of at least `min`; throws PassError(Usage) with
  * "<need>, got '<text>'" otherwise. */
-long
-parseInteger(const std::string &text, long min, const char *need)
+template <typename T>
+T
+parseInteger(const std::string &text, T min, const char *need)
 {
-    char *end = nullptr;
-    const long parsed = std::strtol(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0' || parsed < min)
+    const auto parsed = readCount(text, std::numeric_limits<T>::max());
+    if (!parsed || *parsed < min)
         throw PassError(PassErrorCode::Usage,
                         std::string(need) + ", got '" + text + "'");
-    return parsed;
+    return static_cast<T>(*parsed);
+}
+
+unsigned
+parseJobs(const std::string &text)
+{
+    return parseInteger(text, 1u, "--jobs needs a positive integer");
 }
 
 unsigned
 parseSampleMs(const std::string &text)
 {
-    return static_cast<unsigned>(parseInteger(
-        text, 10,
-        "--sample-ms needs an integer of at least 10 milliseconds"));
+    return parseInteger(
+        text, 10u,
+        "--sample-ms needs an integer of at least 10 milliseconds");
 }
 
 /**
@@ -141,13 +148,15 @@ RunnerOptions::parse(int argc, char **argv)
     for (const Harness::Output &out : Harness::outputs())
         if (const char *env = std::getenv(out.env))
             options.*out.value = env;
+    if (const char *env = std::getenv("RAMP_JOBS"))
+        options.jobs = parseJobs(env);
     if (const char *env = std::getenv("RAMP_SAMPLE_MS"))
         options.sampleMs = parseSampleMs(env);
     if (const char *env = std::getenv("RAMP_EVENTS_LIMIT"))
-        options.eventsLimit = parseInteger(
+        options.eventsLimit = parseInteger<std::uint64_t>(
             env, 0, "RAMP_EVENTS_LIMIT needs a non-negative integer");
     if (const char *env = std::getenv("RAMP_EVENTS_DUMP"))
-        options.eventsDump = parseInteger(
+        options.eventsDump = parseInteger<std::uint64_t>(
             env, 0, "RAMP_EVENTS_DUMP needs a non-negative integer");
     if (const char *env = std::getenv("RAMP_CACHE_DIR"))
         options.cacheDir = env;
@@ -155,8 +164,6 @@ RunnerOptions::parse(int argc, char **argv)
         options.checkpointDir = env;
     if (const char *env = std::getenv("RAMP_PASS_TIMEOUT"))
         options.passTimeout = parseTimeout(env);
-    // RAMP_JOBS is honoured by ThreadPool::defaultJobs(); jobs = 0
-    // defers to it.
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -173,9 +180,7 @@ RunnerOptions::parse(int argc, char **argv)
         if (out != outputs.end()) {
             options.*out->value = value(out->flag);
         } else if (arg == "--jobs" || arg == "-j") {
-            options.jobs = static_cast<unsigned>(
-                parseInteger(value("--jobs"), 1,
-                             "--jobs needs a positive integer"));
+            options.jobs = parseJobs(value("--jobs"));
         } else if (arg == "--sample-ms") {
             options.sampleMs =
                 parseSampleMs(value("--sample-ms"));

@@ -1,7 +1,6 @@
 #include "runner/pool.hh"
 
 #include <chrono>
-#include <cstdlib>
 
 #include "prof/prof.hh"
 #include "runner/error.hh"
@@ -72,11 +71,6 @@ taskSeed(std::uint64_t campaign_seed, std::uint64_t task_index)
 unsigned
 ThreadPool::defaultJobs()
 {
-    if (const char *env = std::getenv("RAMP_JOBS")) {
-        const long parsed = std::strtol(env, nullptr, 10);
-        if (parsed >= 1)
-            return static_cast<unsigned>(parsed);
-    }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : hw;
 }

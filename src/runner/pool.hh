@@ -69,8 +69,8 @@ class ThreadPool
     unsigned jobs() const { return jobs_; }
 
     /**
-     * Default parallelism: the RAMP_JOBS environment variable when
-     * set, otherwise std::thread::hardware_concurrency().
+     * Default parallelism: std::thread::hardware_concurrency()
+     * (RunnerOptions::parse() reads RAMP_JOBS into the job count).
      */
     static unsigned defaultJobs();
 

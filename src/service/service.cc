@@ -128,24 +128,6 @@ reliabilityClassWeight(ReliabilityClass cls)
     return 1.0;
 }
 
-bool
-parseReliabilityClass(std::string_view text, ReliabilityClass &cls)
-{
-    if (text == "tolerant") {
-        cls = ReliabilityClass::Tolerant;
-        return true;
-    }
-    if (text == "standard") {
-        cls = ReliabilityClass::Standard;
-        return true;
-    }
-    if (text == "critical") {
-        cls = ReliabilityClass::Critical;
-        return true;
-    }
-    return false;
-}
-
 const char *
 arbiterPolicyName(ArbiterPolicy policy)
 {
@@ -156,20 +138,6 @@ arbiterPolicyName(ArbiterPolicy policy)
         return "reliability-weighted";
     }
     return "fair-share";
-}
-
-bool
-parseArbiterPolicy(std::string_view text, ArbiterPolicy &policy)
-{
-    if (text == "fair-share") {
-        policy = ArbiterPolicy::FairShare;
-        return true;
-    }
-    if (text == "reliability-weighted") {
-        policy = ArbiterPolicy::ReliabilityWeighted;
-        return true;
-    }
-    return false;
 }
 
 std::vector<std::uint64_t>

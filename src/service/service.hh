@@ -39,7 +39,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "faults/plan.hh"
@@ -71,10 +70,6 @@ const char *reliabilityClassName(ReliabilityClass cls);
 /** Arbitration credit multiplier of a class (0.5 / 1.0 / 2.0). */
 double reliabilityClassWeight(ReliabilityClass cls);
 
-/** Parse a class name; returns false on an unknown spelling. */
-bool parseReliabilityClass(std::string_view text,
-                           ReliabilityClass &cls);
-
 /** Cross-tenant HBM arbitration policy. */
 enum class ArbiterPolicy : std::uint8_t
 {
@@ -88,9 +83,6 @@ enum class ArbiterPolicy : std::uint8_t
 
 /** Stable spelling ("fair-share", "reliability-weighted"). */
 const char *arbiterPolicyName(ArbiterPolicy policy);
-
-/** Parse an arbiter name; returns false on an unknown spelling. */
-bool parseArbiterPolicy(std::string_view text, ArbiterPolicy &policy);
 
 /** One tenant workload stream offered to the service. */
 struct TenantSpec

@@ -10,6 +10,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -90,6 +91,50 @@ TEST(FaultPlan, RejectsMalformedPlans)
         const auto plan = parseFaultPlan(text, error);
         EXPECT_TRUE(plan.empty()) << text;
         EXPECT_FALSE(error.empty()) << text;
+    }
+}
+
+TEST(FaultPlan, RejectsNonFiniteAndOutOfRangeNumbers)
+{
+    // Every numeric field refuses NaN, infinities and values its
+    // type cannot hold, with the grammar's existing message; an
+    // infinite pct keeps validation's "above 100".
+    const std::pair<const char *, const char *> cases[] = {
+        {"uncorrected:page=nan", "fault plan: bad number in 'page=nan'"},
+        {"uncorrected:page=inf", "fault plan: bad number in 'page=inf'"},
+        {"uncorrected:page=1e30",
+         "fault plan: bad number in 'page=1e30'"},
+        {"uncorrected:page=18446744073709551616",
+         "fault plan: bad number in 'page=18446744073709551616'"},
+        {"uncorrected:page=7,epoch=nan",
+         "fault plan: bad number in 'epoch=nan'"},
+        {"uncorrected:page=7,epoch=inf",
+         "fault plan: bad number in 'epoch=inf'"},
+        {"uncorrected:page=7,epoch=1e20",
+         "fault plan: bad number in 'epoch=1e20'"},
+        {"correctable:page=7,count=nan",
+         "fault plan: bad number in 'count=nan'"},
+        {"correctable:page=7,count=inf",
+         "fault plan: bad number in 'count=inf'"},
+        {"correctable:page=7,count=1e20",
+         "fault plan: bad number in 'count=1e20'"},
+        {"capacity:tier=hbm,pct=nan",
+         "fault plan: bad number in 'pct=nan'"},
+        {"capacity:tier=hbm,pct=inf",
+         "fault plan: capacity pct above 100"},
+        {"capacity:tier=hbm,pct=1e400",
+         "fault plan: capacity pct above 100"},
+        {"capacity:tier=hbm,pages=nan",
+         "fault plan: bad number in 'pages=nan'"},
+        {"capacity:tier=hbm,pages=inf",
+         "fault plan: bad number in 'pages=inf'"},
+        {"capacity:tier=hbm,pages=1e20",
+         "fault plan: bad number in 'pages=1e20'"},
+    };
+    for (const auto &[text, message] : cases) {
+        std::string error;
+        EXPECT_TRUE(parseFaultPlan(text, error).empty()) << text;
+        EXPECT_EQ(error, message) << text;
     }
 }
 

@@ -16,6 +16,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "eventlog/eventlog.hh"
@@ -130,6 +131,45 @@ TEST(HealthRules, RejectsMalformedInput)
             << "'" << text << "' parsed as "
             << health::formatHealthRules(rules);
         EXPECT_TRUE(rules.empty()) << text;
+    }
+}
+
+TEST(HealthRules, RejectsNonFiniteAndOutOfRangeNumbers)
+{
+    // A threshold must be finite and each field must fit its type;
+    // failures keep the grammar's existing messages.
+    const std::pair<const char *, const char *> cases[] = {
+        {"warn:fairness<nan",
+         "health rules: bad threshold in 'fairness<nan'"},
+        {"warn:fairness<inf",
+         "health rules: bad threshold in 'fairness<inf'"},
+        {"warn:churn>-inf", "health rules: bad threshold in 'churn>-inf'"},
+        {"warn:churn>1e400",
+         "health rules: bad threshold in 'churn>1e400'"},
+        {"warn:churn>5,for=nan", "health rules: bad number in 'for=nan'"},
+        {"warn:churn>5,for=inf", "health rules: bad number in 'for=inf'"},
+        {"warn:churn>5,for=1e10",
+         "health rules: bad number in 'for=1e10'"},
+        {"warn:churn>5,for=4294967296",
+         "health rules: bad number in 'for=4294967296'"},
+        {"warn:slowdown>2,tenant=nan",
+         "health rules: bad number in 'tenant=nan'"},
+        {"warn:slowdown>2,tenant=inf",
+         "health rules: bad number in 'tenant=inf'"},
+        {"warn:slowdown>2,tenant=1e10",
+         "health rules: bad number in 'tenant=1e10'"},
+        {"warn:shard_occupancy>0.5,shard=nan",
+         "health rules: bad number in 'shard=nan'"},
+        {"warn:shard_occupancy>0.5,shard=inf",
+         "health rules: bad number in 'shard=inf'"},
+        {"warn:shard_occupancy>0.5,shard=2147483648",
+         "health rules: bad number in 'shard=2147483648'"},
+    };
+    for (const auto &[text, message] : cases) {
+        std::string error;
+        EXPECT_TRUE(health::parseHealthRules(text, error).empty())
+            << text;
+        EXPECT_EQ(error, message) << text;
     }
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -275,6 +276,35 @@ TEST(RegionSchemes, ParseRejectsBadGrammar)
     error.clear();
     EXPECT_TRUE(parseRegionSchemes("promote:pages>=x", error).empty());
     EXPECT_FALSE(error.empty());
+}
+
+TEST(RegionSchemes, RejectsNonFiniteAndOutOfRangeNumbers)
+{
+    // Every numeric predicate refuses NaN, infinities and values its
+    // field cannot hold, with the grammar's "bad number" message.
+    for (const char *prefix :
+         {"pages>=", "density>=", "avf<=", "age>=", "quota="}) {
+        for (const char *number : {"nan", "inf", "1e400"}) {
+            const std::string pred = std::string(prefix) + number;
+            std::string error;
+            EXPECT_TRUE(
+                parseRegionSchemes("promote:" + pred, error).empty())
+                << pred;
+            EXPECT_EQ(error,
+                      "region scheme: bad number in '" + pred + "'");
+        }
+    }
+    for (const char *pred :
+         {"pages>=1e30", "age>=1e10", "age>=4294967296", "quota=1e30",
+          "quota=18446744073709551616"}) {
+        std::string error;
+        EXPECT_TRUE(
+            parseRegionSchemes(std::string("pin:") + pred, error)
+                .empty())
+            << pred;
+        EXPECT_EQ(error, std::string("region scheme: bad number in '") +
+                             pred + "'");
+    }
 }
 
 TEST(RegionSchemes, MatchesRelativeAndAbsolutePredicates)

@@ -428,6 +428,45 @@ TEST(RunnerOptions, RejectsBadFlagsWithUsageErrors)
     EXPECT_EQ(options.eventsDump, 0u);
     ::unsetenv("RAMP_EVENTS_LIMIT");
     ::unsetenv("RAMP_EVENTS_DUMP");
+
+    // Negative and overflowing counts are refused, not wrapped or
+    // saturated: 4294967297 would cast to one worker.
+    expect_usage({"tool", "--jobs", "-1"});
+    expect_usage({"tool", "--jobs", "4294967297"});
+    expect_usage({"tool", "--sample-ms", "4294967306"});
+    expect_usage({"tool", "--pass-timeout", "inf"});
+    ::setenv("RAMP_EVENTS_LIMIT", "99999999999999999999", 1);
+    expect_usage({"tool"});
+    ::unsetenv("RAMP_EVENTS_LIMIT");
+
+    // RAMP_JOBS reads through the same reader, with --jobs's error.
+    const auto message = [](std::vector<const char *> argv) {
+        try {
+            RunnerOptions::parse(static_cast<int>(argv.size()),
+                                 const_cast<char **>(argv.data()));
+        } catch (const PassError &error) {
+            EXPECT_EQ(error.code(), PassErrorCode::Usage);
+            return std::string(error.what());
+        }
+        return std::string("parsed");
+    };
+    for (const char *bad : {"4x", "abc", "0", "-1", "4294967297", ""}) {
+        ::setenv("RAMP_JOBS", bad, 1);
+        EXPECT_EQ(message({"tool"}),
+                  message({"tool", "--jobs", bad}))
+            << bad;
+        EXPECT_EQ(message({"tool"}),
+                  std::string("--jobs needs a positive integer, got '") +
+                      bad + "'");
+    }
+    ::setenv("RAMP_JOBS", "3", 1);
+    EXPECT_EQ(RunnerOptions::parse(1, const_cast<char **>(argv)).jobs,
+              3u);
+    const char *flag_wins[] = {"tool", "--jobs", "5"};
+    EXPECT_EQ(
+        RunnerOptions::parse(3, const_cast<char **>(flag_wins)).jobs,
+        5u);
+    ::unsetenv("RAMP_JOBS");
 }
 
 /** One output flag as the runner documents it. */

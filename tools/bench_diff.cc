@@ -72,10 +72,11 @@ main(int argc, char **argv)
 {
     perf::DiffOptions options;
     std::vector<std::string> paths;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
+    const std::vector<std::string> args(argv + 1, argv + argc);
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        const std::string &arg = args[i];
         auto value = [&](const char *flag) {
-            return perf::flagValue("bench_diff", argc, argv, i, flag);
+            return perf::flagValue("bench_diff", args, i, flag);
         };
         if (arg == "--help" || arg == "-h") {
             usage();

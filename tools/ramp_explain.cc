@@ -751,10 +751,11 @@ main(int argc, char **argv)
     std::uint64_t tenant_filter = 0;
     std::vector<std::string> paths;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
+    const std::vector<std::string> args(argv + 1, argv + argc);
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        const std::string &arg = args[i];
         auto value = [&](const char *flag) {
-            return perf::flagValue("ramp_explain", argc, argv, i, flag);
+            return perf::flagValue("ramp_explain", args, i, flag);
         };
         if (arg == "--help" || arg == "-h") {
             usage();

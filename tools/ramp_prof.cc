@@ -68,10 +68,11 @@ main(int argc, char **argv)
     std::uint64_t min_cycles = 1000000;
     std::vector<std::string> paths;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
+    const std::vector<std::string> args(argv + 1, argv + argc);
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        const std::string &arg = args[i];
         auto value = [&](const char *flag) {
-            return perf::flagValue("ramp_prof", argc, argv, i, flag);
+            return perf::flagValue("ramp_prof", args, i, flag);
         };
         if (arg == "--help" || arg == "-h") {
             usage();
@@ -83,16 +84,14 @@ main(int argc, char **argv)
         } else if (arg == "--calls") {
             calls_view = true;
         } else if (arg == "--top") {
-            top_n = static_cast<std::size_t>(
-                perf::parsePositiveArg("ramp_prof", "--top",
-                                       value("--top")));
+            top_n = perf::parsePositiveArg<std::size_t>(
+                "ramp_prof", "--top", value("--top"));
         } else if (arg == "--threshold-pct") {
             threshold_pct = perf::parsePositiveArg(
                 "ramp_prof", "--threshold-pct", value("--threshold-pct"));
         } else if (arg == "--min-cycles") {
-            min_cycles =
-                static_cast<std::uint64_t>(perf::parsePositiveArg(
-                    "ramp_prof", "--min-cycles", value("--min-cycles")));
+            min_cycles = perf::parsePositiveArg<std::uint64_t>(
+                "ramp_prof", "--min-cycles", value("--min-cycles"));
         } else if (!arg.empty() && arg[0] == '-') {
             std::fprintf(stderr, "ramp_prof: unknown flag '%s'\n",
                          arg.c_str());
