@@ -26,8 +26,19 @@ InjectorConfig::faultsPerEpoch(const FitRates &rates, int chips,
 
 FaultInjector::FaultInjector(InjectorConfig config)
     : config_(std::move(config)), rng_(config_.seed),
+      tracking_(config_.poissonFaultsPerEpoch > 0 ||
+                config_.hammerThreshold > 0),
       fired_(config_.script.size(), false)
 {
+}
+
+void
+FaultInjector::beginRun(const PageIndex &pages)
+{
+    if (config_.poissonFaultsPerEpoch > 0)
+        seen_.assign(pages.size(), 0);
+    if (config_.hammerThreshold > 0)
+        activations_.assign(pages.size(), 0);
 }
 
 void
@@ -35,13 +46,25 @@ FaultInjector::onAccess(PageId page, bool is_write, MemoryId mem)
 {
     (void)is_write;
     (void)mem;
-    const std::uint32_t slot = seen_.intern(page);
-    if (config_.hammerThreshold > 0) {
-        if (slot == activations_.size())
-            activations_.push_back(0);
-        if (activations_[slot]++ == 0)
-            activeSlots_.push_back(slot);
+    if (!tracking_)
+        return;
+    const std::uint32_t slot = index_.intern(page);
+    if (config_.poissonFaultsPerEpoch > 0 && slot == seen_.size())
+        seen_.push_back(0);
+    if (config_.hammerThreshold > 0 && slot == activations_.size())
+        activations_.push_back(0);
+    track(slot, page);
+}
+
+void
+FaultInjector::track(std::uint32_t slot, PageId page)
+{
+    if (config_.poissonFaultsPerEpoch > 0 && !seen_[slot]) {
+        seen_[slot] = 1;
+        population_.push_back(page);
     }
+    if (config_.hammerThreshold > 0 && activations_[slot]++ == 0)
+        activeSlots_.emplace_back(slot, page);
 }
 
 std::vector<InjectedFault>
@@ -69,14 +92,14 @@ FaultInjector::onEpoch(std::uint64_t epoch)
     }
 
     // 2. Poisson arrivals over the touched-page population.
-    if (config_.poissonFaultsPerEpoch > 0 && seen_.size() > 0) {
+    if (!population_.empty()) {
         const std::uint64_t arrivals =
             rng_.nextPoisson(config_.poissonFaultsPerEpoch);
         for (std::uint64_t i = 0; i < arrivals; ++i) {
             InjectedFault fault;
             fault.source = FaultSource::Poisson;
-            fault.page = seen_.page(static_cast<std::uint32_t>(
-                rng_.nextRange(seen_.size())));
+            fault.page =
+                population_[rng_.nextRange(population_.size())];
             fault.kind = rng_.nextDouble() <
                                  config_.poissonUncorrectedShare
                              ? FaultEventKind::Uncorrected
@@ -89,9 +112,9 @@ FaultInjector::onEpoch(std::uint64_t epoch)
     // neighbour page, in ascending page order.
     if (!activeSlots_.empty()) {
         std::vector<std::pair<PageId, std::uint32_t>> hot;
-        for (const std::uint32_t slot : activeSlots_) {
+        for (const auto &[slot, page] : activeSlots_) {
             if (activations_[slot] >= config_.hammerThreshold)
-                hot.emplace_back(seen_.page(slot), activations_[slot]);
+                hot.emplace_back(page, activations_[slot]);
             activations_[slot] = 0;
         }
         activeSlots_.clear();

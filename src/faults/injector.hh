@@ -27,6 +27,7 @@
 #define RAMP_FAULTS_INJECTOR_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/page_index.hh"
@@ -128,10 +129,26 @@ class FaultInjector
     Cycle epochCycles() const { return config_.epochCycles; }
 
     /**
-     * Observe one demand access: records first-touch pages (the
-     * Poisson victim population) and, when the hammer source is on,
-     * counts per-page activations for this epoch.
+     * Bind to a run's page slots, before the run's first access:
+     * slots index the per-page state, so `pages` must hold every page
+     * the run touches. The PageId onAccess may no longer be called.
      */
+    void beginRun(const PageIndex &pages);
+
+    /**
+     * Observe one demand access to `page`, whose slot in the beginRun
+     * index is `slot`. When the Poisson source is on, records
+     * first-touch pages (its victim population); when the hammer
+     * source is on, counts per-page activations for this epoch.
+     * With neither on it does nothing.
+     */
+    void onSlotAccess(std::uint32_t slot, PageId page)
+    {
+        if (tracking_)
+            track(slot, page);
+    }
+
+    /** onSlotAccess for an unbound injector: slots are its own. */
     void onAccess(PageId page, bool is_write, MemoryId mem);
 
     /**
@@ -146,13 +163,21 @@ class FaultInjector
     std::uint64_t produced() const { return produced_; }
 
   private:
+    void track(std::uint32_t slot, PageId page);
+
     InjectorConfig config_;
     Rng rng_;
-    /** Touched pages; slot order (first touch) is the Poisson
-     *  victim population. */
-    PageIndex seen_;
+    bool tracking_; ///< the Poisson or the hammer source is on
+    PageIndex index_; ///< onAccess's slots (unused once bound)
+    /** @{ @name Poisson source (empty while it is off) */
+    std::vector<std::uint8_t> seen_; ///< by slot: in population_
+    std::vector<PageId> population_; ///< touched pages, first touch
+    /** @} */
+    /** @{ @name Hammer source (empty while it is off) */
     std::vector<std::uint32_t> activations_; ///< by slot, this epoch
-    std::vector<std::uint32_t> activeSlots_; ///< slots counted this epoch
+    /** Slots counted this epoch, with their pages. */
+    std::vector<std::pair<std::uint32_t, PageId>> activeSlots_;
+    /** @} */
     std::vector<bool> fired_; ///< script events already landed
     std::uint64_t produced_ = 0;
 };

@@ -82,7 +82,9 @@ SimResult runDynamic(const SystemConfig &config,
 
 /**
  * Run a custom engine (ablations): like runDynamic but with a
- * caller-built engine and explicit initial placement policy.
+ * caller-built engine and explicit initial placement policy. The
+ * run binds the engine to its page slots, so pass a fresh engine
+ * to every call (a reused one panics).
  */
 SimResult runWithEngine(const SystemConfig &config,
                         const WorkloadData &data,

@@ -91,7 +91,8 @@ HmaSystem::HmaSystem(const SystemConfig &config)
  * AVF tracker's page index is that table) and the slot is stored
  * next to the request. The access loop then reads its slot and
  * touches only flat per-slot state: the cached placement entry
- * handle, the read/write counts, the AVF line times. Epoch-time code
+ * handle, the read/write counts, the AVF line times, and the slot
+ * state the engine and the injector were bound to. Epoch-time code
  * (migration decisions, fault responses) still speaks PageId and
  * pays one flat-table probe per page it moves.
  *
@@ -654,6 +655,11 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
     // Runs never nest on a thread, so each worker owns one state.
     static thread_local RunState run;
     run.begin(traces, placement);
+    // The engine and the injector track pages by the run's slots.
+    if (engine != nullptr)
+        engine->beginRun(run.avf.index());
+    if (injector != nullptr)
+        injector->beginRun(run.avf.index());
 
     std::vector<CoreModel> cores;
     cores.reserve(traces.size());
@@ -835,12 +841,12 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
         }
         const MemoryId mem = placement.memoryOf(state.handle);
 
-        if (engine != nullptr)
-            engine->onAccess(page, req.isWrite, mem);
-        if (injector != nullptr)
-            injector->onAccess(page, req.isWrite, mem);
         const Cycle penalty =
-            engine != nullptr ? engine->remapPenalty(page) : 0;
+            engine != nullptr
+                ? engine->onSlotAccess(slot, page, req.isWrite, mem)
+                : 0;
+        if (injector != nullptr)
+            injector->onSlotAccess(slot, page);
 
         run.avf.onAccess(slot, lineInPage(req.addr), req.isWrite,
                          issue_t);

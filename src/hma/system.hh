@@ -112,7 +112,9 @@ class HmaSystem
      * @param traces per-core memory-level traces
      * @param placement initial page placement (moved in; mutated by
      *                  the engine during the run)
-     * @param engine optional dynamic migration engine
+     * @param engine optional dynamic migration engine (one fresh
+     *               instance per run: it is bound to the run's page
+     *               slots)
      * @param injector optional online fault injector (one fresh
      *                 instance per run); faults it lands are
      *                 responded to inline — retirement, emergency

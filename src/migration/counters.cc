@@ -22,51 +22,71 @@ FullCounterTable::FullCounterTable(std::uint32_t bits)
 }
 
 void
+FullCounterTable::bind(const PageIndex &pages)
+{
+    bound_ = &pages;
+    cells_.assign(pages.size(), Cell{});
+}
+
+void
 FullCounterTable::onAccess(PageId page, bool is_write)
 {
     const std::uint32_t slot = index_.intern(page);
-    if (slot == counters_.size())
-        counters_.emplace_back(page, Counts{});
-    auto &counts = counters_[slot].second;
-    auto &field = is_write ? counts.writes : counts.reads;
-    if (field < maxCount_)
-        ++field; // saturating: no overflow (Section 6.3)
+    if (slot == cells_.size())
+        cells_.emplace_back();
+    onSlotAccess(slot, is_write);
 }
 
 FullCounterTable::Counts
 FullCounterTable::countsOf(PageId page) const
 {
-    const std::uint32_t slot = index_.find(page);
-    return slot == PageIndex::none ? Counts{} : counters_[slot].second;
+    const std::uint32_t slot = pages().find(page);
+    if (slot == PageIndex::none || cells_[slot].gen != gen_)
+        return Counts{};
+    return cells_[slot].counts;
+}
+
+std::vector<std::pair<PageId, FullCounterTable::Counts>>
+FullCounterTable::touched() const
+{
+    std::vector<std::pair<PageId, Counts>> entries;
+    entries.reserve(touched_.size());
+    for (const std::uint32_t slot : touched_)
+        entries.emplace_back(pages().page(slot), cells_[slot].counts);
+    return entries;
 }
 
 double
 FullCounterTable::meanHotness() const
 {
-    if (counters_.empty())
+    if (touched_.empty())
         return 0.0;
     double sum = 0;
-    for (const auto &[page, counts] : counters_)
-        sum += counts.hotness();
-    return sum / static_cast<double>(counters_.size());
+    for (const std::uint32_t slot : touched_)
+        sum += cells_[slot].counts.hotness();
+    return sum / static_cast<double>(touched_.size());
 }
 
 double
 FullCounterTable::meanWrRatio() const
 {
-    if (counters_.empty())
+    if (touched_.empty())
         return 0.0;
     double sum = 0;
-    for (const auto &[page, counts] : counters_)
-        sum += counts.wrRatio();
-    return sum / static_cast<double>(counters_.size());
+    for (const std::uint32_t slot : touched_)
+        sum += cells_[slot].counts.wrRatio();
+    return sum / static_cast<double>(touched_.size());
 }
 
 void
 FullCounterTable::reset()
 {
-    index_.clear();
-    counters_.clear();
+    touched_.clear();
+    if (++gen_ == 0) {
+        // Generation wrapped: stale cells could alias the new one.
+        std::fill(cells_.begin(), cells_.end(), Cell{});
+        gen_ = 1;
+    }
 }
 
 std::uint64_t
@@ -163,12 +183,24 @@ RemapCache::pushFront(std::uint32_t node)
     head_ = node;
 }
 
+void
+RemapCache::bind(const PageIndex &pages)
+{
+    nodeOf_.assign(pages.size(), nil);
+}
+
 Cycle
 RemapCache::lookup(PageId page)
 {
     const std::uint32_t slot = index_.intern(page);
     if (slot == nodeOf_.size())
         nodeOf_.push_back(nil);
+    return lookupSlot(slot);
+}
+
+Cycle
+RemapCache::lookupSlot(std::uint32_t slot)
+{
     std::uint32_t node = nodeOf_[slot];
     if (node != nil) {
         if (node != head_) {

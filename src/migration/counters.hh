@@ -13,9 +13,11 @@
  *    a lookup latency penalty on the access path.
  *
  * All three run on every demand access of a migration pass, so their
- * storage is flat: the counters and the remap cache hash a PageId
- * once, through their own PageIndex, into a dense slot that indexes
- * plain vectors; the MEA scans its few entries (DESIGN.md §16).
+ * storage is flat: the counters and the remap cache keep per-slot
+ * vectors, and the MEA scans its few entries (DESIGN.md §16). A run
+ * binds the counters and the cache to its own page slots, so the
+ * access path hashes nothing; their PageId entry points are a thin
+ * adapter that takes slots from the structure's own PageIndex.
  */
 
 #ifndef RAMP_MIGRATION_COUNTERS_HH
@@ -51,17 +53,35 @@ class FullCounterTable
     /** @param bits counter width (the paper uses 8-bit saturating) */
     explicit FullCounterTable(std::uint32_t bits = 8);
 
-    /** Count one access. */
+    /**
+     * Bind the table to a run's page slots, before its first access.
+     * Slots then index `pages`, which must hold every page the run
+     * touches and outlive the table's use; the PageId entry points
+     * may no longer be called.
+     */
+    void bind(const PageIndex &pages);
+
+    /** Count one access to the page in a slot of the bound index. */
+    void onSlotAccess(std::uint32_t slot, bool is_write)
+    {
+        Cell &cell = cells_[slot];
+        if (cell.gen != gen_) {
+            cell = {Counts{}, gen_};
+            touched_.push_back(slot);
+        }
+        auto &field = is_write ? cell.counts.writes : cell.counts.reads;
+        if (field < maxCount_)
+            ++field; // saturating: no overflow (Section 6.3)
+    }
+
+    /** Count one access (unbound tables only). */
     void onAccess(PageId page, bool is_write);
 
     /** Counters of one page this interval (zeros if untouched). */
     Counts countsOf(PageId page) const;
 
     /** All pages touched this interval, in first-touch order. */
-    const std::vector<std::pair<PageId, Counts>> &touched() const
-    {
-        return counters_;
-    }
+    std::vector<std::pair<PageId, Counts>> touched() const;
 
     /** Mean hotness over touched pages (the dynamic threshold). */
     double meanHotness() const;
@@ -69,7 +89,7 @@ class FullCounterTable
     /** Mean Wr ratio over touched pages (the risk threshold). */
     double meanWrRatio() const;
 
-    /** Clear all counters (interval boundary); capacity is kept. */
+    /** Clear all counters (interval boundary) in O(1). */
     void reset();
 
     /** Saturation limit. */
@@ -85,9 +105,25 @@ class FullCounterTable
                                       bool split_read_write);
 
   private:
+    /** A slot's counts; live only when gen equals gen_. */
+    struct Cell
+    {
+        Counts counts;
+        std::uint32_t gen = 0;
+    };
+
+    /** The index slots refer to: the bound run's, or index_. */
+    const PageIndex &pages() const
+    {
+        return bound_ != nullptr ? *bound_ : index_;
+    }
+
     std::uint32_t maxCount_;
-    PageIndex index_;
-    std::vector<std::pair<PageId, Counts>> counters_; ///< by slot
+    std::uint32_t gen_ = 1;      ///< reset() bumps it
+    const PageIndex *bound_ = nullptr;
+    PageIndex index_;            ///< PageId adapter's slots
+    std::vector<Cell> cells_;    ///< by slot
+    std::vector<std::uint32_t> touched_; ///< this interval, first touch
 };
 
 /** Misra-Gries majority-element hot-page tracker (32 entries). */
@@ -133,7 +169,19 @@ class RemapCache
     explicit RemapCache(std::size_t entries = 8192,
                         Cycle miss_penalty = 24);
 
-    /** Look up a page; returns the added latency (0 on hit). */
+    /**
+     * Bind the cache to a run's page slots, before its first lookup
+     * (the contract of FullCounterTable::bind).
+     */
+    void bind(const PageIndex &pages);
+
+    /**
+     * Look up the page in a slot of the bound index; returns the
+     * added latency (0 on hit).
+     */
+    Cycle lookupSlot(std::uint32_t slot);
+
+    /** Look up a page (unbound caches only). */
     Cycle lookup(PageId page);
 
     /** @{ @name Statistics */
@@ -151,7 +199,7 @@ class RemapCache
     /** One cached entry; prev/next link the LRU list by node index. */
     struct Node
     {
-        std::uint32_t slot; ///< cached page, as a slot of index_
+        std::uint32_t slot; ///< cached page
         std::uint32_t prev;
         std::uint32_t next;
     };
@@ -166,7 +214,7 @@ class RemapCache
     std::vector<Node> nodes_; ///< at most capacity_
     std::uint32_t head_ = nil; ///< MRU
     std::uint32_t tail_ = nil; ///< LRU
-    PageIndex index_;                 ///< every page ever looked up
+    PageIndex index_; ///< PageId adapter: every page ever looked up
     std::vector<std::uint32_t> nodeOf_; ///< by slot; nil when uncached
 };
 

@@ -50,6 +50,39 @@ regionActionName(RegionAction action)
     return "?";
 }
 
+void
+MigrationEngine::beginRun(const PageIndex &pages)
+{
+    (void)pages;
+}
+
+Cycle
+MigrationEngine::onSlotAccess(std::uint32_t slot, PageId page,
+                              bool is_write, MemoryId mem)
+{
+    (void)slot;
+    onAccess(page, is_write, mem);
+    return remapPenalty(page);
+}
+
+void
+MigrationEngine::claimRun()
+{
+    if (bound_ || tracked_)
+        ramp_panic(name(), ": beginRun on an engine that already "
+                   "tracked accesses; build one engine per run");
+    bound_ = true;
+}
+
+void
+MigrationEngine::notePageAccess()
+{
+    if (bound_)
+        ramp_panic(name(), ": PageId access on an engine bound to a "
+                   "run's page slots; build one engine per run");
+    tracked_ = true;
+}
+
 Cycle
 MigrationEngine::remapPenalty(PageId page)
 {
@@ -78,10 +111,28 @@ PerfFocusedMigration::PerfFocusedMigration(Cycle interval_cycles,
 }
 
 void
+PerfFocusedMigration::beginRun(const PageIndex &pages)
+{
+    claimRun();
+    counters_.bind(pages);
+}
+
+Cycle
+PerfFocusedMigration::onSlotAccess(std::uint32_t slot, PageId page,
+                                   bool is_write, MemoryId mem)
+{
+    (void)page;
+    (void)mem;
+    counters_.onSlotAccess(slot, is_write);
+    return 0;
+}
+
+void
 PerfFocusedMigration::onAccess(PageId page, bool is_write,
                                MemoryId mem)
 {
     (void)mem;
+    notePageAccess();
     counters_.onAccess(page, is_write);
 }
 
@@ -189,10 +240,28 @@ FcReliabilityMigration::FcReliabilityMigration(Cycle interval_cycles,
 }
 
 void
+FcReliabilityMigration::beginRun(const PageIndex &pages)
+{
+    claimRun();
+    counters_.bind(pages);
+}
+
+Cycle
+FcReliabilityMigration::onSlotAccess(std::uint32_t slot, PageId page,
+                                     bool is_write, MemoryId mem)
+{
+    (void)page;
+    (void)mem;
+    counters_.onSlotAccess(slot, is_write);
+    return 0;
+}
+
+void
 FcReliabilityMigration::onAccess(PageId page, bool is_write,
                                  MemoryId mem)
 {
     (void)mem;
+    notePageAccess();
     counters_.onAccess(page, is_write);
 }
 
@@ -348,12 +417,31 @@ CrossCounterMigration::CrossCounterMigration(
 }
 
 void
-CrossCounterMigration::onAccess(PageId page, bool is_write,
-                                MemoryId mem)
+CrossCounterMigration::beginRun(const PageIndex &pages)
+{
+    claimRun();
+    riskCounters_.bind(pages);
+    remap_.bind(pages);
+}
+
+Cycle
+CrossCounterMigration::onSlotAccess(std::uint32_t slot, PageId page,
+                                    bool is_write, MemoryId mem)
 {
     // The performance unit tracks every access (recency); the
     // reliability unit's Full Counters exist only for HBM pages
     // (Section 6.4.2's cost reduction).
+    mea_.onAccess(page);
+    if (mem == MemoryId::HBM)
+        riskCounters_.onSlotAccess(slot, is_write);
+    return remap_.lookupSlot(slot);
+}
+
+void
+CrossCounterMigration::onAccess(PageId page, bool is_write,
+                                MemoryId mem)
+{
+    notePageAccess();
     mea_.onAccess(page);
     if (mem == MemoryId::HBM)
         riskCounters_.onAccess(page, is_write);
@@ -362,6 +450,7 @@ CrossCounterMigration::onAccess(PageId page, bool is_write,
 Cycle
 CrossCounterMigration::remapPenalty(PageId page)
 {
+    notePageAccess();
     return remap_.lookup(page);
 }
 

@@ -107,7 +107,19 @@ struct MigrationDecision
     }
 };
 
-/** Interface the HMA simulator drives. */
+/**
+ * Interface the HMA simulator drives.
+ *
+ * HmaSystem binds the engine to its run's page slots (beginRun) and
+ * reports each access by slot (onSlotAccess), so the engines that
+ * override both keep their per-page tracking in flat per-slot state
+ * and hash nothing per access. Their base defaults forward to the
+ * PageId calls, which is all an engine or a wrapper that overrides
+ * only those calls needs. A bound engine indexes one run's slots, so
+ * it serves one run: the engines that bind panic, naming themselves,
+ * on beginRun after any tracked access and on a PageId access after
+ * beginRun.
+ */
 class MigrationEngine
 {
   public:
@@ -115,6 +127,22 @@ class MigrationEngine
 
     /** Scheme name for reports. */
     virtual const char *name() const = 0;
+
+    /**
+     * Bind to a run's page slots, before the run's first access.
+     * `pages` holds every page the run touches and outlives the run.
+     * The default keeps the engine on the PageId calls.
+     */
+    virtual void beginRun(const PageIndex &pages);
+
+    /**
+     * Observe one demand access (before it is performed) to `page`,
+     * whose slot in the beginRun index is `slot`; returns the extra
+     * latency of the access (remap-table lookups). The default is
+     * onAccess(page, ...) then remapPenalty(page).
+     */
+    virtual Cycle onSlotAccess(std::uint32_t slot, PageId page,
+                               bool is_write, MemoryId mem);
 
     /** Observe one demand access (before it is performed). */
     virtual void onAccess(PageId page, bool is_write,
@@ -146,6 +174,19 @@ class MigrationEngine
     virtual std::uint64_t
     hardwareCostBytes(std::uint64_t total_pages,
                       std::uint64_t hbm_pages) const = 0;
+
+  protected:
+    /** @{ @name The one-run rule, for engines that bind to slots */
+    /** Start of a beginRun override: panics unless still fresh. */
+    void claimRun();
+
+    /** Start of a PageId access override: panics once bound. */
+    void notePageAccess();
+    /** @} */
+
+  private:
+    bool bound_ = false;   ///< beginRun was called
+    bool tracked_ = false; ///< a PageId access was observed
 };
 
 /** Performance-focused interval migration (Section 6.1). */
@@ -161,6 +202,9 @@ class PerfFocusedMigration : public MigrationEngine
                                   std::uint32_t cap_pages = 256);
 
     const char *name() const override { return "perf-migration"; }
+    void beginRun(const PageIndex &pages) override;
+    Cycle onSlotAccess(std::uint32_t slot, PageId page, bool is_write,
+                       MemoryId mem) override;
     void onAccess(PageId page, bool is_write, MemoryId mem) override;
     Cycle interval() const override { return interval_; }
     MigrationDecision onInterval(Cycle now,
@@ -184,6 +228,9 @@ class FcReliabilityMigration : public MigrationEngine
                                     std::uint32_t cap_pages = 256);
 
     const char *name() const override { return "fc-migration"; }
+    void beginRun(const PageIndex &pages) override;
+    Cycle onSlotAccess(std::uint32_t slot, PageId page, bool is_write,
+                       MemoryId mem) override;
     void onAccess(PageId page, bool is_write, MemoryId mem) override;
     Cycle interval() const override { return interval_; }
     MigrationDecision onInterval(Cycle now,
@@ -218,6 +265,9 @@ class CrossCounterMigration : public MigrationEngine
                           std::uint32_t fc_evict_cap_pages = 256);
 
     const char *name() const override { return "cc-migration"; }
+    void beginRun(const PageIndex &pages) override;
+    Cycle onSlotAccess(std::uint32_t slot, PageId page, bool is_write,
+                       MemoryId mem) override;
     void onAccess(PageId page, bool is_write, MemoryId mem) override;
     Cycle interval() const override { return meaInterval_; }
     MigrationDecision onInterval(Cycle now,

@@ -10,9 +10,11 @@
 #include <iterator>
 #include <list>
 #include <map>
+#include <numeric>
 #include <utility>
 #include <vector>
 
+#include "common/page_index.hh"
 #include "common/rng.hh"
 #include "migration/counters.hh"
 
@@ -193,6 +195,23 @@ drawPage(Rng &rng, std::uint64_t hot_pages, std::uint64_t universe)
                              : rng.nextRange(universe);
 }
 
+/**
+ * A run's page index over [0, universe), interned in shuffled order,
+ * so slots follow neither page order nor first-touch order.
+ */
+void
+internShuffled(PageIndex &index, std::uint64_t universe,
+               std::uint64_t seed)
+{
+    std::vector<PageId> pages(universe);
+    std::iota(pages.begin(), pages.end(), PageId{0});
+    Rng rng(seed);
+    for (std::size_t i = pages.size(); i > 1; --i)
+        std::swap(pages[i - 1], pages[rng.nextRange(i)]);
+    for (const PageId page : pages)
+        index.intern(page);
+}
+
 /** Full Counters as a std::map plus a first-touch list. */
 struct RefCounters
 {
@@ -265,7 +284,13 @@ TEST(FullCounters, MatchesMapReferenceOnRandomStreams)
             SCOPED_TRACE(testing::Message()
                          << "bits " << bits << " seed " << seed);
             constexpr std::uint64_t universe = 600;
+            // The PageId adapter and the slot entry point, fed the
+            // same stream, must both match the reference.
             FullCounterTable table(bits);
+            PageIndex run_pages;
+            internShuffled(run_pages, universe, seed + 100);
+            FullCounterTable slots(bits);
+            slots.bind(run_pages);
             RefCounters ref{table.maxCount(), {}, {}};
             Rng rng(seed);
             for (int interval = 0; interval < 6; ++interval) {
@@ -277,12 +302,16 @@ TEST(FullCounters, MatchesMapReferenceOnRandomStreams)
                     const PageId page = drawPage(rng, 8, universe);
                     const bool is_write = rng.nextBool(0.3);
                     table.onAccess(page, is_write);
+                    slots.onSlotAccess(run_pages.find(page), is_write);
                     ref.onAccess(page, is_write);
                 }
                 expectSameCounters(table, ref, universe);
+                expectSameCounters(slots, ref, universe);
                 table.reset();
+                slots.reset();
                 ref.reset();
                 expectSameCounters(table, ref, universe);
+                expectSameCounters(slots, ref, universe);
             }
         }
     }
@@ -388,7 +417,12 @@ TEST(RemapCache, MatchesListReferenceOnRandomStreams)
                 SCOPED_TRACE(testing::Message()
                              << "capacity " << capacity << " universe "
                              << universe << " seed " << seed);
+                // The PageId adapter and the slot entry point.
                 RemapCache cache(capacity, penalty);
+                PageIndex run_pages;
+                internShuffled(run_pages, universe, seed + 100);
+                RemapCache slots(capacity, penalty);
+                slots.bind(run_pages);
                 RefLru ref{capacity, {}, {}};
                 Rng rng(seed);
                 std::uint64_t hits = 0;
@@ -398,10 +432,15 @@ TEST(RemapCache, MatchesListReferenceOnRandomStreams)
                     const bool hit = ref.lookup(page);
                     ASSERT_EQ(cache.lookup(page), hit ? 0 : penalty)
                         << "lookup " << i << " page " << page;
+                    ASSERT_EQ(slots.lookupSlot(run_pages.find(page)),
+                              hit ? 0 : penalty)
+                        << "slot lookup " << i << " page " << page;
                     hits += hit;
                 }
-                EXPECT_EQ(cache.hits(), hits);
-                EXPECT_EQ(cache.misses(), 5000 - hits);
+                for (const RemapCache *lru : {&cache, &slots}) {
+                    EXPECT_EQ(lru->hits(), hits);
+                    EXPECT_EQ(lru->misses(), 5000 - hits);
+                }
             }
         }
     }

@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "common/page_index.hh"
+#include "hma/system.hh"
 #include "migration/engine.hh"
 
 namespace ramp
@@ -226,6 +232,74 @@ TEST(EngineDeathTest, InvalidIntervals)
                 ::testing::ExitedWithCode(1), "");
     EXPECT_EXIT((CrossCounterMigration{100, 10, 32, 0}),
                 ::testing::ExitedWithCode(1), "");
+}
+
+/** The three slot-binding engines, freshly built. */
+std::vector<std::unique_ptr<MigrationEngine>>
+slotEngines()
+{
+    std::vector<std::unique_ptr<MigrationEngine>> engines;
+    engines.push_back(std::make_unique<PerfFocusedMigration>(1000));
+    engines.push_back(std::make_unique<FcReliabilityMigration>(1000));
+    engines.push_back(std::make_unique<CrossCounterMigration>(100, 10));
+    return engines;
+}
+
+TEST(EngineDeathTest, BeginRunAfterATrackedAccess)
+{
+    PageIndex pages;
+    pages.intern(1);
+    for (auto &engine : slotEngines()) {
+        engine->onAccess(1, false, MemoryId::HBM);
+        EXPECT_DEATH(engine->beginRun(pages),
+                     std::string(engine->name()) +
+                         ": beginRun on an engine that already tracked");
+    }
+    // A second run binds again: the engine already served one.
+    for (auto &engine : slotEngines()) {
+        engine->beginRun(pages);
+        engine->onSlotAccess(0, 1, true, MemoryId::HBM);
+        EXPECT_DEATH(engine->beginRun(pages),
+                     std::string(engine->name()) +
+                         ": beginRun on an engine that already tracked");
+    }
+}
+
+TEST(EngineDeathTest, PageIdAccessOnABoundEngine)
+{
+    PageIndex pages;
+    pages.intern(1);
+    for (auto &engine : slotEngines()) {
+        engine->beginRun(pages);
+        EXPECT_DEATH(engine->onAccess(1, false, MemoryId::DDR),
+                     std::string(engine->name()) +
+                         ": PageId access on an engine bound");
+    }
+    CrossCounterMigration cc(100, 10);
+    cc.beginRun(pages);
+    EXPECT_DEATH(cc.remapPenalty(1),
+                 "cc-migration: PageId access on an engine bound");
+}
+
+TEST(EngineDeathTest, ReuseAcrossRuns)
+{
+    // runWithEngine takes a caller's engine; a second run with it
+    // would read the first run's slots.
+    SystemConfig config = SystemConfig::scaledDefault();
+    config.cores = 1;
+    std::vector<CoreTrace> traces(1);
+    for (int i = 0; i < 100; ++i) {
+        MemRequest req;
+        req.addr = static_cast<Addr>(i % 5) * pageSize;
+        req.gap = 10;
+        traces[0].push_back(req);
+    }
+    CrossCounterMigration engine(100, 10);
+    HmaSystem system(config);
+    system.run(traces, PlacementMap(config.hbmPages()), &engine);
+    EXPECT_DEATH(
+        system.run(traces, PlacementMap(config.hbmPages()), &engine),
+        "cc-migration: beginRun on an engine that already tracked");
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/page_index.hh"
 #include "common/rng.hh"
 #include "faults/injector.hh"
 #include "faults/plan.hh"
@@ -175,49 +176,96 @@ TEST(FaultInjector, ScriptFiresOnceWithCatchUp)
     EXPECT_EQ(injector.produced(), 2u);
 }
 
+/**
+ * Feeds one injector a page stream through either entry point: the
+ * PageId onAccess, or beginRun on a run index plus onSlotAccess.
+ * The run index interns the stream's pages last-seen first, so its
+ * slots follow neither page order nor first-touch order.
+ */
+class InjectorFeed
+{
+  public:
+    InjectorFeed(const InjectorConfig &config, bool slots,
+                 const std::vector<PageId> &stream)
+        : injector(config), slots_(slots)
+    {
+        if (!slots_)
+            return;
+        for (auto it = stream.rbegin(); it != stream.rend(); ++it)
+            runPages_.intern(*it);
+        injector.beginRun(runPages_);
+    }
+
+    void access(PageId page, bool is_write)
+    {
+        if (slots_)
+            injector.onSlotAccess(runPages_.find(page), page);
+        else
+            injector.onAccess(page, is_write, MemoryId::DDR);
+    }
+
+    FaultInjector injector;
+
+  private:
+    bool slots_;
+    PageIndex runPages_;
+};
+
 TEST(FaultInjector, PoissonScheduleIsSeedDeterministic)
 {
     InjectorConfig config;
     config.poissonFaultsPerEpoch = 1.5;
     config.seed = 42;
-    FaultInjector a(config), b(config);
-    for (PageId page = 0; page < 64; ++page) {
-        a.onAccess(page, page % 3 == 0, MemoryId::DDR);
-        b.onAccess(page, page % 3 == 0, MemoryId::DDR);
-    }
+    std::vector<PageId> stream;
+    for (PageId page = 0; page < 64; ++page)
+        stream.push_back(page);
+    // Two PageId-fed injectors and one slot-fed one.
+    InjectorFeed a(config, false, stream), b(config, false, stream),
+        c(config, true, stream);
+    for (const PageId page : stream)
+        for (InjectorFeed *feed : {&a, &b, &c})
+            feed->access(page, page % 3 == 0);
     for (std::uint64_t epoch = 1; epoch <= 10; ++epoch) {
-        const auto fa = a.onEpoch(epoch);
-        const auto fb = b.onEpoch(epoch);
-        ASSERT_EQ(fa.size(), fb.size()) << "epoch " << epoch;
-        for (std::size_t i = 0; i < fa.size(); ++i) {
-            EXPECT_EQ(fa[i].kind, fb[i].kind);
-            EXPECT_EQ(fa[i].page, fb[i].page);
-            EXPECT_EQ(fa[i].source, FaultSource::Poisson);
+        const auto fa = a.injector.onEpoch(epoch);
+        for (InjectorFeed *other : {&b, &c}) {
+            const auto fb = other->injector.onEpoch(epoch);
+            ASSERT_EQ(fa.size(), fb.size()) << "epoch " << epoch;
+            for (std::size_t i = 0; i < fa.size(); ++i) {
+                EXPECT_EQ(fa[i].kind, fb[i].kind);
+                EXPECT_EQ(fa[i].page, fb[i].page);
+                EXPECT_EQ(fa[i].source, FaultSource::Poisson);
+                EXPECT_EQ(fb[i].source, FaultSource::Poisson);
+            }
         }
     }
-    EXPECT_EQ(a.produced(), b.produced());
-    EXPECT_GT(a.produced(), 0u);
+    EXPECT_EQ(a.injector.produced(), b.injector.produced());
+    EXPECT_EQ(a.injector.produced(), c.injector.produced());
+    EXPECT_GT(a.injector.produced(), 0u);
 }
 
 TEST(FaultInjector, HammerStrikesTheNeighbourDeterministically)
 {
     InjectorConfig config;
     config.hammerThreshold = 4;
-    FaultInjector injector(config);
-    for (int i = 0; i < 5; ++i) // over threshold, under 2x
-        injector.onAccess(7, false, MemoryId::HBM);
-    for (int i = 0; i < 8; ++i) // at 2x: escalates
-        injector.onAccess(20, true, MemoryId::HBM);
-    const auto faults = injector.onEpoch(1);
-    ASSERT_EQ(faults.size(), 2u);
-    // Victims in ascending aggressor order: page+1 each.
-    EXPECT_EQ(faults[0].page, 8u);
-    EXPECT_EQ(faults[0].kind, FaultEventKind::Correctable);
-    EXPECT_EQ(faults[1].page, 21u);
-    EXPECT_EQ(faults[1].kind, FaultEventKind::Uncorrected);
-    EXPECT_EQ(faults[0].source, FaultSource::Hammer);
-    // Activation counts reset per epoch.
-    EXPECT_TRUE(injector.onEpoch(2).empty());
+    std::vector<PageId> stream;
+    stream.insert(stream.end(), 5, 7);   // over threshold, under 2x
+    stream.insert(stream.end(), 8, 20);  // at 2x: escalates
+    for (const bool slots : {false, true}) {
+        SCOPED_TRACE(slots ? "slot-fed" : "PageId-fed");
+        InjectorFeed feed(config, slots, stream);
+        for (const PageId page : stream)
+            feed.access(page, page == 20);
+        const auto faults = feed.injector.onEpoch(1);
+        ASSERT_EQ(faults.size(), 2u);
+        // Victims in ascending aggressor order: page+1 each.
+        EXPECT_EQ(faults[0].page, 8u);
+        EXPECT_EQ(faults[0].kind, FaultEventKind::Correctable);
+        EXPECT_EQ(faults[1].page, 21u);
+        EXPECT_EQ(faults[1].kind, FaultEventKind::Uncorrected);
+        EXPECT_EQ(faults[0].source, FaultSource::Hammer);
+        // Activation counts reset per epoch.
+        EXPECT_TRUE(feed.injector.onEpoch(2).empty());
+    }
 }
 
 TEST(FaultInjector, ScheduleIsPinnedForFixedSeeds)
@@ -226,23 +274,31 @@ TEST(FaultInjector, ScheduleIsPinnedForFixedSeeds)
     // hammer victims from per-epoch activation counts; a mixed
     // stream of eight hot aggressors and scattered cold pages must
     // produce exactly this schedule for each seed.
-    const auto schedule = [](std::uint64_t seed) {
+    // Each schedule is taken through both entry points.
+    const auto schedule_via = [](std::uint64_t seed, bool slots) {
         InjectorConfig config;
         config.seed = seed;
         config.poissonFaultsPerEpoch = 2.0;
         config.poissonUncorrectedShare = 0.25;
         config.hammerThreshold = 8;
-        FaultInjector injector(config);
-        Rng stream(seed + 1);
+        Rng draw(seed + 1);
+        std::vector<std::pair<PageId, bool>> accesses;
+        std::vector<PageId> stream;
+        for (int i = 0; i < 4 * 300; ++i) {
+            const PageId page = draw.nextBool(0.3)
+                                    ? 1000 + 17 * draw.nextRange(8)
+                                    : draw.nextRange(1 << 20);
+            accesses.emplace_back(page, draw.nextBool(0.3));
+            stream.push_back(page);
+        }
+        InjectorFeed feed(config, slots, stream);
+        FaultInjector &injector = feed.injector;
         std::vector<std::string> faults;
         for (std::uint64_t epoch = 1; epoch <= 4; ++epoch) {
-            for (int i = 0; i < 300; ++i) {
-                const PageId page =
-                    stream.nextBool(0.3)
-                        ? 1000 + 17 * stream.nextRange(8)
-                        : stream.nextRange(1 << 20);
-                injector.onAccess(page, stream.nextBool(0.3),
-                                  MemoryId::DDR);
+            for (std::size_t i = 0; i < 300; ++i) {
+                const auto &[page, is_write] =
+                    accesses[(epoch - 1) * 300 + i];
+                feed.access(page, is_write);
             }
             for (const InjectedFault &fault : injector.onEpoch(epoch)) {
                 std::ostringstream line;
@@ -254,6 +310,11 @@ TEST(FaultInjector, ScheduleIsPinnedForFixedSeeds)
             }
         }
         return faults;
+    };
+    const auto schedule = [&](std::uint64_t seed) {
+        const auto by_page = schedule_via(seed, false);
+        EXPECT_EQ(schedule_via(seed, true), by_page) << "seed " << seed;
+        return by_page;
     };
     EXPECT_EQ(schedule(7), (std::vector<std::string>{
         "e1 poisson 349771 C",
