@@ -54,7 +54,7 @@ main(int argc, char **argv)
                 const auto engine =
                     makeEngine(DynamicScheme::FcReliability, config);
                 HmaSystem system(config);
-                return system.run(wl.data.traces,
+                return system.run(wl.data.traces, wl.data.compiled(),
                                   std::move(placement), engine.get());
             });
 

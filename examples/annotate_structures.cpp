@@ -65,7 +65,7 @@ try {
     auto engine = makeEngine(DynamicScheme::FcReliability, config);
     HmaSystem system(config);
     auto hybrid = system.run(
-        data.traces,
+        data.traces, data.compiled(),
         buildAnnotatedPlacement(data.layout, selection,
                                 config.hbmPages()),
         engine.get());

@@ -6,6 +6,16 @@
 namespace ramp
 {
 
+const CompiledTrace &
+LazyCompiledTrace::get(const std::vector<CoreTrace> &traces) const
+{
+    std::call_once(state_->once, [&] {
+        state_->trace.compile(traces);
+        state_->built.store(true);
+    });
+    return state_->trace;
+}
+
 WorkloadData
 prepareWorkload(const WorkloadSpec &spec,
                 const GeneratorOptions &options)
@@ -25,7 +35,7 @@ runDdrOnly(const SystemConfig &config, const WorkloadData &data)
 {
     HmaSystem system(config);
     auto result = system.run(
-        data.traces,
+        data.traces, data.compiled(),
         buildStaticPlacement(StaticPolicy::DdrOnly, PageProfile{},
                              config.hbmPages()));
     result.label = policyName(StaticPolicy::DdrOnly);
@@ -38,7 +48,7 @@ runStaticPolicy(const SystemConfig &config, const WorkloadData &data,
 {
     HmaSystem system(config);
     auto result = system.run(
-        data.traces,
+        data.traces, data.compiled(),
         buildStaticPlacement(policy, profile, config.hbmPages()));
     result.label = policyName(policy);
     return result;
@@ -50,8 +60,9 @@ runHotFraction(const SystemConfig &config, const WorkloadData &data,
 {
     HmaSystem system(config);
     auto result = system.run(
-        data.traces, buildHotFractionPlacement(
-                         profile, config.hbmPages(), fraction));
+        data.traces, data.compiled(),
+        buildHotFractionPlacement(profile, config.hbmPages(),
+                                  fraction));
     result.label = "hot-fraction";
     return result;
 }
@@ -103,8 +114,8 @@ runDynamic(const SystemConfig &config, const WorkloadData &data,
 
     const auto engine = makeEngine(scheme, config);
     HmaSystem system(config);
-    auto result = system.run(data.traces, std::move(initial),
-                             engine.get());
+    auto result = system.run(data.traces, data.compiled(),
+                             std::move(initial), engine.get());
     result.label = dynamicSchemeName(scheme);
     return result;
 }
@@ -116,7 +127,7 @@ runWithEngine(const SystemConfig &config, const WorkloadData &data,
 {
     HmaSystem system(config);
     auto result = system.run(
-        data.traces,
+        data.traces, data.compiled(),
         buildStaticPlacement(initial_policy, profile,
                              config.hbmPages()),
         &engine);
@@ -130,7 +141,7 @@ runWithEngine(const SystemConfig &config, const WorkloadData &data,
 {
     HmaSystem system(config);
     auto result = system.run(
-        data.traces,
+        data.traces, data.compiled(),
         buildBalancedFilledPlacement(profile, config.hbmPages()),
         &engine);
     result.label = engine.name();
@@ -144,7 +155,7 @@ runRegionStatic(const SystemConfig &config, const WorkloadData &data,
 {
     HmaSystem system(config);
     auto result = system.run(
-        data.traces,
+        data.traces, data.compiled(),
         buildRegionStaticPlacement(policy, profile, region_config,
                                    config.hbmPages()));
     result.label = std::string("region-") + policyName(policy);
@@ -164,7 +175,7 @@ runRegionDynamic(const SystemConfig &config, const WorkloadData &data,
     engine.seedFromProfile(profile);
     HmaSystem system(config);
     auto result = system.run(
-        data.traces,
+        data.traces, data.compiled(),
         buildRegionStaticPlacement(StaticPolicy::Balanced, profile,
                                    region_config,
                                    config.hbmPages()),
@@ -181,7 +192,7 @@ runStaticFaulted(const SystemConfig &config, const WorkloadData &data,
     FaultInjector injector(faults);
     HmaSystem system(config);
     auto result = system.run(
-        data.traces,
+        data.traces, data.compiled(),
         buildStaticPlacement(policy, profile, config.hbmPages()),
         nullptr, &injector);
     result.label = policyName(policy);
@@ -202,8 +213,9 @@ runDynamicFaulted(const SystemConfig &config, const WorkloadData &data,
     FaultInjector injector(faults);
     const auto engine = makeEngine(scheme, config);
     HmaSystem system(config);
-    auto result = system.run(data.traces, std::move(initial),
-                             engine.get(), &injector);
+    auto result = system.run(data.traces, data.compiled(),
+                             std::move(initial), engine.get(),
+                             &injector);
     result.label = dynamicSchemeName(scheme);
     return result;
 }
@@ -224,7 +236,7 @@ runRegionDynamicFaulted(const SystemConfig &config,
     FaultInjector injector(faults);
     HmaSystem system(config);
     auto result = system.run(
-        data.traces,
+        data.traces, data.compiled(),
         buildRegionStaticPlacement(StaticPolicy::Balanced, profile,
                                    region_config,
                                    config.hbmPages()),
@@ -250,8 +262,9 @@ runAnnotated(const SystemConfig &config, const WorkloadData &data,
         annotationsFor(data, profile, config.hbmPages());
     HmaSystem system(config);
     auto result = system.run(
-        data.traces, buildAnnotatedPlacement(data.layout, selection,
-                                             config.hbmPages()));
+        data.traces, data.compiled(),
+        buildAnnotatedPlacement(data.layout, selection,
+                                config.hbmPages()));
     result.label = "annotated";
     return result;
 }

@@ -14,7 +14,9 @@
 #ifndef RAMP_HMA_EXPERIMENT_HH
 #define RAMP_HMA_EXPERIMENT_HH
 
+#include <atomic>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -23,11 +25,44 @@
 #include "hma/system.hh"
 #include "placement/policies.hh"
 #include "region/engine.hh"
+#include "trace/compiled.hh"
 #include "trace/generator.hh"
 #include "trace/workload.hh"
 
 namespace ramp
 {
+
+/**
+ * The compiled form of a WorkloadData's traces, built at most once, on
+ * first use, by whichever thread asks first. A copy starts
+ * uncompiled: it is derived data, rebuilt on demand.
+ */
+class LazyCompiledTrace
+{
+  public:
+    LazyCompiledTrace() = default;
+    LazyCompiledTrace(const LazyCompiledTrace &) {}
+    LazyCompiledTrace &operator=(const LazyCompiledTrace &)
+    {
+        state_ = std::make_unique<State>();
+        return *this;
+    }
+
+    /** `traces` compiled (they must not change after the first call). */
+    const CompiledTrace &get(const std::vector<CoreTrace> &traces) const;
+
+    /** True once get() has built the compiled form. */
+    bool built() const { return state_->built.load(); }
+
+  private:
+    struct State
+    {
+        std::once_flag once;
+        std::atomic<bool> built{false};
+        CompiledTrace trace;
+    };
+    std::unique_ptr<State> state_ = std::make_unique<State>();
+};
 
 /** A workload's spec, layout, and generated traces, bundled. */
 struct WorkloadData
@@ -35,6 +70,18 @@ struct WorkloadData
     WorkloadSpec spec;
     WorkloadLayout layout;
     std::vector<CoreTrace> traces;
+
+    /**
+     * The traces' page-slot column, shared by every pass over them
+     * (thread-safe; built on first call, never by prepareWorkload).
+     */
+    const CompiledTrace &compiled() const
+    {
+        return lazyCompiled.get(traces);
+    }
+
+    /** compiled()'s store; built() tells whether it has run yet. */
+    LazyCompiledTrace lazyCompiled;
 };
 
 /** Generate a workload's traces (deterministic in the options). */

@@ -86,15 +86,14 @@ HmaSystem::HmaSystem(const SystemConfig &config)
 }
 
 /**
- * The hash-free access path. Before the first access, every
- * request's page is interned once into a dense run-local slot (the
- * AVF tracker's page index is that table) and the slot is stored
- * next to the request. The access loop then reads its slot and
- * touches only flat per-slot state: the cached placement entry
- * handle, the read/write counts, the AVF line times, and the slot
- * state the engine and the injector were bound to. Epoch-time code
- * (migration decisions, fault responses) still speaks PageId and
- * pays one flat-table probe per page it moves.
+ * The hash-free access path. The compiled trace gives every request
+ * its page's slot, interned once per workload (trace/compiled.hh).
+ * The access loop reads that slot and touches only flat per-slot
+ * state: the cached placement entry handle, the read/write counts,
+ * the AVF line times, and the slot state the engine and the injector
+ * were bound to. Epoch-time code (migration decisions, fault
+ * responses) still speaks PageId and pays one flat-table probe per
+ * page it moves.
  *
  * One RunState per worker thread is reused run after run, so its
  * vectors keep their capacity instead of being reallocated.
@@ -112,12 +111,10 @@ struct HmaSystem::RunState
         PageStats stats;
     };
 
-    /** AVF by slot; its page index maps slot <-> PageId. */
+    /** The compiled trace's slot <-> PageId table. */
+    const PageIndex *index = nullptr;
+    /** AVF by slot. */
     AvfTracker avf;
-    /** Slot of every request, the cores' traces back to back. */
-    std::vector<std::uint32_t> requestSlot;
-    /** First requestSlot entry of each core. */
-    std::vector<std::size_t> coreBase;
     std::vector<Slot> slots;
     /** Slots in first-access order (the profile's insertion order). */
     std::vector<std::uint32_t> touchOrder;
@@ -126,41 +123,27 @@ struct HmaSystem::RunState
     std::vector<Cycle> hbmCycles; ///< closed HBM stays, summed
     /** @} */
 
-    /** Intern the traces' pages and size every per-slot vector. */
-    void begin(const std::vector<CoreTrace> &traces,
+    /** Size every per-slot vector to the compiled trace's pages. */
+    void begin(const CompiledTrace &compiled,
                const PlacementMap &placement)
     {
-        avf.reset();
-        requestSlot.clear();
-        coreBase.clear();
-        touchOrder.clear();
-        std::size_t requests = 0;
-        for (const auto &trace : traces)
-            requests += trace.size();
-        requestSlot.reserve(requests);
-        for (const auto &trace : traces) {
-            coreBase.push_back(requestSlot.size());
-            for (const MemRequest &req : trace)
-                requestSlot.push_back(avf.addPage(pageOf(req.addr)));
-        }
-        const std::size_t pages = avf.touchedPages();
+        index = &compiled.index();
+        const std::size_t pages = compiled.pages();
+        avf.reset(pages);
         slots.assign(pages, Slot{});
+        touchOrder.clear();
         touchOrder.reserve(pages);
         hbmCycles.assign(pages, 0);
         hbmSince.resize(pages);
         for (std::uint32_t slot = 0; slot < pages; ++slot)
             hbmSince[slot] =
-                placement.memoryOf(avf.index().page(slot)) ==
-                        MemoryId::HBM
+                placement.memoryOf(index->page(slot)) == MemoryId::HBM
                     ? 0
                     : notInHbm;
     }
 
     /** Slot of a page; PageIndex::none when the run never touches it. */
-    std::uint32_t slotOf(PageId page) const
-    {
-        return avf.index().find(page);
-    }
+    std::uint32_t slotOf(PageId page) const { return index->find(page); }
 
     /** Live access count of a page (zero when untouched so far). */
     std::uint64_t hotness(PageId page) const
@@ -629,6 +612,14 @@ HmaSystem::applyFaultEpoch(FaultInjector &injector,
 
 SimResult
 HmaSystem::run(const std::vector<CoreTrace> &traces,
+               const CompiledTrace &compiled, PlacementMap placement,
+               MigrationEngine *engine, FaultInjector *injector)
+{
+    return runInPlace(traces, compiled, placement, engine, injector);
+}
+
+SimResult
+HmaSystem::run(const std::vector<CoreTrace> &traces,
                PlacementMap placement, MigrationEngine *engine,
                FaultInjector *injector)
 {
@@ -641,8 +632,29 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
                       MigrationEngine *engine,
                       FaultInjector *injector)
 {
+    // Runs never nest on a thread, so each worker owns one scratch
+    // form; it is rebuilt from the traces on every call.
+    static thread_local CompiledTrace compiled;
+    compiled.compile(traces);
+    return runInPlace(traces, compiled, placement, engine, injector);
+}
+
+SimResult
+HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
+                      const CompiledTrace &compiled,
+                      PlacementMap &placement,
+                      MigrationEngine *engine,
+                      FaultInjector *injector)
+{
     if (static_cast<int>(traces.size()) > config_.cores)
         ramp_fatal("more traces than configured cores");
+    if (compiled.cores() != traces.size())
+        ramp_panic("compiled trace has ", compiled.cores(),
+                   " cores, the run has ", traces.size());
+    for (std::size_t c = 0; c < traces.size(); ++c)
+        if (compiled.coreRequests(c) != traces[c].size())
+            ramp_panic("compiled trace of core ", c,
+                       " does not match its trace");
 
     RAMP_TELEM_SPAN(run_span, "hma.run", "sim",
                     telemetry::traceArg(
@@ -654,12 +666,12 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
     SimResult result;
     // Runs never nest on a thread, so each worker owns one state.
     static thread_local RunState run;
-    run.begin(traces, placement);
-    // The engine and the injector track pages by the run's slots.
+    run.begin(compiled, placement);
+    // The engine and the injector track pages by the trace's slots.
     if (engine != nullptr)
-        engine->beginRun(run.avf.index());
+        engine->beginRun(compiled.index());
     if (injector != nullptr)
-        injector->beginRun(run.avf.index());
+        injector->beginRun(compiled.index());
 
     std::vector<CoreModel> cores;
     cores.reserve(traces.size());
@@ -830,7 +842,7 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
         const MemRequest &req = core.current();
         const PageId page = pageOf(req.addr);
         const std::uint32_t slot =
-            run.requestSlot[run.coreBase[core_idx] + core.position()];
+            compiled.slot(compiled.base(core_idx) + core.position());
         RunState::Slot &state = run.slots[slot];
         if (!state.handle) {
             // Insert the entry at the page's first access, not at
@@ -878,15 +890,15 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
         // Software pipeline: this core issues again about one turn
         // of the other cores from now, so start the loads its next
         // access will wait on. Hints only; no state changes.
-        const std::size_t next = run.coreBase[core_idx] +
-                                 core.position();
-        const std::uint32_t next_slot = run.requestSlot[next];
+        const std::size_t next =
+            compiled.base(core_idx) + core.position();
+        const std::uint32_t next_slot = compiled.slot(next);
         placement.prefetch(run.slots[next_slot].handle);
         run.avf.prefetch(next_slot, lineInPage(core.current().addr));
         // The request after that: its Slot, so that next turn's
         // entry prefetch finds the handle in cache.
         if (core.position() + 1 < traces[core_idx].size())
-            __builtin_prefetch(&run.slots[run.requestSlot[next + 1]]);
+            __builtin_prefetch(&run.slots[compiled.slot(next + 1)]);
     }
 
     // Finish any still-draining page copies.
@@ -919,7 +931,7 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
     for (const std::uint32_t slot : run.touchOrder) {
         PageStats &stats = run.slots[slot].stats;
         stats.avf = run.avf.slotAvf(slot);
-        result.profile.setStats(run.avf.index().page(slot), stats);
+        result.profile.setStats(run.index->page(slot), stats);
     }
 
     // Residency-weighted Equation 2.

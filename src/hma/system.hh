@@ -27,6 +27,7 @@
 #include "placement/map.hh"
 #include "placement/profile.hh"
 #include "reliability/avf.hh"
+#include "trace/compiled.hh"
 #include "trace/trace.hh"
 
 namespace ramp
@@ -110,6 +111,9 @@ class HmaSystem
      * Simulate a workload under a placement.
      *
      * @param traces per-core memory-level traces
+     * @param compiled the traces' page slots
+     *                 (CompiledTrace::compile(traces)); only read, so
+     *                 one compiled form may serve concurrent runs
      * @param placement initial page placement (moved in; mutated by
      *                  the engine during the run)
      * @param engine optional dynamic migration engine (one fresh
@@ -119,6 +123,15 @@ class HmaSystem
      *                 instance per run); faults it lands are
      *                 responded to inline — retirement, emergency
      *                 sweeps, degraded mode (DESIGN.md §12)
+     */
+    SimResult run(const std::vector<CoreTrace> &traces,
+                  const CompiledTrace &compiled, PlacementMap placement,
+                  MigrationEngine *engine = nullptr,
+                  FaultInjector *injector = nullptr);
+
+    /**
+     * run() on traces that are not compiled: compiles them into a
+     * per-thread scratch form first.
      */
     SimResult run(const std::vector<CoreTrace> &traces,
                   PlacementMap placement,
@@ -132,6 +145,13 @@ class HmaSystem
      * shard map, so the map must accumulate mutations — frame
      * allocations, migrations, retirements — across runs.
      */
+    SimResult runInPlace(const std::vector<CoreTrace> &traces,
+                         const CompiledTrace &compiled,
+                         PlacementMap &placement,
+                         MigrationEngine *engine = nullptr,
+                         FaultInjector *injector = nullptr);
+
+    /** runInPlace() on traces that are not compiled (see run()). */
     SimResult runInPlace(const std::vector<CoreTrace> &traces,
                          PlacementMap &placement,
                          MigrationEngine *engine = nullptr,
@@ -159,7 +179,7 @@ class HmaSystem
     /**
      * Per-page state of one run — AVF, read/write counts, HBM
      * residency and placement handles — in flat vectors indexed by
-     * dense run-local slot (defined in system.cc).
+     * the compiled trace's slots (defined in system.cc).
      */
     struct RunState;
 

@@ -361,9 +361,14 @@ compareOne(std::vector<MetricDiff> &diffs, const std::string &name,
     diff.deltaPct = (cand - base) / base * 100.0;
     diff.limitPct = limit_pct;
     diff.higherIsBetter = higher_is_better;
-    diff.regressed = higher_is_better
-                         ? diff.deltaPct < -limit_pct
-                         : diff.deltaPct > limit_pct;
+    // A rate is judged on its slowdown factor base/cand - 1: a rate
+    // cannot fall by more than 100%, so under a band above 100% (CI's
+    // --relax) the linear delta would never flag a collapse.
+    if (higher_is_better)
+        diff.regressed =
+            !(cand > 0) || (base / cand - 1.0) * 100.0 > limit_pct;
+    else
+        diff.regressed = diff.deltaPct > limit_pct;
     diffs.push_back(std::move(diff));
 }
 

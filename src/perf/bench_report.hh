@@ -96,7 +96,11 @@ struct MetricDiff
     /** Relative change in percent ((candidate-baseline)/baseline). */
     double deltaPct = 0;
 
-    /** Allowed noise band in percent. */
+    /**
+     * Allowed noise band in percent. It bounds deltaPct of a
+     * lower-is-better metric and the slowdown factor
+     * (baseline/candidate - 1) of a higher-is-better one.
+     */
     double limitPct = 0;
 
     /** Direction: throughput regresses down, seconds/RSS up. */

@@ -6,9 +6,18 @@ namespace ramp
 {
 
 void
-AvfTracker::accessAfterFinalize()
+AvfTracker::rejectAccess(Cycle now) const
 {
-    ramp_panic("AvfTracker accessed after finalize");
+    if (finalized())
+        ramp_panic("AvfTracker accessed after finalize");
+    ramp_panic("AvfTracker access at cycle ", now,
+               " reaches 2^32 cycles, past its 32-bit line times");
+}
+
+void
+AvfTracker::pageIdOnSlotTracker()
+{
+    ramp_panic("AvfTracker PageId entry point after reset(pages)");
 }
 
 void
@@ -36,6 +45,8 @@ AvfTracker::pageAvf(PageId page) const
 {
     if (!finalized())
         ramp_panic("pageAvf before finalize");
+    if (index_.size() != ace_.size())
+        pageIdOnSlotTracker();
     const std::uint32_t slot = index_.find(page);
     return slot == PageIndex::none ? 0.0 : slotAvf(slot);
 }
@@ -60,6 +71,8 @@ AvfTracker::memoryAvf() const
 std::vector<std::pair<PageId, double>>
 AvfTracker::pageAvfs() const
 {
+    if (index_.size() != ace_.size())
+        pageIdOnSlotTracker();
     std::vector<std::pair<PageId, double>> result;
     result.reserve(ace_.size());
     for (std::uint32_t slot = 0; slot < ace_.size(); ++slot)
@@ -68,11 +81,11 @@ AvfTracker::pageAvfs() const
 }
 
 void
-AvfTracker::reset()
+AvfTracker::reset(std::size_t pages)
 {
     index_.clear();
-    lastAccess_.clear();
-    ace_.clear();
+    lastAccess_.assign(pages * linesPerPage, 0);
+    ace_.assign(pages, 0);
     totalTime_ = 0;
 }
 

@@ -27,23 +27,31 @@ namespace ramp
 /**
  * Per-line ACE interval accumulator composed to page AVF.
  *
- * Storage is slot-indexed: the tracker's page index interns each
- * touched page into a dense slot, and each slot holds its 64 lines'
- * last-access times plus one ACE sum for the whole page (page AVF
- * only ever needs the sum over its lines).
+ * Storage is slot-indexed: each slot holds its 64 lines' last-access
+ * times plus one ACE sum for the whole page (page AVF only ever needs
+ * the sum over its lines). Line times are 32-bit cycles from the
+ * start of the window, so one page's times fill 256 B; an access at
+ * or after cycle 2^32 panics. ACE sums stay 64-bit.
  */
 class AvfTracker
 {
   public:
+    /** Latest access time a 32-bit line time can hold. */
+    static constexpr Cycle maxTime = UINT32_MAX;
+
     /** @{ @name Slot entry point (the simulator's access loop)
      *
-     * A caller interns each page once with addPage(), keeps the
-     * slot, and then records accesses by slot without hashing.
+     * Either reset(pages) sizes the tracker to slots 0 .. pages - 1
+     * of a caller's page index, or a caller interns each page once
+     * with addPage() and keeps the slot. Accesses are then recorded
+     * by slot without hashing.
      */
 
     /** Slot of a page, registering it (as touched) on first sight. */
     std::uint32_t addPage(PageId page)
     {
+        if (index_.size() != ace_.size())
+            pageIdOnSlotTracker();
         const std::uint32_t slot = index_.intern(page);
         if (slot == ace_.size()) {
             ace_.push_back(0);
@@ -56,16 +64,17 @@ class AvfTracker
     void onAccess(std::uint32_t slot, std::uint64_t line,
                   bool is_write, Cycle now)
     {
-        if (finalized())
-            accessAfterFinalize();
-        Cycle &last = lastAccess_[slot * linesPerPage + line];
-        if (!is_write && now > last) {
+        if (finalized() || now > maxTime) [[unlikely]]
+            rejectAccess(now);
+        const auto t = static_cast<std::uint32_t>(now);
+        std::uint32_t &last = lastAccess_[slot * linesPerPage + line];
+        if (!is_write && t > last) {
             // The line had to survive since its previous access (or
             // its initialisation at t = 0) for this read to be
             // correct.
-            ace_[slot] += now - last;
+            ace_[slot] += t - last;
         }
-        last = now;
+        last = t;
     }
 
     /**
@@ -77,9 +86,6 @@ class AvfTracker
         __builtin_prefetch(&lastAccess_[slot * linesPerPage + line]);
         __builtin_prefetch(&ace_[slot]);
     }
-
-    /** The tracker's page index (slot <-> PageId). */
-    const PageIndex &index() const { return index_; }
 
     /** ACE line-cycles a slot has accumulated so far. */
     Cycle aceOf(std::uint32_t slot) const { return ace_[slot]; }
@@ -117,15 +123,25 @@ class AvfTracker
     /** True once finalize() has been called. */
     bool finalized() const { return totalTime_ > 0; }
 
-    /** Reset to an empty, unfinalised tracker (capacity is kept). */
-    void reset();
+    /**
+     * Reset to an unfinalised tracker of `pages` touched slots with
+     * no pages of its own (capacity is kept). With `pages` > 0 a
+     * caller's index names the slots, and the PageId entry points
+     * panic until the tracker is reset to empty.
+     */
+    void reset(std::size_t pages = 0);
 
   private:
-    [[noreturn]] static void accessAfterFinalize();
+    /** Panic for an access after finalize() or at a time >= 2^32. */
+    [[noreturn]] void rejectAccess(Cycle now) const;
 
+    /** Panic for a PageId entry point after reset(pages). */
+    [[noreturn]] static void pageIdOnSlotTracker();
+
+    /** The PageId entry points' slots (empty after reset(pages)). */
     PageIndex index_;
     /** Last access per line: slot * linesPerPage + line. */
-    std::vector<Cycle> lastAccess_;
+    std::vector<std::uint32_t> lastAccess_;
     /** ACE sum over the page's lines, per slot. */
     std::vector<Cycle> ace_;
     Cycle totalTime_ = 0;

@@ -161,6 +161,32 @@ TEST(AvfDeathTest, MisuseIsDetected)
     EXPECT_DEATH((void)unfinalized.memoryAvf(), "finalize");
 }
 
+TEST(AvfDeathTest, AccessAt2To32CyclesPanics)
+{
+    // Line times are 32-bit: 2^32 - 1 is the last cycle they hold.
+    AvfTracker tracker;
+    tracker.onAccess(0, false, AvfTracker::maxTime);
+    EXPECT_DEATH(tracker.onAccess(0, false, Cycle{1} << 32),
+                 "cycle 4294967296 reaches 2\\^32");
+    tracker.reset(1);
+    tracker.onAccess(0, 0, false, AvfTracker::maxTime);
+    EXPECT_DEATH(tracker.onAccess(0, 0, true, Cycle{1} << 32),
+                 "reaches 2\\^32");
+}
+
+TEST(AvfDeathTest, PageIdEntryOnSlotSizedTrackerPanics)
+{
+    AvfTracker tracker;
+    tracker.reset(2);
+    EXPECT_DEATH(tracker.onAccess(pageSize, false, 10), "reset\\(pages\\)");
+    tracker.finalize(100);
+    EXPECT_DEATH((void)tracker.pageAvfs(), "reset\\(pages\\)");
+    // Reset to empty, the PageId entry points work again.
+    tracker.reset();
+    tracker.onAccess(pageSize, false, 10);
+    EXPECT_EQ(tracker.touchedPages(), 1u);
+}
+
 TEST(Ser, FitPerPageScalesWithCapacity)
 {
     SerParams params;

@@ -28,10 +28,10 @@ struct Event
     Cycle time;
 };
 
-/** Obviously-correct AVF: walk each line's event list. */
-double
-referencePageAvf(const std::vector<Event> &events, PageId page,
-                 Cycle end_time)
+/** Obviously-correct ACE line-cycles of a page: walk each line's
+ * event list. */
+Cycle
+referencePageAce(const std::vector<Event> &events, PageId page)
 {
     std::map<LineId, std::vector<Event>> per_line;
     for (const auto &event : events)
@@ -48,7 +48,15 @@ referencePageAvf(const std::vector<Event> &events, PageId page,
         }
         // Tail is dead.
     }
-    return static_cast<double>(total_ace) /
+    return total_ace;
+}
+
+/** Obviously-correct AVF (Equation 1). */
+double
+referencePageAvf(const std::vector<Event> &events, PageId page,
+                 Cycle end_time)
+{
+    return static_cast<double>(referencePageAce(events, page)) /
            (static_cast<double>(linesPerPage) *
             static_cast<double>(end_time));
 }
@@ -90,6 +98,52 @@ TEST_P(AvfFuzzTest, MatchesReferenceOnRandomSchedules)
 INSTANTIATE_TEST_SUITE_P(Seeds, AvfFuzzTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21,
                                            34, 55, 89));
+
+/**
+ * Line times are 32-bit: over the whole range they can hold, with
+ * accesses in random time order, both entry points must match the
+ * 64-bit reference exactly.
+ */
+TEST_P(AvfFuzzTest, MatchesReferenceBitForBitUpTo32BitTimes)
+{
+    Rng rng(GetParam());
+    const PageId pages = 4;
+    const Cycle end_time = AvfTracker::maxTime + 1;
+
+    std::vector<Event> events;
+    AvfTracker by_page; // PageId entry point, its own index
+    AvfTracker by_slot; // sized to caller slots; slot == page here
+    by_slot.reset(pages);
+    for (int i = 0; i < 3000; ++i) {
+        Event event;
+        event.addr = rng.nextRange(pages) * pageSize +
+                     rng.nextRange(linesPerPage) * lineSize;
+        event.isWrite = rng.nextBool(0.4);
+        event.time = i % 500 == 0 ? AvfTracker::maxTime
+                                  : rng.nextRange(end_time);
+        events.push_back(event);
+        by_page.onAccess(event.addr, event.isWrite, event.time);
+        by_slot.onAccess(static_cast<std::uint32_t>(pageOf(event.addr)),
+                         lineInPage(event.addr), event.isWrite,
+                         event.time);
+    }
+    by_page.finalize(end_time);
+    by_slot.finalize(end_time);
+
+    ASSERT_EQ(by_page.touchedPages(), pages);
+    for (PageId page = 0; page < pages; ++page) {
+        const Cycle ace = referencePageAce(events, page);
+        EXPECT_GT(ace, Cycle{1} << 32) << "page " << page;
+        EXPECT_EQ(by_slot.aceOf(static_cast<std::uint32_t>(page)), ace)
+            << "page " << page << " seed " << GetParam();
+        EXPECT_EQ(by_page.pageAvf(page),
+                  referencePageAvf(events, page, end_time))
+            << "page " << page << " seed " << GetParam();
+        EXPECT_EQ(by_slot.slotAvf(static_cast<std::uint32_t>(page)),
+                  by_page.pageAvf(page));
+    }
+    EXPECT_EQ(by_slot.memoryAvf(), by_page.memoryAvf());
+}
 
 } // namespace
 } // namespace ramp

@@ -47,6 +47,28 @@ WorkloadData *ExperimentFixture::data_ = nullptr;
 SystemConfig *ExperimentFixture::config_ = nullptr;
 SimResult *ExperimentFixture::base_ = nullptr;
 
+TEST_F(ExperimentFixture, HelpersCompileOnFirstUseNotInPrepare)
+{
+    GeneratorOptions options;
+    options.traceScale = 0.01;
+    const WorkloadData fresh =
+        prepareWorkload(mixWorkload("mix1"), options);
+    EXPECT_FALSE(fresh.lazyCompiled.built());
+    const SimResult from_compiled = runDdrOnly(*config_, fresh);
+    EXPECT_TRUE(fresh.lazyCompiled.built());
+    EXPECT_EQ(fresh.compiled().pages(),
+              from_compiled.profile.footprintPages());
+
+    HmaSystem system(*config_);
+    const SimResult from_traces = system.run(
+        fresh.traces,
+        buildStaticPlacement(StaticPolicy::DdrOnly, PageProfile{},
+                             config_->hbmPages()));
+    EXPECT_EQ(from_compiled.makespan, from_traces.makespan);
+    EXPECT_EQ(from_compiled.memoryAvf, from_traces.memoryAvf);
+    EXPECT_EQ(from_compiled.ser, from_traces.ser);
+}
+
 TEST_F(ExperimentFixture, DdrOnlyProfilesEverything)
 {
     EXPECT_EQ(base_->label, "ddr-only");

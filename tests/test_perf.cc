@@ -391,6 +391,91 @@ TEST(BenchDiff, FlagsRegressionsDirectionally)
         EXPECT_FALSE(diff.regressed) << diff.name;
 }
 
+/** The number at an object path, created on the way. */
+double &
+numberSlot(JsonValue &doc, const std::vector<std::string> &path)
+{
+    JsonValue *node = &doc;
+    for (const std::string &key : path) {
+        node->kind = JsonValue::Kind::Object;
+        node = &node->object[key];
+    }
+    node->kind = JsonValue::Kind::Number;
+    return node->number;
+}
+
+TEST(BenchDiff, RateCollapsesFailUnderCiRelax)
+{
+    // One rate per family; micro rows live in an array, so the micro
+    // rate is scaled in place below.
+    struct Rate
+    {
+        const char *metric;
+        std::vector<std::string> path;
+        /** (3 - 1) x 100% is above the family's band at --relax 4. */
+        bool failsAt3x;
+    };
+    const Rate rates[] = {
+        {"throughput.accesses_per_second",
+         {"throughput", "accesses_per_second"}, true},
+        {"service.aggregate_accesses_per_second",
+         {"service", "aggregate_accesses_per_second"}, true},
+        // The eventlog (60% x 4) and micro (50% x 4) bands reach a
+        // 200% slowdown, so only the 10x collapse is certain to fail.
+        {"throughput.events_per_second",
+         {"throughput", "events_per_second"}, false},
+        {"micro.kernel.items_per_second", {}, false},
+    };
+    JsonValue base;
+    std::string error;
+    ASSERT_TRUE(perf::parseJson(perf::renderBenchReport(sampleSpec()),
+                                base, error))
+        << error;
+    for (const Rate &rate : rates)
+        if (!rate.path.empty())
+            numberSlot(base, rate.path) = 1e6;
+
+    const DiffOptions ci{.relax = 4.0, .families = {}};
+    for (const double factor : {1.5, 3.0, 10.0}) {
+        for (const Rate &rate : rates) {
+            SCOPED_TRACE(std::string(rate.metric) + " falls " +
+                         std::to_string(factor) + "x");
+            JsonValue cand = base;
+            if (rate.path.empty())
+                cand.object["microbenchmarks"]
+                    .array[0]
+                    .object["items_per_second"]
+                    .number /= factor;
+            else
+                numberSlot(cand, rate.path) /= factor;
+            const auto diffs =
+                perf::compareBenchReports(base, cand, ci, error);
+            ASSERT_TRUE(error.empty()) << error;
+            const perf::MetricDiff *diff = nullptr;
+            for (const auto &d : diffs) {
+                if (d.name == rate.metric)
+                    diff = &d;
+                else
+                    EXPECT_FALSE(d.regressed) << d.name;
+            }
+            ASSERT_NE(diff, nullptr);
+            // The printed delta stays linear; the verdict follows the
+            // slowdown factor.
+            EXPECT_NEAR(diff->deltaPct, (1.0 / factor - 1.0) * 100.0,
+                        1e-9);
+            EXPECT_EQ(diff->regressed,
+                      (diff->baseline / diff->candidate - 1.0) * 100.0 >
+                          diff->limitPct);
+            if (factor == 10.0 || (factor == 3.0 && rate.failsAt3x)) {
+                EXPECT_TRUE(diff->regressed);
+            }
+            if (factor == 1.5) {
+                EXPECT_FALSE(diff->regressed);
+            }
+        }
+    }
+}
+
 TEST(BenchDiff, MismatchedToolsRefuseToCompare)
 {
     auto a_spec = sampleSpec();

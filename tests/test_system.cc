@@ -8,9 +8,13 @@
 #include <bit>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "faults/plan.hh"
+#include "hma/experiment.hh"
 #include "hma/system.hh"
+#include "runner/pool.hh"
+#include "sim_fixtures.hh"
 
 namespace ramp
 {
@@ -293,6 +297,190 @@ TEST(System, EmptyTracesYieldEmptyResult)
     EXPECT_EQ(result.requests, 0u);
     EXPECT_EQ(result.makespan, 1u);
     EXPECT_EQ(result.ipc, 0.0);
+}
+
+// ---------------------------------------------------------------
+// WorkloadData's compiled form against the traces-only entry
+
+using fixtures::Kind;
+
+/** No engine, or one of the three dynamic schemes. */
+constexpr int staticKind = -1;
+
+/** One run of `kind`, clean or under `storm`, from either entry. */
+struct KindRun
+{
+    SimResult result;
+    std::uint64_t remapHits = 0;
+    std::uint64_t remapMisses = 0;
+};
+
+KindRun
+runKind(const WorkloadData &data, int kind, const InjectorConfig *storm,
+        bool compiled)
+{
+    SystemConfig config = SystemConfig::scaledDefault();
+    config.cores = 4;
+    std::unique_ptr<MigrationEngine> engine;
+    if (kind != staticKind)
+        engine = fixtures::makeKind(static_cast<Kind>(kind));
+    std::unique_ptr<FaultInjector> injector;
+    if (storm != nullptr)
+        injector = std::make_unique<FaultInjector>(*storm);
+    HmaSystem system(config);
+    KindRun run;
+    run.result =
+        compiled ? system.run(data.traces, data.compiled(),
+                              fixtures::slotPlacement(), engine.get(),
+                              injector.get())
+                 : system.run(data.traces, fixtures::slotPlacement(),
+                              engine.get(), injector.get());
+    if (kind == static_cast<int>(Kind::Cc)) {
+        const auto &cache =
+            dynamic_cast<const CrossCounterMigration &>(*engine)
+                .remapCache();
+        run.remapHits = cache.hits();
+        run.remapMisses = cache.misses();
+    }
+    return run;
+}
+
+void
+expectSameRun(const KindRun &a, const KindRun &b)
+{
+    fixtures::expectSameResult(a.result, b.result);
+    EXPECT_EQ(a.remapHits, b.remapHits);
+    EXPECT_EQ(a.remapMisses, b.remapMisses);
+}
+
+const int allKinds[] = {staticKind, static_cast<int>(Kind::Perf),
+                        static_cast<int>(Kind::Fc),
+                        static_cast<int>(Kind::Cc)};
+
+class CompiledTraceTest : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(CompiledTraceTest, MatchesTracesOnlyEntry)
+{
+    Rng rng(GetParam());
+    WorkloadData data;
+    data.traces = fixtures::generatedTraces(rng);
+    const InjectorConfig storm = fixtures::randomStorm(rng);
+
+    // Slots are numbered in first-intern order, core 0's requests
+    // first, then core 1's, and so on.
+    const CompiledTrace &compiled = data.compiled();
+    PageIndex expected;
+    std::size_t position = 0;
+    ASSERT_EQ(compiled.cores(), data.traces.size());
+    for (std::size_t core = 0; core < data.traces.size(); ++core) {
+        ASSERT_EQ(compiled.base(core), position);
+        for (const MemRequest &req : data.traces[core])
+            ASSERT_EQ(compiled.slot(position++),
+                      expected.intern(pageOf(req.addr)));
+    }
+    ASSERT_EQ(compiled.pages(), expected.size());
+
+    for (const int kind : allKinds) {
+        for (const bool faulted : {false, true}) {
+            SCOPED_TRACE(testing::Message()
+                         << "kind " << kind
+                         << (faulted ? " with faults" : " clean"));
+            const InjectorConfig *faults = faulted ? &storm : nullptr;
+            const KindRun a = runKind(data, kind, faults, true);
+            const KindRun b = runKind(data, kind, faults, false);
+            expectSameRun(a, b);
+            if (kind != staticKind) {
+                EXPECT_GT(a.result.migratedPages, 0u);
+            }
+            if (faulted) {
+                EXPECT_GT(a.result.faultsInjected, 0u);
+            }
+            if (kind == static_cast<int>(Kind::Cc)) {
+                EXPECT_GT(a.remapMisses, 0u);
+            }
+        }
+    }
+    // Every run shared the one compiled form.
+    EXPECT_EQ(&data.compiled(), &compiled);
+}
+
+TEST_P(CompiledTraceTest, PoolThreadsShareOneCompiledForm)
+{
+    Rng rng(GetParam());
+    WorkloadData data;
+    data.traces = fixtures::generatedTraces(rng);
+    const InjectorConfig storm = fixtures::randomStorm(rng);
+
+    std::vector<KindRun> expected;
+    for (const int kind : allKinds)
+        for (const bool faulted : {false, true})
+            expected.push_back(
+                runKind(data, kind, faulted ? &storm : nullptr, false));
+    ASSERT_FALSE(data.lazyCompiled.built());
+
+    // Every task asks for the compiled form, so the first build races
+    // with the others' reads.
+    constexpr std::size_t rounds = 3;
+    const std::size_t passes = expected.size();
+    std::vector<KindRun> got(rounds * passes);
+    runner::ThreadPool pool(4);
+    pool.runIndexed(got.size(), [&](std::size_t i) {
+        const std::size_t pass = i % passes;
+        got[i] = runKind(data, allKinds[pass / 2],
+                         pass % 2 == 1 ? &storm : nullptr, true);
+    });
+    EXPECT_TRUE(data.lazyCompiled.built());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        SCOPED_TRACE(testing::Message() << "task " << i);
+        expectSameRun(got[i], expected[i % passes]);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CompiledTraceTest,
+                         ::testing::Values(3ULL, 31ULL));
+
+TEST(CompiledTrace, CopiedWorkloadDataStartsUncompiled)
+{
+    Rng rng(5);
+    WorkloadData data;
+    data.traces = fixtures::generatedTraces(rng);
+    EXPECT_FALSE(data.lazyCompiled.built());
+    const CompiledTrace &compiled = data.compiled();
+    EXPECT_TRUE(data.lazyCompiled.built());
+
+    WorkloadData copy = data;
+    EXPECT_FALSE(copy.lazyCompiled.built());
+    WorkloadData assigned;
+    assigned.compiled();
+    assigned = data;
+    EXPECT_FALSE(assigned.lazyCompiled.built());
+    WorkloadData moved = std::move(copy);
+    EXPECT_FALSE(moved.lazyCompiled.built());
+
+    // Rebuilt on demand, to the same slot column.
+    const CompiledTrace &again = assigned.compiled();
+    EXPECT_NE(&again, &compiled);
+    ASSERT_EQ(again.pages(), compiled.pages());
+    for (std::size_t i = 0; i < compiled.base(compiled.cores()); ++i)
+        ASSERT_EQ(again.slot(i), compiled.slot(i));
+}
+
+TEST(CompiledTraceDeathTest, RunOnAnotherTracesFormPanics)
+{
+    const auto config = smallConfig();
+    const auto traces = smallTraces(8, 200);
+    CompiledTrace one_core;
+    one_core.compile({traces[0]});
+    EXPECT_DEATH(HmaSystem(config).run(traces, one_core,
+                                       PlacementMap(config.hbmPages())),
+                 "compiled trace has 1 cores, the run has 2");
+    CompiledTrace shorter;
+    shorter.compile(smallTraces(8, 100));
+    EXPECT_DEATH(HmaSystem(config).run(traces, shorter,
+                                       PlacementMap(config.hbmPages())),
+                 "compiled trace of core 0 does not match its trace");
 }
 
 } // namespace
