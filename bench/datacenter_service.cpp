@@ -8,8 +8,9 @@
  * them across M shards by the service's tenant hash, and runs the
  * global epoch loop — cross-tenant HBM arbitration, budgeted
  * rebalancing, per-tenant epoch replay — on the harness pool, one
- * task per shard. Reports aggregate accesses/sec, per-tenant p99
- * slowdown against solo-run baselines, HBM-share fairness (Jain
+ * task per shard beside one solo-baseline task per tenant. Reports
+ * aggregate accesses/sec (shared and solo runs over the service
+ * run's seconds), per-tenant p99 slowdown against solo-run baselines, HBM-share fairness (Jain
  * index), and the per-shard outcome; the totals land in the
  * --bench-out document (committed baseline
  * BENCH_datacenter_service.json, gated by bench_diff's `service`
@@ -307,18 +308,23 @@ main(int argc, char **argv)
                   << TextTable::num(result.quotaClips)
                   << ", rebalance moves "
                   << TextTable::num(result.rebalanceMoves) << "\n";
+        // Shared and solo runs overlap on the pool, so the rate
+        // counts both over the whole service run.
+        const std::uint64_t accesses =
+            result.totalRequests + result.soloRequests;
         std::cout << "aggregate "
                   << TextTable::num(
                          seconds > 0
-                             ? static_cast<double>(
-                                   result.totalRequests) /
+                             ? static_cast<double>(accesses) /
                                    seconds
                              : 0.0,
                          0)
                   << " accesses/sec over "
                   << TextTable::num(result.totalRequests)
-                  << " requests in " << TextTable::num(seconds, 2)
-                  << "s\n";
+                  << " shared + "
+                  << TextTable::num(result.soloRequests)
+                  << " solo accesses in "
+                  << TextTable::num(seconds, 2) << "s\n";
         std::cout << "fairness (Jain over mean HBM pages) "
                   << TextTable::num(result.fairnessIndex, 4);
         if (result.p99Slowdown == result.p99Slowdown)

@@ -102,6 +102,14 @@ struct HmaSystem::RunState
 {
     /** hbmSince of a page that is not in HBM. */
     static constexpr Cycle notInHbm = UINT64_MAX;
+    /**
+     * hbmSince of a page whose run-start tier is not read yet. It is
+     * read at the page's first access, unless a tier crossing comes
+     * first: every enter()/leave() caller is a real crossing, so a
+     * page that leaves HBM first was there from cycle 0, and one that
+     * enters first was not.
+     */
+    static constexpr Cycle unresolved = UINT64_MAX - 1;
 
     struct Slot
     {
@@ -124,8 +132,7 @@ struct HmaSystem::RunState
     /** @} */
 
     /** Size every per-slot vector to the compiled trace's pages. */
-    void begin(const CompiledTrace &compiled,
-               const PlacementMap &placement)
+    void begin(const CompiledTrace &compiled)
     {
         index = &compiled.index();
         const std::size_t pages = compiled.pages();
@@ -134,12 +141,14 @@ struct HmaSystem::RunState
         touchOrder.clear();
         touchOrder.reserve(pages);
         hbmCycles.assign(pages, 0);
-        hbmSince.resize(pages);
-        for (std::uint32_t slot = 0; slot < pages; ++slot)
-            hbmSince[slot] =
-                placement.memoryOf(index->page(slot)) == MemoryId::HBM
-                    ? 0
-                    : notInHbm;
+        hbmSince.assign(pages, unresolved);
+    }
+
+    /** First access of a slot whose page is now in `mem`. */
+    void resolve(std::uint32_t slot, MemoryId mem)
+    {
+        if (hbmSince[slot] == unresolved)
+            hbmSince[slot] = mem == MemoryId::HBM ? 0 : notInHbm;
     }
 
     /** Slot of a page; PageIndex::none when the run never touches it. */
@@ -170,11 +179,13 @@ struct HmaSystem::RunState
         const std::uint32_t slot = slotOf(page);
         if (slot == PageIndex::none || hbmSince[slot] == notInHbm)
             return;
-        hbmCycles[slot] += now - hbmSince[slot];
+        const Cycle since =
+            hbmSince[slot] == unresolved ? 0 : hbmSince[slot];
+        hbmCycles[slot] += now - since;
         hbmSince[slot] = notInHbm;
     }
 
-    /** Fraction of [0, makespan) a slot's page spent in HBM. */
+    /** Fraction of [0, makespan) a touched slot's page spent in HBM. */
     double hbmFraction(std::uint32_t slot, Cycle makespan) const
     {
         if (makespan == 0)
@@ -666,7 +677,7 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
     SimResult result;
     // Runs never nest on a thread, so each worker owns one state.
     static thread_local RunState run;
-    run.begin(compiled, placement);
+    run.begin(compiled);
     // The engine and the injector track pages by the trace's slots.
     if (engine != nullptr)
         engine->beginRun(compiled.index());
@@ -850,6 +861,7 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
             // capped eviction list follows, is insertion order.
             state.handle = placement.handleOf(page);
             run.touchOrder.push_back(slot);
+            run.resolve(slot, placement.memoryOf(state.handle));
         }
         const MemoryId mem = placement.memoryOf(state.handle);
 

@@ -134,8 +134,11 @@ renderBenchReport(const BenchReportSpec &spec)
     // The multi-tenant placement service family, present only when
     // the tool ran the service (other tools' documents unchanged).
     if (snap.counterOr("service.streams_admitted") != 0) {
-        const std::uint64_t served =
-            snap.counterOr("service.requests_served");
+        // Every simulated access (shared and solo runs) over the
+        // service run's seconds: the phases overlap, so the shared
+        // run has no wall time of its own.
+        const double run_seconds =
+            gaugeOr(snap, "service.run_seconds");
         out << "  \"service\": {\n"
             << "    \"tenants\": "
             << snap.counterOr("service.streams_admitted") << ",\n"
@@ -150,7 +153,7 @@ renderBenchReport(const BenchReportSpec &spec)
             << "    \"faults_applied\": "
             << snap.counterOr("service.faults_applied") << ",\n"
             << "    \"aggregate_accesses_per_second\": "
-            << jsonNumber(perSecond(served, spec.wallSeconds))
+            << jsonNumber(perSecond(accesses, run_seconds))
             << ",\n"
             << "    \"fairness_index\": "
             << jsonNumber(gaugeOr(snap, "service.fairness_index"))
@@ -234,37 +237,39 @@ namespace
 {
 
 /**
- * The gate's family table: each metric family's noise band in
- * percent (multiplied by --relax), and the noise floors below which
- * a metric is too small to compare. The bands are deliberately
- * generous: the committed baselines are gated on shared CI runners
- * whose run-to-run noise is far above a local machine's.
+ * The gate's family table: each metric family's noise band as the
+ * factor a metric may move in its bad direction, and the noise
+ * floors below which a metric is too small to compare. A band is a
+ * ratio, so it is the same for a time that grows and a rate that
+ * falls. --relax multiplies its logarithm: a 1.15x band admits
+ * 1.15^4 = 1.75x under CI's --relax 4, and every band is below
+ * 2^(1/4) = 1.189x, so that CI fails a 2x slowdown in every family.
  */
 constexpr struct
 {
-    double wallPct = 50;
-    double throughputPct = 40;
-    double rssPct = 50;
-    double percentilePct = 75;
-    double microPct = 50;
+    double wall = 1.15;
+    double throughput = 1.15;
+    double rss = 1.15;
+    double percentile = 1.18;
+    double micro = 1.15;
 
     /** Decision ledger (throughput.events_per_second and eventlog.*
      * percentiles): its cost scales with how chatty the policies
      * are, so its band is wider. */
-    double eventlogPct = 60;
+    double eventlog = 1.18;
 
     /** Multi-tenant service: aggregate accesses/s regresses
      * downward, p99 slowdown upward. */
-    double servicePct = 40;
+    double service = 1.15;
 
     /** The fairness index is bounded in [0, 1] and nearly
      * noise-free, so it gets a much tighter band. */
-    double fairnessPct = 5;
+    double fairness = 1.02;
 
     /** Health monitor (timeline samples, fired alerts/warns):
      * deterministic for a fixed workload, but rule sets evolve with
      * the defaults, so the band matches throughput's. */
-    double healthPct = 40;
+    double health = 1.15;
 
     /** @{ @name Noise floors */
     double minSeconds = 1e-3;
@@ -277,7 +282,7 @@ constexpr struct
 struct FixedMetric
 {
     std::vector<std::string> path;
-    double limitPct;
+    double band;
     bool higherIsBetter;
     double floor;
 };
@@ -289,25 +294,25 @@ struct FixedMetric
  * and skip the comparison.
  */
 const FixedMetric fixedMetrics[] = {
-    {{"wall_seconds"}, limits.wallPct, false, limits.minSeconds},
-    {{"throughput", "accesses_per_second"}, limits.throughputPct,
-     true, limits.minPerSecond},
-    {{"throughput", "trials_per_second"}, limits.throughputPct,
-     true, limits.minPerSecond},
-    {{"throughput", "tasks_per_second"}, limits.throughputPct,
-     true, limits.minPerSecond},
-    {{"throughput", "events_per_second"}, limits.eventlogPct, true,
+    {{"wall_seconds"}, limits.wall, false, limits.minSeconds},
+    {{"throughput", "accesses_per_second"}, limits.throughput, true,
      limits.minPerSecond},
-    {{"service", "aggregate_accesses_per_second"},
-     limits.servicePct, true, limits.minPerSecond},
-    {{"service", "fairness_index"}, limits.fairnessPct, true, 0.01},
-    {{"service", "p99_slowdown"}, limits.servicePct, false, 1e-3},
+    {{"throughput", "trials_per_second"}, limits.throughput, true,
+     limits.minPerSecond},
+    {{"throughput", "tasks_per_second"}, limits.throughput, true,
+     limits.minPerSecond},
+    {{"throughput", "events_per_second"}, limits.eventlog, true,
+     limits.minPerSecond},
+    {{"service", "aggregate_accesses_per_second"}, limits.service,
+     true, limits.minPerSecond},
+    {{"service", "fairness_index"}, limits.fairness, true, 0.01},
+    {{"service", "p99_slowdown"}, limits.service, false, 1e-3},
     // Health counts regress in either direction; fired-alert
     // deltas are what matter.
-    {{"health", "samples"}, limits.healthPct, false, 1.0},
-    {{"health", "alerts"}, limits.healthPct, false, 1.0},
-    {{"health", "warns"}, limits.healthPct, false, 1.0},
-    {{"resources", "peak_rss_bytes"}, limits.rssPct, false,
+    {{"health", "samples"}, limits.health, false, 1.0},
+    {{"health", "alerts"}, limits.health, false, 1.0},
+    {{"health", "warns"}, limits.health, false, 1.0},
+    {{"resources", "peak_rss_bytes"}, limits.rss, false,
      limits.minBytes},
 };
 
@@ -340,10 +345,13 @@ findMicro(const JsonValue &doc, const std::string &name)
     return nullptr;
 }
 
-/** Compare one metric; appends only when both sides measured it. */
+/**
+ * Compare one metric; appends only when both sides measured it.
+ * `band` is the family's factor before --relax.
+ */
 void
 compareOne(std::vector<MetricDiff> &diffs, const std::string &name,
-           double base, double cand, double limit_pct,
+           double base, double cand, double band, double relax,
            bool higher_is_better, double floor_value)
 {
     if (!std::isfinite(base) || !std::isfinite(cand))
@@ -359,16 +367,17 @@ compareOne(std::vector<MetricDiff> &diffs, const std::string &name,
     diff.baseline = base;
     diff.candidate = cand;
     diff.deltaPct = (cand - base) / base * 100.0;
-    diff.limitPct = limit_pct;
     diff.higherIsBetter = higher_is_better;
-    // A rate is judged on its slowdown factor base/cand - 1: a rate
-    // cannot fall by more than 100%, so under a band above 100% (CI's
-    // --relax) the linear delta would never flag a collapse.
-    if (higher_is_better)
-        diff.regressed =
-            !(cand > 0) || (base / cand - 1.0) * 100.0 > limit_pct;
-    else
-        diff.regressed = diff.deltaPct > limit_pct;
+    // Judged on the log ratio in the bad direction: a rate that
+    // halves and a time that doubles are the same regression, and a
+    // rate that drops to zero is an unbounded one.
+    const double up_log = cand > 0 ? std::log(cand / base)
+                                   : -std::numeric_limits<double>::infinity();
+    const double bad_log = higher_is_better ? -up_log : up_log;
+    const double limit_log = std::log(band) * relax;
+    diff.limitFactor = std::exp(limit_log);
+    diff.regressed = bad_log > limit_log;
+    diff.improved = -bad_log > limit_log;
     diffs.push_back(std::move(diff));
 }
 
@@ -403,9 +412,8 @@ compareBenchReports(const JsonValue &baseline,
         for (const std::string &key : metric.path)
             name += (name.empty() ? "" : ".") + key;
         compareOne(diffs, name, numberAt(baseline, metric.path),
-                   numberAt(candidate, metric.path),
-                   metric.limitPct * relax, metric.higherIsBetter,
-                   metric.floor);
+                   numberAt(candidate, metric.path), metric.band,
+                   relax, metric.higherIsBetter, metric.floor);
     }
 
     if (const JsonValue *percentiles =
@@ -414,17 +422,15 @@ compareBenchReports(const JsonValue &baseline,
              percentiles->object) {
             if (!quantiles.isObject())
                 continue;
-            const double family_pct =
-                hist.rfind("eventlog.", 0) == 0
-                    ? limits.eventlogPct
-                    : limits.percentilePct;
+            const double band = hist.rfind("eventlog.", 0) == 0
+                                    ? limits.eventlog
+                                    : limits.percentile;
             for (const char *q : {"p50", "p95", "p99"})
                 compareOne(
                     diffs, "percentiles." + hist + "." + q,
                     numberAt(baseline, {"percentiles", hist, q}),
                     numberAt(candidate, {"percentiles", hist, q}),
-                    family_pct * relax, false,
-                    limits.minSeconds);
+                    band, relax, false, limits.minSeconds);
         }
     }
 
@@ -440,13 +446,13 @@ compareBenchReports(const JsonValue &baseline,
             compareOne(diffs, "micro." + name + ".min_seconds",
                        row.numberOr("min_seconds", NAN),
                        other->numberOr("min_seconds", NAN),
-                       limits.microPct * relax, false,
+                       limits.micro, relax, false,
                        limits.minSeconds / 100);
             compareOne(diffs,
                        "micro." + name + ".items_per_second",
                        row.numberOr("items_per_second", NAN),
                        other->numberOr("items_per_second", NAN),
-                       limits.microPct * relax, true,
+                       limits.micro, relax, true,
                        limits.minPerSecond);
         }
     }

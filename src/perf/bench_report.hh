@@ -97,16 +97,18 @@ struct MetricDiff
     double deltaPct = 0;
 
     /**
-     * Allowed noise band in percent. It bounds deltaPct of a
-     * lower-is-better metric and the slowdown factor
-     * (baseline/candidate - 1) of a higher-is-better one.
+     * Allowed noise band, --relax applied: the factor the metric may
+     * move by in its bad direction (candidate/baseline for a
+     * lower-is-better metric, baseline/candidate for a rate).
      */
-    double limitPct = 0;
+    double limitFactor = 1;
 
     /** Direction: throughput regresses down, seconds/RSS up. */
     bool higherIsBetter = false;
 
+    /** Moved beyond limitFactor in the bad / the good direction. */
     bool regressed = false;
+    bool improved = false;
 };
 
 /**
@@ -116,7 +118,10 @@ struct MetricDiff
  */
 struct DiffOptions
 {
-    /** Multiplies every noise band (CLI --relax). */
+    /**
+     * Multiplies the logarithm of every noise band (CLI --relax): a
+     * band of factor b admits b^relax.
+     */
     double relax = 1.0;
 
     /**

@@ -1,6 +1,7 @@
 #include "service/service.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <limits>
@@ -300,17 +301,25 @@ profileTenantTrace(const std::vector<CoreTrace> &traces)
     return profile;
 }
 
-/** Per-tenant state; touched only by the home shard's task. */
+/**
+ * Per-tenant state. The prepare task writes the prepared stream once;
+ * after it the home shard's task and the tenant's solo task run side
+ * by side, both reading the prepared stream, each writing only its
+ * own fields.
+ */
 struct PlacementService::Tenant
 {
     TenantSpec spec;
     unsigned shard = 0;
 
-    std::vector<CoreTrace> traces;
-    PageProfile profile;
+    // Prepared stream: written by the prepare task, then read-only.
+    /** The trace cut into its global epochs' slices. */
+    std::vector<std::vector<CoreTrace>> slices;
     std::vector<std::pair<PageId, PageStats>> ranking;
     double meanAvf = 0;
+    double meanHotness = 0;
 
+    // Shared run: written by the home shard's task only.
     /** Demand of the next arbitration round (previous working set). */
     std::uint64_t demand = 0;
     std::uint64_t grant = 0;
@@ -318,7 +327,6 @@ struct PlacementService::Tenant
     std::uint64_t requests = 0;
     std::uint64_t instructions = 0;
     Cycle makespan = 0;
-    Cycle soloMakespan = 0;
     double ser = 0;
     double hbmPagesSum = 0;
     double hbmShareSum = 0;
@@ -332,20 +340,30 @@ struct PlacementService::Tenant
     std::vector<std::uint64_t> grantByEpoch;
     std::vector<double> shareByEpoch;
     std::vector<Cycle> makespanByEpoch;
-    std::vector<Cycle> soloMakespanByEpoch;
     /** @} */
+
+    // Solo baseline: written by the tenant's solo task only.
+    std::uint64_t soloRequests = 0;
+    Cycle soloMakespan = 0;
+    std::vector<Cycle> soloMakespanByEpoch;
 };
 
-/** Per-shard state; owned by exactly one pool task for the run. */
+/**
+ * Per-shard state; owned by exactly one pool task for the run. The
+ * shard's PlacementMap lives inside that task; the fold reads only
+ * the snapshot the task leaves here.
+ */
 struct PlacementService::Shard
 {
     explicit Shard(std::uint64_t capacity_pages)
-        : map(capacity_pages)
+        : hbmCapacityPages(capacity_pages)
     {
     }
 
-    PlacementMap map;
     std::vector<std::size_t> tenantIdx;
+    /** The map's surviving capacity and occupancy at the run's end. */
+    std::uint64_t hbmCapacityPages;
+    std::uint64_t hbmUsedPages = 0;
     std::uint64_t rounds = 0;
     std::uint64_t clips = 0;
     std::uint64_t moves = 0;
@@ -370,12 +388,13 @@ namespace
 {
 
 using Tenant = PlacementService::Tenant;
+using RankHandles = PlacementService::RankHandles;
 
 /** The tenant's hot set: pages at or above the mean hotness. */
 std::uint64_t
 hotSetPages(const Tenant &tenant)
 {
-    const double mean = tenant.profile.meanHotness();
+    const double mean = tenant.meanHotness;
     std::uint64_t hot = 0;
     for (const auto &entry : tenant.ranking) {
         if (static_cast<double>(entry.second.hotness()) < mean)
@@ -410,13 +429,29 @@ emitMoveRecord(eventlog::EventKind kind, PageId page,
 }
 
 /**
+ * The map's handle of every ranking entry, in ranking order. Taking
+ * them inserts every ranked page up front, which changes only the
+ * map's hbmPages() order; the service sorts what it reads from there.
+ */
+RankHandles
+rankHandles(PlacementMap &map, const Tenant &tenant)
+{
+    RankHandles handles;
+    handles.reserve(tenant.ranking.size());
+    for (const auto &entry : tenant.ranking)
+        handles.push_back(map.handleOf(entry.first));
+    return handles;
+}
+
+/**
  * Drive one tenant's HBM set toward the first `grant` entries of its
  * hotness ranking, demotions (coldest first, freeing frames) before
  * promotions (hottest first), each capped by its budget.
  */
 std::uint64_t
-rebalanceTenant(PlacementMap &map, Tenant &tenant,
-                std::uint64_t grant, std::uint64_t promote_budget,
+rebalanceTenant(PlacementMap &map, const Tenant &tenant,
+                const RankHandles &handles, std::uint64_t grant,
+                std::uint64_t promote_budget,
                 std::uint64_t demote_budget, unsigned epoch)
 {
     const std::size_t target = std::min<std::size_t>(
@@ -427,7 +462,7 @@ rebalanceTenant(PlacementMap &map, Tenant &tenant,
     for (std::size_t i = tenant.ranking.size();
          i-- > target && demotes < demote_budget;) {
         const PageId page = tenant.ranking[i].first;
-        if (map.memoryOf(page) != MemoryId::HBM ||
+        if (map.memoryOf(handles[i]) != MemoryId::HBM ||
             map.isPinned(page))
             continue;
         if (map.moveRange(page, 1, MemoryId::DDR) == 1) {
@@ -442,7 +477,7 @@ rebalanceTenant(PlacementMap &map, Tenant &tenant,
     for (std::size_t i = 0;
          i < target && promotes < promote_budget; ++i) {
         const PageId page = tenant.ranking[i].first;
-        if (map.memoryOf(page) == MemoryId::HBM ||
+        if (map.memoryOf(handles[i]) == MemoryId::HBM ||
             map.isRetired(page))
             continue;
         if (map.hbmFreePages() == 0)
@@ -459,7 +494,7 @@ rebalanceTenant(PlacementMap &map, Tenant &tenant,
 
 /** Initial placement: the grant prefix of the ranking goes to HBM. */
 void
-placeTenantInitial(PlacementMap &map, Tenant &tenant,
+placeTenantInitial(PlacementMap &map, const Tenant &tenant,
                    std::uint64_t grant)
 {
     const std::size_t target = std::min<std::size_t>(
@@ -485,13 +520,36 @@ placeTenantInitial(PlacementMap &map, Tenant &tenant,
 
 /** The tenant's currently HBM-resident page count. */
 std::uint64_t
-residentHbmPages(const PlacementMap &map, const Tenant &tenant)
+residentHbmPages(const PlacementMap &map, const RankHandles &handles)
 {
     std::uint64_t resident = 0;
-    for (const auto &entry : tenant.ranking)
-        if (map.memoryOf(entry.first) == MemoryId::HBM)
+    for (const PlacementMap::Handle handle : handles)
+        if (map.memoryOf(handle) == MemoryId::HBM)
             ++resident;
     return resident;
+}
+
+/**
+ * Build a tenant's stream, cut it into `epochs` slices, and rank its
+ * pages (one task). Only the slices, the ranking and two means
+ * outlive the task.
+ */
+void
+prepareTenant(Tenant &tenant, unsigned epochs)
+{
+    RAMP_PROF_SCOPE(prepare_prof, "service.prepare");
+    eventlog::TenantScope tenant_scope(tenant.spec.id);
+    eventlog::RunScope scope("svc/" + tenant.spec.name + "/prepare");
+    const std::vector<CoreTrace> traces = buildTenantTrace(tenant.spec);
+    const PageProfile profile = profileTenantTrace(traces);
+    tenant.ranking = profile.sortedByDescending(
+        [](const PageStats &stats) { return stats.hotness(); });
+    tenant.meanAvf = profile.meanAvf();
+    tenant.meanHotness = profile.meanHotness();
+    tenant.demand = hotSetPages(tenant);
+    tenant.slices.reserve(epochs);
+    for (unsigned epoch = 0; epoch < epochs; ++epoch)
+        tenant.slices.push_back(epochSlice(traces, epoch, epochs));
 }
 
 double
@@ -592,6 +650,7 @@ PlacementService::shardOfTenant(std::uint32_t tenant_id) const
 ServiceResult
 PlacementService::run(runner::ThreadPool &pool)
 {
+    const auto started = std::chrono::steady_clock::now();
     ServiceResult result;
     if (tenants_.empty())
         return result;
@@ -611,17 +670,34 @@ PlacementService::run(runner::ThreadPool &pool)
     for (std::size_t i = 0; i < tenants_.size(); ++i)
         shards[tenants_[i].shard].tenantIdx.push_back(i);
 
-    // One pool task per shard owns the shard's map and its tenants'
-    // state for the whole run — DAOS-style single-threaded shards.
-    pool.runIndexed(shards.size(), [&](std::size_t s) {
-        runShard(shards[s], static_cast<unsigned>(s));
+    // Prepare every tenant stream: trace, epoch slices, ranking.
+    pool.runIndexed(tenants_.size(), [&](std::size_t i) {
+        prepareTenant(tenants_[i], config_.epochs);
     });
 
-    if (config_.soloBaselines) {
-        pool.runIndexed(tenants_.size(), [&](std::size_t i) {
-            runSolo(tenants_[i]);
-        });
-    }
+    // Then one batch with no barrier inside: the shard tasks, longest
+    // first (most tenants; ties by shard index), then one solo task
+    // per tenant filling the workers the shorter shards free. One
+    // shard task owns the shard's map and its tenants' shared-run
+    // state for the whole run (DAOS-style single-threaded shards); a
+    // solo task reads only its tenant's prepared stream and writes
+    // only the solo fields.
+    std::vector<std::size_t> order(shards.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return shards[a].tenantIdx.size() >
+                                shards[b].tenantIdx.size();
+                     });
+    const std::size_t solos =
+        config_.soloBaselines ? tenants_.size() : 0;
+    pool.runIndexed(order.size() + solos, [&](std::size_t k) {
+        if (k < order.size())
+            runShard(shards[order[k]],
+                     static_cast<unsigned>(order[k]));
+        else
+            runSolo(tenants_[k - order.size()]);
+    });
 
     // Fold the per-shard and per-tenant state into the result (the
     // pool has drained; everything below is single-threaded).
@@ -659,6 +735,7 @@ PlacementService::run(runner::ThreadPool &pool)
         tr.meanAvf = tenant.meanAvf;
         tr.degraded = tenant.degraded;
         result.totalRequests += tenant.requests;
+        result.soloRequests += tenant.soloRequests;
         result.totalInstructions += tenant.instructions;
         result.quotaClips += tenant.clips;
         result.rebalanceMoves += tenant.moved;
@@ -672,8 +749,8 @@ PlacementService::run(runner::ThreadPool &pool)
         ShardResult sr;
         sr.shard = static_cast<unsigned>(s);
         sr.tenants = shard.tenantIdx.size();
-        sr.hbmCapacityPages = shard.map.hbmCapacityPages();
-        sr.hbmUsedPages = shard.map.hbmUsedPages();
+        sr.hbmCapacityPages = shard.hbmCapacityPages;
+        sr.hbmUsedPages = shard.hbmUsedPages;
         sr.faultsApplied = shard.faults;
         sr.capacityLostPages = shard.capacityLost;
         sr.pagesRetired = shard.retired;
@@ -809,13 +886,22 @@ PlacementService::run(runner::ThreadPool &pool)
         telemetry::metrics()
             .gauge("service.p99_slowdown")
             .set(result.p99Slowdown);
+        // Host time: the denominator of the BENCH document's
+        // aggregate service throughput.
+        telemetry::metrics()
+            .gauge("service.run_seconds")
+            .set(std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - started)
+                     .count());
     });
     return result;
 }
 
 void
-PlacementService::applyShardFaults(Shard &shard, unsigned shard_index,
-                                   unsigned global_epoch)
+PlacementService::applyShardFaults(
+    Shard &shard, PlacementMap &map,
+    const std::vector<RankHandles> &handles, unsigned shard_index,
+    unsigned global_epoch)
 {
     if (shard_index != config_.faultShard)
         return;
@@ -853,7 +939,7 @@ PlacementService::applyShardFaults(Shard &shard, unsigned shard_index,
                 // shard's current (sorted) HBM population, so a plan
                 // written without knowledge of the routing still
                 // lands on resident pages.
-                auto population = shard.map.hbmPages();
+                auto population = map.hbmPages();
                 if (population.empty())
                     break;
                 std::sort(population.begin(), population.end());
@@ -863,7 +949,7 @@ PlacementService::applyShardFaults(Shard &shard, unsigned shard_index,
                 const std::uint32_t owner = tenantOfPage(victim);
                 eventlog::TenantScope tenant_scope(owner);
                 const RetireOutcome outcome =
-                    shard.map.retirePage(victim);
+                    map.retirePage(victim);
                 if (!outcome.retired)
                     continue;
                 ++shard.retired;
@@ -891,11 +977,10 @@ PlacementService::applyShardFaults(Shard &shard, unsigned shard_index,
             std::uint64_t pages = event.pages;
             if (pages == 0 && event.pct > 0)
                 pages = static_cast<std::uint64_t>(
-                    static_cast<double>(
-                        shard.map.hbmCapacityPages()) *
+                    static_cast<double>(map.hbmCapacityPages()) *
                     event.pct / 100.0);
             const std::uint64_t lost =
-                shard.map.loseCapacity(MemoryId::HBM, pages);
+                map.loseCapacity(MemoryId::HBM, pages);
             shard.capacityLost += lost;
             if (lost > 0)
                 shard.degraded = true;
@@ -908,29 +993,25 @@ PlacementService::applyShardFaults(Shard &shard, unsigned shard_index,
                 record.partner = invalidPage;
                 record.span = static_cast<std::uint32_t>(
                     std::min<std::uint64_t>(lost, UINT32_MAX));
-                record.hotness = static_cast<float>(
-                    shard.map.overfullHbmPages());
+                record.hotness =
+                    static_cast<float>(map.overfullHbmPages());
                 eventlog::emit(record);
             });
             // Emergency sweep: demote the coldest residents across
             // the shard's tenants (id order) until within budget.
-            for (auto it = shard.tenantIdx.rbegin();
-                 it != shard.tenantIdx.rend() &&
-                 shard.map.overfullHbmPages() > 0;
-                 ++it) {
-                Tenant &tenant = tenants_[*it];
+            for (std::size_t t = shard.tenantIdx.size();
+                 t-- > 0 && map.overfullHbmPages() > 0;) {
+                Tenant &tenant = tenants_[shard.tenantIdx[t]];
                 eventlog::TenantScope tenant_scope(
                     tenant.spec.id);
                 for (std::size_t i = tenant.ranking.size();
-                     i-- > 0 &&
-                     shard.map.overfullHbmPages() > 0;) {
+                     i-- > 0 && map.overfullHbmPages() > 0;) {
                     const PageId page = tenant.ranking[i].first;
-                    if (shard.map.memoryOf(page) !=
+                    if (map.memoryOf(handles[t][i]) !=
                             MemoryId::HBM ||
-                        shard.map.isPinned(page))
+                        map.isPinned(page))
                         continue;
-                    if (shard.map.moveRange(page, 1,
-                                            MemoryId::DDR) == 1) {
+                    if (map.moveRange(page, 1, MemoryId::DDR) == 1) {
                         ++tenant.moved;
                         emitMoveRecord(eventlog::EventKind::Evict,
                                        page,
@@ -951,24 +1032,18 @@ PlacementService::runShard(Shard &shard, unsigned shard_index)
     if (shard.tenantIdx.empty())
         return;
 
-    // Prepare every tenant stream once: trace, profile, ranking.
-    for (const std::size_t idx : shard.tenantIdx) {
-        Tenant &tenant = tenants_[idx];
-        eventlog::TenantScope tenant_scope(tenant.spec.id);
-        eventlog::RunScope scope("svc/" + tenant.spec.name +
-                                 "/prepare");
-        tenant.traces = buildTenantTrace(tenant.spec);
-        tenant.profile = profileTenantTrace(tenant.traces);
-        tenant.ranking = tenant.profile.sortedByDescending(
-            [](const PageStats &stats) { return stats.hotness(); });
-        tenant.meanAvf = tenant.profile.meanAvf();
-        tenant.demand = hotSetPages(tenant);
-    }
+    // The map lives for this task only; it is freed here, on this
+    // worker, not after the pool drains.
+    PlacementMap map(shardCapacity());
+    std::vector<RankHandles> handles;
+    handles.reserve(shard.tenantIdx.size());
+    for (const std::size_t idx : shard.tenantIdx)
+        handles.push_back(rankHandles(map, tenants_[idx]));
 
     for (unsigned epoch = 0; epoch < config_.epochs; ++epoch) {
         RAMP_PROF_SCOPE_PMU(epoch_prof, "service.global_epoch");
         RAMP_OBS(Telemetry, serviceTelemetry().epochs.add(1));
-        applyShardFaults(shard, shard_index, epoch + 1);
+        applyShardFaults(shard, map, handles, shard_index, epoch + 1);
 
         // Arbitrate the surviving capacity across the shard's
         // tenants, then steer each tenant's HBM set toward its
@@ -989,9 +1064,8 @@ PlacementService::runShard(Shard &shard, unsigned shard_index)
         }
         std::uint64_t clipped = 0;
         const std::vector<std::uint64_t> grants =
-            arbitrate(config_.arbiter,
-                      shard.map.hbmCapacityPages(), demands,
-                      &clipped);
+            arbitrate(config_.arbiter, map.hbmCapacityPages(),
+                      demands, &clipped);
         ++shard.rounds;
         shard.clips += clipped;
         RAMP_OBS(Telemetry, {
@@ -1012,11 +1086,10 @@ PlacementService::runShard(Shard &shard, unsigned shard_index)
                     std::to_string(epoch));
                 std::uint64_t moved = 0;
                 if (epoch == 0) {
-                    placeTenantInitial(shard.map, tenant,
-                                       tenant.grant);
+                    placeTenantInitial(map, tenant, tenant.grant);
                 } else {
                     moved = rebalanceTenant(
-                        shard.map, tenant, tenant.grant,
+                        map, tenant, handles[t], tenant.grant,
                         config_.promoteBudgetPages,
                         config_.demoteBudgetPages, epoch);
                 }
@@ -1024,7 +1097,7 @@ PlacementService::runShard(Shard &shard, unsigned shard_index)
                 RAMP_OBS(Telemetry, serviceTelemetry().moves.add(moved));
 
                 const std::uint64_t resident =
-                    residentHbmPages(shard.map, tenant);
+                    residentHbmPages(map, handles[t]);
                 const double share =
                     tenant.ranking.empty()
                         ? 0.0
@@ -1062,14 +1135,14 @@ PlacementService::runShard(Shard &shard, unsigned shard_index)
                     eventlog::emit(record);
                 });
 
-                const std::vector<CoreTrace> slice = epochSlice(
-                    tenant.traces, epoch, config_.epochs);
+                const std::vector<CoreTrace> &slice =
+                    tenant.slices[epoch];
                 Cycle epoch_makespan = 0;
                 if (sliceRequests(slice) > 0) {
                     HmaSystem system(system_);
                     const SimResult epoch_result =
-                        system.runInPlace(slice, shard.map,
-                                          nullptr, nullptr);
+                        system.runInPlace(slice, map, nullptr,
+                                          nullptr);
                     epoch_makespan = epoch_result.makespan;
                     tenant.makespan += epoch_result.makespan;
                     tenant.requests += epoch_result.requests;
@@ -1091,17 +1164,17 @@ PlacementService::runShard(Shard &shard, unsigned shard_index)
         std::uint64_t shard_moved = 0;
         for (const std::size_t idx : shard.tenantIdx)
             shard_moved += tenants_[idx].moved;
-        shard.usedByEpoch.push_back(shard.map.hbmUsedPages());
-        shard.capacityByEpoch.push_back(
-            shard.map.hbmCapacityPages());
-        shard.backlogByEpoch.push_back(
-            shard.map.overfullHbmPages());
+        shard.usedByEpoch.push_back(map.hbmUsedPages());
+        shard.capacityByEpoch.push_back(map.hbmCapacityPages());
+        shard.backlogByEpoch.push_back(map.overfullHbmPages());
         shard.retiredByEpoch.push_back(shard.retired);
         shard.faultsByEpoch.push_back(shard.faults);
         shard.lostByEpoch.push_back(shard.capacityLost);
         shard.movedByEpoch.push_back(shard_moved);
         shard.degradedByEpoch.push_back(shard.degraded ? 1 : 0);
     }
+    shard.hbmCapacityPages = map.hbmCapacityPages();
+    shard.hbmUsedPages = map.hbmUsedPages();
 }
 
 void
@@ -1110,6 +1183,7 @@ PlacementService::runSolo(Tenant &tenant)
     RAMP_OBS(Telemetry, serviceTelemetry().solos.add(1));
     eventlog::TenantScope tenant_scope(tenant.spec.id);
     PlacementMap map(shardCapacity());
+    const RankHandles handles = rankHandles(map, tenant);
     std::uint64_t demand = hotSetPages(tenant);
     for (unsigned epoch = 0; epoch < config_.epochs; ++epoch) {
         eventlog::RunScope scope("svc-solo/" + tenant.spec.name +
@@ -1119,11 +1193,10 @@ PlacementService::runSolo(Tenant &tenant)
         if (epoch == 0)
             placeTenantInitial(map, tenant, grant);
         else
-            rebalanceTenant(map, tenant, grant,
+            rebalanceTenant(map, tenant, handles, grant,
                             config_.promoteBudgetPages,
                             config_.demoteBudgetPages, epoch);
-        const std::vector<CoreTrace> slice =
-            epochSlice(tenant.traces, epoch, config_.epochs);
+        const std::vector<CoreTrace> &slice = tenant.slices[epoch];
         if (sliceRequests(slice) == 0) {
             tenant.soloMakespanByEpoch.push_back(0);
             continue;
@@ -1131,6 +1204,7 @@ PlacementService::runSolo(Tenant &tenant)
         HmaSystem system(system_);
         const SimResult epoch_result =
             system.runInPlace(slice, map, nullptr, nullptr);
+        tenant.soloRequests += epoch_result.requests;
         tenant.soloMakespan += epoch_result.makespan;
         tenant.soloMakespanByEpoch.push_back(epoch_result.makespan);
         demand = std::max<std::uint64_t>(

@@ -8,12 +8,13 @@
  * many tenants compete for one scarce reliable tier. A
  * PlacementService owns N shards. Each shard is self-contained — a
  * PlacementMap plus the HmaSystem runs replaying its tenants'
- * substreams — and every shard's work executes as one runner-pool
- * task per global epoch, so shard metadata is single-threaded by
+ * substreams — and a shard's whole epoch loop executes as one
+ * runner-pool task, so shard metadata is single-threaded by
  * construction (DAOS-style per-target ownership: no shard state is
  * ever touched by two threads at once, and results are collected in
  * shard order, so any --jobs width reproduces the serial run
- * bit-exactly).
+ * bit-exactly). The solo baselines run as one task per tenant in the
+ * same pool batch, beside the shard tasks (DESIGN.md §13).
  *
  * Tenants are admitted as TenantSpec streams and routed to a home
  * shard by a deterministic hash of the tenant id (the routing block
@@ -293,8 +294,12 @@ struct ServiceResult
     std::uint64_t arbitrationRounds = 0;
     std::uint64_t quotaClips = 0;
     std::uint64_t rebalanceMoves = 0;
+    /** Requests of the shared run, summed over tenants. */
     std::uint64_t totalRequests = 0;
     std::uint64_t totalInstructions = 0;
+
+    /** Requests the solo baselines replayed (0 without them). */
+    std::uint64_t soloRequests = 0;
 
     /** Jain index over per-tenant mean HBM pages (1 = fair). */
     double fairnessIndex = 1.0;
@@ -327,6 +332,9 @@ class PlacementService
     /** Opaque per-tenant / per-shard run state (defined in the cc). */
     struct Tenant;
     struct Shard;
+
+    /** A tenant's ranking entries' handles in one map, in order. */
+    using RankHandles = std::vector<PlacementMap::Handle>;
 
     PlacementService(const SystemConfig &system, ServiceConfig config);
 
@@ -363,9 +371,13 @@ class PlacementService
     /** Run one tenant alone at full shard capacity (solo baseline). */
     void runSolo(Tenant &tenant);
 
-    /** Land the epoch's composed faults on the struck shard. */
-    void applyShardFaults(Shard &shard, unsigned shard_index,
-                          unsigned global_epoch);
+    /**
+     * Land the epoch's composed faults on the struck shard's map;
+     * `handles` holds each shard tenant's ranking handles in `map`.
+     */
+    void applyShardFaults(Shard &shard, PlacementMap &map,
+                          const std::vector<RankHandles> &handles,
+                          unsigned shard_index, unsigned global_epoch);
 };
 
 } // namespace ramp::service

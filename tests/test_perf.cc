@@ -331,6 +331,38 @@ TEST(BenchReport, UnmeasuredThroughputRendersAsNull)
     EXPECT_TRUE(accesses->isNull());
 }
 
+TEST(BenchReport, ServiceAggregateCountsEveryAccessOverRunSeconds)
+{
+    // 1000 accesses (shared and solo alike) in a 0.5 s service run
+    // inside a 2 s process.
+    BenchReportSpec spec = sampleSpec();
+    spec.metrics.counters["service.streams_admitted"] = 4;
+    spec.metrics.counters["service.requests_served"] = 500;
+    spec.metrics.gauges["service.run_seconds"] = 0.5;
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(perf::parseJson(perf::renderBenchReport(spec), doc,
+                                error))
+        << error;
+    ASSERT_NE(doc.find("service"), nullptr);
+    EXPECT_DOUBLE_EQ(doc.find("service")->numberOr(
+                         "aggregate_accesses_per_second", 0),
+                     2000.0);
+    EXPECT_DOUBLE_EQ(doc.find("throughput")->numberOr(
+                         "accesses_per_second", 0),
+                     500.0);
+
+    // Without the run's seconds the aggregate is unmeasured.
+    spec.metrics.gauges.erase("service.run_seconds");
+    ASSERT_TRUE(perf::parseJson(perf::renderBenchReport(spec), doc,
+                                error))
+        << error;
+    const JsonValue *aggregate =
+        doc.find("service")->find("aggregate_accesses_per_second");
+    ASSERT_NE(aggregate, nullptr);
+    EXPECT_TRUE(aggregate->isNull());
+}
+
 TEST(BenchDiff, IdenticalDocumentsHaveNoRegressions)
 {
     const std::string json = perf::renderBenchReport(sampleSpec());
@@ -404,73 +436,103 @@ numberSlot(JsonValue &doc, const std::vector<std::string> &path)
     return node->number;
 }
 
-TEST(BenchDiff, RateCollapsesFailUnderCiRelax)
+TEST(BenchDiff, TwoXSlowdownFailsEveryFamilyUnderCiRelax)
 {
-    // One rate per family; micro rows live in an array, so the micro
-    // rate is scaled in place below.
-    struct Rate
+    // One metric per family. Micro rows live in an array, so they
+    // are addressed by field name below.
+    struct Metric
     {
-        const char *metric;
+        const char *name;
         std::vector<std::string> path;
-        /** (3 - 1) x 100% is above the family's band at --relax 4. */
-        bool failsAt3x;
+        const char *microField;
+        double value;
+        bool higherIsBetter;
     };
-    const Rate rates[] = {
+    const Metric metrics[] = {
+        {"wall_seconds", {"wall_seconds"}, nullptr, 2.0, false},
         {"throughput.accesses_per_second",
-         {"throughput", "accesses_per_second"}, true},
-        {"service.aggregate_accesses_per_second",
-         {"service", "aggregate_accesses_per_second"}, true},
-        // The eventlog (60% x 4) and micro (50% x 4) bands reach a
-        // 200% slowdown, so only the 10x collapse is certain to fail.
+         {"throughput", "accesses_per_second"}, nullptr, 1e6, true},
         {"throughput.events_per_second",
-         {"throughput", "events_per_second"}, false},
-        {"micro.kernel.items_per_second", {}, false},
+         {"throughput", "events_per_second"}, nullptr, 1e6, true},
+        {"service.aggregate_accesses_per_second",
+         {"service", "aggregate_accesses_per_second"}, nullptr, 1e6,
+         true},
+        {"service.fairness_index", {"service", "fairness_index"},
+         nullptr, 0.9, true},
+        {"service.p99_slowdown", {"service", "p99_slowdown"}, nullptr,
+         1.5, false},
+        {"health.alerts", {"health", "alerts"}, nullptr, 10, false},
+        {"resources.peak_rss_bytes", {"resources", "peak_rss_bytes"},
+         nullptr, 1e9, false},
+        {"percentiles.pool.task_seconds.p50",
+         {"percentiles", "pool.task_seconds", "p50"}, nullptr, 0.5,
+         false},
+        {"percentiles.eventlog.drain_seconds.p99",
+         {"percentiles", "eventlog.drain_seconds", "p99"}, nullptr,
+         0.5, false},
+        {"micro.kernel.min_seconds", {}, "min_seconds", 0.008, false},
+        {"micro.kernel.items_per_second", {}, "items_per_second",
+         12500, true},
     };
     JsonValue base;
     std::string error;
     ASSERT_TRUE(perf::parseJson(perf::renderBenchReport(sampleSpec()),
                                 base, error))
         << error;
-    for (const Rate &rate : rates)
-        if (!rate.path.empty())
-            numberSlot(base, rate.path) = 1e6;
+    const auto slot = [](JsonValue &doc, const Metric &metric)
+        -> double & {
+        if (metric.microField != nullptr)
+            return doc.object["microbenchmarks"]
+                .array[0]
+                .object[metric.microField]
+                .number;
+        return numberSlot(doc, metric.path);
+    };
+    for (const Metric &metric : metrics)
+        slot(base, metric) = metric.value;
 
     const DiffOptions ci{.relax = 4.0, .families = {}};
-    for (const double factor : {1.5, 3.0, 10.0}) {
-        for (const Rate &rate : rates) {
-            SCOPED_TRACE(std::string(rate.metric) + " falls " +
+    // factor > 1 moves the metric the bad way, < 1 the good way.
+    for (const double factor : {2.0, 3.0, 10.0, 1.5, 0.5}) {
+        for (const Metric &metric : metrics) {
+            SCOPED_TRACE(std::string(metric.name) + " worse by " +
                          std::to_string(factor) + "x");
             JsonValue cand = base;
-            if (rate.path.empty())
-                cand.object["microbenchmarks"]
-                    .array[0]
-                    .object["items_per_second"]
-                    .number /= factor;
-            else
-                numberSlot(cand, rate.path) /= factor;
+            double &value = slot(cand, metric);
+            value = metric.higherIsBetter ? value / factor
+                                          : value * factor;
             const auto diffs =
                 perf::compareBenchReports(base, cand, ci, error);
             ASSERT_TRUE(error.empty()) << error;
             const perf::MetricDiff *diff = nullptr;
             for (const auto &d : diffs) {
-                if (d.name == rate.metric)
+                if (d.name == metric.name)
                     diff = &d;
                 else
-                    EXPECT_FALSE(d.regressed) << d.name;
+                    EXPECT_FALSE(d.regressed || d.improved) << d.name;
             }
             ASSERT_NE(diff, nullptr);
-            // The printed delta stays linear; the verdict follows the
-            // slowdown factor.
-            EXPECT_NEAR(diff->deltaPct, (1.0 / factor - 1.0) * 100.0,
+            // The printed delta stays linear.
+            EXPECT_NEAR(diff->deltaPct,
+                        ((metric.higherIsBetter ? 1.0 / factor
+                                                : factor) -
+                         1.0) * 100.0,
                         1e-9);
-            EXPECT_EQ(diff->regressed,
-                      (diff->baseline / diff->candidate - 1.0) * 100.0 >
-                          diff->limitPct);
-            if (factor == 10.0 || (factor == 3.0 && rate.failsAt3x)) {
+            // The band is a factor, symmetric in direction.
+            EXPECT_GT(diff->limitFactor, 1.0);
+            EXPECT_EQ(diff->regressed, factor > diff->limitFactor);
+            EXPECT_EQ(diff->improved, 1.0 / factor > diff->limitFactor);
+            if (factor >= 2.0) {
                 EXPECT_TRUE(diff->regressed);
             }
+            // Only the near-noise-free fairness index fails at 1.5x.
             if (factor == 1.5) {
-                EXPECT_FALSE(diff->regressed);
+                EXPECT_EQ(diff->regressed,
+                          std::string(metric.name) ==
+                              "service.fairness_index");
+            }
+            if (factor == 0.5) {
+                EXPECT_TRUE(diff->improved);
             }
         }
     }

@@ -8,15 +8,23 @@
  * the fair-share quota), the fair-share vs reliability-weighted
  * ordering on a hand-built two-tenant contention scenario, and
  * bit-exactness of a single-tenant single-shard service run against
- * the same workload driven through a bare HmaSystem.
+ * the same workload driven through a bare HmaSystem. The shard tasks
+ * and the solo-baseline tasks share one pool batch, so the whole
+ * published output (result, ledger, timeline) is compared across
+ * --jobs widths.
  */
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <gtest/gtest.h>
 
+#include "common/obs.hh"
+#include "eventlog/eventlog.hh"
+#include "health/health.hh"
 #include "runner/pool.hh"
 #include "service/service.hh"
+#include "telemetry/telemetry.hh"
 
 namespace ramp
 {
@@ -119,6 +127,148 @@ TEST(ServiceRouting, ResultsInvariantUnderJobs)
     EXPECT_DOUBLE_EQ(serial.fairnessIndex, wide.fairnessIndex);
     EXPECT_EQ(serial.quotaClips, wide.quotaClips);
     EXPECT_EQ(serial.rebalanceMoves, wide.rebalanceMoves);
+}
+
+/** Bitwise double equality (NaN equals NaN). */
+void
+expectSameBits(double a, double b)
+{
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a),
+              std::bit_cast<std::uint64_t>(b))
+        << a << " vs " << b;
+}
+
+/** Every ServiceResult field, bit for bit. */
+void
+expectSameServiceResult(const service::ServiceResult &a,
+                        const service::ServiceResult &b)
+{
+    ASSERT_EQ(a.tenants.size(), b.tenants.size());
+    for (std::size_t i = 0; i < a.tenants.size(); ++i) {
+        const service::TenantResult &x = a.tenants[i];
+        const service::TenantResult &y = b.tenants[i];
+        SCOPED_TRACE(x.name);
+        EXPECT_EQ(x.name, y.name);
+        EXPECT_EQ(x.id, y.id);
+        EXPECT_EQ(x.shard, y.shard);
+        EXPECT_EQ(x.requests, y.requests);
+        EXPECT_EQ(x.instructions, y.instructions);
+        EXPECT_EQ(x.makespan, y.makespan);
+        EXPECT_EQ(x.soloMakespan, y.soloMakespan);
+        expectSameBits(x.slowdown, y.slowdown);
+        expectSameBits(x.ipc, y.ipc);
+        expectSameBits(x.meanHbmShare, y.meanHbmShare);
+        expectSameBits(x.meanHbmPages, y.meanHbmPages);
+        EXPECT_EQ(x.grantedPages, y.grantedPages);
+        EXPECT_EQ(x.demandPages, y.demandPages);
+        EXPECT_EQ(x.quotaClips, y.quotaClips);
+        EXPECT_EQ(x.movedPages, y.movedPages);
+        EXPECT_EQ(x.pagesRetired, y.pagesRetired);
+        expectSameBits(x.ser, y.ser);
+        expectSameBits(x.meanAvf, y.meanAvf);
+        EXPECT_EQ(x.degraded, y.degraded);
+    }
+    ASSERT_EQ(a.shards.size(), b.shards.size());
+    for (std::size_t s = 0; s < a.shards.size(); ++s) {
+        const service::ShardResult &x = a.shards[s];
+        const service::ShardResult &y = b.shards[s];
+        SCOPED_TRACE(testing::Message() << "shard " << s);
+        EXPECT_EQ(x.shard, y.shard);
+        EXPECT_EQ(x.tenants, y.tenants);
+        EXPECT_EQ(x.hbmCapacityPages, y.hbmCapacityPages);
+        EXPECT_EQ(x.hbmUsedPages, y.hbmUsedPages);
+        EXPECT_EQ(x.faultsApplied, y.faultsApplied);
+        EXPECT_EQ(x.capacityLostPages, y.capacityLostPages);
+        EXPECT_EQ(x.pagesRetired, y.pagesRetired);
+        EXPECT_EQ(x.degraded, y.degraded);
+    }
+    EXPECT_EQ(a.arbitrationRounds, b.arbitrationRounds);
+    EXPECT_EQ(a.quotaClips, b.quotaClips);
+    EXPECT_EQ(a.rebalanceMoves, b.rebalanceMoves);
+    EXPECT_EQ(a.totalRequests, b.totalRequests);
+    EXPECT_EQ(a.totalInstructions, b.totalInstructions);
+    EXPECT_EQ(a.soloRequests, b.soloRequests);
+    expectSameBits(a.fairnessIndex, b.fairnessIndex);
+    expectSameBits(a.p99Slowdown, b.p99Slowdown);
+    ASSERT_EQ(a.fairnessByEpoch.size(), b.fairnessByEpoch.size());
+    for (std::size_t e = 0; e < a.fairnessByEpoch.size(); ++e)
+        expectSameBits(a.fairnessByEpoch[e], b.fairnessByEpoch[e]);
+    ASSERT_EQ(a.p99ByEpoch.size(), b.p99ByEpoch.size());
+    for (std::size_t e = 0; e < a.p99ByEpoch.size(); ++e)
+        expectSameBits(a.p99ByEpoch[e], b.p99ByEpoch[e]);
+}
+
+/** What one observed service run publishes. */
+struct ObservedRun
+{
+    service::ServiceResult result;
+    /** Ledger records as JSON lines, sorted. */
+    std::vector<std::string> events;
+    std::string timeline;
+};
+
+/**
+ * A run with the ledger, the timeline and telemetry on: 13 tenants
+ * over 5 shards (7, 5 and 1 tenants and two empty shards, so
+ * longest-first reorders the shard tasks), solo baselines, and a
+ * storm on shard 1.
+ */
+ObservedRun
+observedRun(unsigned jobs)
+{
+    constexpr std::uint8_t layers =
+        obs::Telemetry | obs::Events | obs::Health;
+    telemetry::resetAll();
+    eventlog::reset();
+    health::reset();
+    obs::set(layers, true);
+    health::setRules(health::defaultRules());
+
+    service::ServiceConfig config;
+    config.shards = 5;
+    config.epochs = 3;
+    config.arbiter = service::ArbiterPolicy::ReliabilityWeighted;
+    config.soloBaselines = true;
+    std::string error;
+    config.faultPlan = parseFaultPlan(
+        "uncorrected:page=3,count=2,epoch=2;"
+        "capacity:tier=hbm,pct=25,epoch=2",
+        error);
+    EXPECT_TRUE(error.empty()) << error;
+    config.faultShard = 1;
+
+    ObservedRun run;
+    run.result = runService(smallConfig(), config, 13, jobs);
+    for (const eventlog::EventRecord &record : eventlog::collect())
+        run.events.push_back(eventlog::recordJson(record));
+    std::sort(run.events.begin(), run.events.end());
+    run.timeline = health::timelineJsonl("test_service");
+
+    obs::set(layers, false);
+    health::reset();
+    eventlog::reset();
+    telemetry::resetAll();
+    return run;
+}
+
+TEST(ServiceSchedule, EveryOutputInvariantUnderJobs)
+{
+    const ObservedRun serial = observedRun(1);
+    ASSERT_EQ(serial.result.shards.size(), 5u);
+    EXPECT_EQ(serial.result.soloRequests,
+              serial.result.totalRequests);
+    EXPECT_EQ(serial.result.shards[0].tenants, 0u);
+    EXPECT_GT(serial.result.shards[1].pagesRetired, 0u);
+    EXPECT_FALSE(serial.events.empty());
+    EXPECT_NE(serial.timeline.find("\"source\": \"service\""),
+              std::string::npos);
+    for (const unsigned jobs : {2u, 4u}) {
+        SCOPED_TRACE(testing::Message() << "--jobs " << jobs);
+        const ObservedRun wide = observedRun(jobs);
+        expectSameServiceResult(serial.result, wide.result);
+        EXPECT_EQ(serial.events, wide.events);
+        EXPECT_EQ(serial.timeline, wide.timeline);
+    }
 }
 
 TEST(ServiceArbiter, GrantsConserveCapacityAndDemand)

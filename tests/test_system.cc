@@ -7,6 +7,7 @@
 
 #include <bit>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -481,6 +482,158 @@ TEST(CompiledTraceDeathTest, RunOnAnotherTracesFormPanics)
     EXPECT_DEATH(HmaSystem(config).run(traces, shorter,
                                        PlacementMap(config.hbmPages())),
                  "compiled trace of core 0 does not match its trace");
+}
+
+// ---------------------------------------------------------------
+// Run-start residency, read at each page's first access
+
+/** Cores 0-2 touch pages [0, 64) from the start; core 3 touches
+ * [1000, 1064) only after its first gap. */
+constexpr PageId latePage = 1000;
+constexpr std::uint32_t lateGap = 4'000'000;
+
+std::vector<CoreTrace>
+lateTouchTraces(bool with_late_core)
+{
+    Rng rng(17);
+    std::vector<CoreTrace> traces(4);
+    for (std::size_t core = 0; core < traces.size(); ++core) {
+        const bool late = core == 3;
+        if (late && !with_late_core)
+            break;
+        for (int i = 0; i < 2000; ++i) {
+            const PageId page =
+                (late ? latePage : 0) +
+                (rng.nextBool(0.6) ? rng.nextRange(8)
+                                   : rng.nextRange(64));
+            MemRequest req;
+            req.addr = page * pageSize +
+                       rng.nextRange(linesPerPage) * lineSize;
+            req.gap = late && i == 0
+                          ? lateGap
+                          : static_cast<std::uint32_t>(
+                                1 + rng.nextRange(20));
+            req.core = static_cast<CoreId>(core);
+            req.isWrite = rng.nextBool(0.3);
+            traces[core].push_back(req);
+        }
+    }
+    return traces;
+}
+
+/** 24 of 32 HBM frames: 16 of core 3's pages and 8 early pages. */
+PlacementMap
+lateTouchPlacement()
+{
+    PlacementMap map(32);
+    for (PageId page = 0; page < 16; ++page)
+        map.place(latePage + page, MemoryId::HBM);
+    for (PageId page = 56; page < 64; ++page)
+        map.place(page, MemoryId::HBM);
+    return map;
+}
+
+/**
+ * Strikes on one of core 3's HBM pages (it leaves HBM) and on one of
+ * its DDR pages (it takes a free HBM frame), then a capacity loss
+ * whose sweep demotes the coldest residents: core 3's pages again.
+ */
+InjectorConfig
+lateTouchStorm()
+{
+    std::string error;
+    InjectorConfig faults;
+    faults.script = parseFaultPlan(
+        "uncorrected:page=1001,epoch=1;uncorrected:page=1040,epoch=2;"
+        "capacity:tier=hbm,pct=50,epoch=3",
+        error);
+    EXPECT_TRUE(error.empty()) << error;
+    faults.epochCycles = 2000;
+    faults.sweepCapPages = 8;
+    return faults;
+}
+
+SimResult
+runLateTouch(int kind, bool faulted, bool with_late_core,
+             PlacementMap &map)
+{
+    SystemConfig config = SystemConfig::scaledDefault();
+    config.cores = 4;
+    std::unique_ptr<MigrationEngine> engine;
+    if (kind != staticKind)
+        engine = fixtures::makeKind(static_cast<Kind>(kind));
+    std::unique_ptr<FaultInjector> injector;
+    if (faulted)
+        injector = std::make_unique<FaultInjector>(lateTouchStorm());
+    return HmaSystem(config).runInPlace(lateTouchTraces(with_late_core),
+                                        map, engine.get(),
+                                        injector.get());
+}
+
+/**
+ * The results of the scenario when every slot's run-start tier was
+ * read eagerly in RunState::begin, before any page could move. The
+ * SER integral is what the run-start tier feeds, so it is compared
+ * bit for bit.
+ */
+struct EagerResult
+{
+    int kind;
+    bool faulted;
+    Cycle makespan;
+    std::uint64_t migratedPages;
+    std::uint64_t pagesRetired;
+    double ser;
+};
+
+const EagerResult eagerResults[] = {
+    {staticKind, false, 1019103, 0, 0, 0x1.93d1ccaa308f5p-9},
+    {staticKind, true, 1031246, 10, 2, 0x1.41eecf33ccfb7p-11},
+    {static_cast<int>(Kind::Perf), false, 1020724, 92, 0,
+     0x1.76bd3cc7d3a91p-9},
+    {static_cast<int>(Kind::Perf), true, 1027499, 150, 2,
+     0x1.c5e19f275dc4bp-13},
+    {static_cast<int>(Kind::Fc), false, 1031240, 485, 0,
+     0x1.8f5133b17f3d4p-9},
+    {static_cast<int>(Kind::Fc), true, 1039759, 620, 2,
+     0x1.6ded08d506985p-11},
+};
+
+TEST(LazyResidency, PagesMovedBeforeFirstTouchMatchEagerResults)
+{
+    const Cycle late_start =
+        lateGap / SystemConfig::scaledDefault().issueWidth;
+    std::uint64_t left_untouched = 0;
+    bool entered_untouched = false;
+    for (const EagerResult &expected : eagerResults) {
+        SCOPED_TRACE(testing::Message()
+                     << "kind " << expected.kind
+                     << (expected.faulted ? " with faults" : " clean"));
+        // Cores 0-2 alone are a prefix of the full run: every move
+        // they see lands before core 3's first access.
+        PlacementMap prefix = lateTouchPlacement();
+        const SimResult early =
+            runLateTouch(expected.kind, expected.faulted, false, prefix);
+        ASSERT_LT(early.makespan, late_start);
+        for (PageId page = latePage; page < latePage + 16; ++page)
+            if (prefix.memoryOf(page) == MemoryId::DDR)
+                ++left_untouched;
+        entered_untouched = entered_untouched ||
+                            prefix.memoryOf(latePage + 40) ==
+                                MemoryId::HBM;
+
+        PlacementMap map = lateTouchPlacement();
+        const SimResult full =
+            runLateTouch(expected.kind, expected.faulted, true, map);
+        EXPECT_EQ(full.makespan, expected.makespan);
+        EXPECT_EQ(full.migratedPages, expected.migratedPages);
+        EXPECT_EQ(full.pagesRetired, expected.pagesRetired);
+        EXPECT_EQ(full.ser, expected.ser);
+    }
+    // The scenario does move core 3's pages before it touches them:
+    // out of HBM (engine swaps, the strike, the sweep) and into it.
+    EXPECT_GT(left_untouched, 8u);
+    EXPECT_TRUE(entered_untouched);
 }
 
 } // namespace

@@ -36,7 +36,8 @@ usage()
         stderr,
         "usage: bench_diff [options] BASELINE.json CANDIDATE.json\n"
         "\n"
-        "  --relax F         multiply every noise band by F\n"
+        "  --relax F         raise every noise band (a factor) to\n"
+        "                    the power F\n"
         "  --family PREFIX   only compare metrics whose name "
         "starts\n"
         "                    with PREFIX (repeatable), so one "
@@ -134,15 +135,12 @@ main(int argc, char **argv)
     for (const auto &diff : diffs) {
         if (diff.regressed)
             ++regressions;
-        const bool improved = diff.higherIsBetter
-                                  ? diff.deltaPct > diff.limitPct
-                                  : diff.deltaPct < -diff.limitPct;
         table.addRow({diff.name, quantity(diff.baseline),
                       quantity(diff.candidate), pct(diff.deltaPct),
-                      "±" + quantity(diff.limitPct) + "%",
-                      diff.regressed  ? "REGRESSED"
-                      : improved      ? "improved"
-                                      : "ok"});
+                      quantity(diff.limitFactor) + "x",
+                      diff.regressed       ? "REGRESSED"
+                      : diff.improved      ? "improved"
+                                           : "ok"});
     }
     table.print(std::cout,
                 "bench_diff: " + paths[0] + " -> " + paths[1] +
