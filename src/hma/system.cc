@@ -1,6 +1,7 @@
 #include "hma/system.hh"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "common/logging.hh"
 #include "eventlog/eventlog.hh"
@@ -650,62 +651,74 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
     return runInPlace(traces, compiled, placement, engine, injector);
 }
 
-SimResult
-HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
-                      const CompiledTrace &compiled,
-                      PlacementMap &placement,
-                      MigrationEngine *engine,
-                      FaultInjector *injector)
+LoopShape
+HmaSystem::loopShape(const MigrationEngine *engine,
+                     const FaultInjector *injector)
 {
-    if (static_cast<int>(traces.size()) > config_.cores)
-        ramp_fatal("more traces than configured cores");
-    if (compiled.cores() != traces.size())
-        ramp_panic("compiled trace has ", compiled.cores(),
-                   " cores, the run has ", traces.size());
-    for (std::size_t c = 0; c < traces.size(); ++c)
-        if (compiled.coreRequests(c) != traces[c].size())
-            ramp_panic("compiled trace of core ", c,
-                       " does not match its trace");
+    LoopShape shape;
+    shape.injector = injector != nullptr;
+    if (engine == nullptr)
+        shape.engine = LoopEngine::None;
+    else if (dynamic_cast<const FullCounterMigration *>(engine))
+        shape.engine = LoopEngine::FullCounter;
+    else if (dynamic_cast<const CrossCounterMigration *>(engine))
+        shape.engine = LoopEngine::CrossCounter;
+    else
+        shape.engine = LoopEngine::Generic;
+    return shape;
+}
 
-    RAMP_TELEM_SPAN(run_span, "hma.run", "sim",
-                    telemetry::traceArg(
-                        "engine",
-                        engine != nullptr ? engine->name()
-                                          : "static"));
-    RAMP_PROF_SCOPE_PMU(run_prof, "hma.run");
+void
+HmaSystem::drainTransfers(std::deque<MigOp> &transfers, Cycle up_to)
+{
+    while (!transfers.empty() && transfers.front().when <= up_to) {
+        const MigOp op = transfers.front();
+        transfers.pop_front();
+        DramMemory &dram = op.mem == MemoryId::HBM ? hbm_ : ddr_;
+        dram.access(op.when, op.devAddr, op.isWrite);
+    }
+}
 
-    SimResult result;
-    // Runs never nest on a thread, so each worker owns one state.
-    static thread_local RunState run;
-    run.begin(compiled);
-    // The engine and the injector track pages by the trace's slots.
-    if (engine != nullptr)
-        engine->beginRun(compiled.index());
-    if (injector != nullptr)
-        injector->beginRun(compiled.index());
+namespace
+{
 
-    std::vector<CoreModel> cores;
-    cores.reserve(traces.size());
-    for (const auto &trace : traces)
-        cores.emplace_back(trace, config_.issueWidth, config_.robSize,
-                           config_.maxOutstandingReads);
+/** accessLoop's Engine when the run has no migration engine. */
+struct NoEngine
+{
+};
+
+} // namespace
+
+template <class Engine, bool Inject>
+std::uint64_t
+HmaSystem::accessLoop(const CompiledTrace &compiled,
+                      PlacementMap &placement, MigrationEngine *engine,
+                      FaultInjector *injector,
+                      std::vector<CoreModel> &cores, RunState &run,
+                      ResponseState &response,
+                      std::deque<MigOp> &transfers, SimResult &result)
+{
+    constexpr bool withEngine = !std::is_same_v<Engine, NoEngine>;
 
     // Global issue order: earliest-ready core first, the lowest index
     // on ties. A linear scan over this array picks it; a finished
     // core reads `idle`.
     constexpr Cycle idle = UINT64_MAX;
-    std::vector<Cycle> ready_at(cores.size(), idle);
-    for (std::size_t i = 0; i < cores.size(); ++i)
+    const std::size_t core_count = cores.size();
+    if (core_count == 0)
+        return 0;
+    std::vector<Cycle> ready_at(core_count, idle);
+    for (std::size_t i = 0; i < core_count; ++i)
         if (!cores[i].done())
             ready_at[i] = cores[i].nextIssueTime();
 
-    Cycle next_boundary =
-        engine != nullptr ? engine->interval() : 0;
+    Cycle next_boundary = 0;
+    if constexpr (withEngine)
+        next_boundary = engine->interval();
     Cycle last_epoch = 0; ///< Previous non-empty decision boundary.
-    ResponseState response(
-        injector != nullptr ? injector->config().maxRetries : 8);
-    Cycle next_inject =
-        injector != nullptr ? injector->epochCycles() : 0;
+    Cycle next_inject = 0;
+    if constexpr (Inject)
+        next_inject = injector->epochCycles();
     std::uint64_t inject_epoch = 0; ///< 1-based, like FaultEvent.
 
     // Health timeline: every injector epoch and every non-empty
@@ -749,40 +762,38 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
         health::record(std::move(sample));
     };
 
-    std::deque<MigOp> transfers;
-    auto drain_transfers = [&](Cycle up_to) {
-        while (!transfers.empty() && transfers.front().when <= up_to) {
-            const MigOp op = transfers.front();
-            transfers.pop_front();
-            DramMemory &dram =
-                op.mem == MemoryId::HBM ? hbm_ : ddr_;
-            dram.access(op.when, op.devAddr, op.isWrite);
-        }
-    };
+    // Counted without branches; reads are the requests left over.
+    std::uint64_t requests = 0;
+    std::uint64_t writes = 0;
+    std::uint64_t hbm_accesses = 0;
 
+    const Cycle *const ready = ready_at.data();
     while (true) {
+        // A strict-less min-scan in conditional moves: the pick has
+        // no data-dependent branch, and ties keep the lowest index.
         std::size_t core_idx = 0;
-        for (std::size_t i = 1; i < ready_at.size(); ++i)
-            if (ready_at[i] < ready_at[core_idx])
-                core_idx = i;
-        if (ready_at.empty() || ready_at[core_idx] == idle)
+        Cycle issue_t = ready[0];
+        for (std::size_t i = 1; i < core_count; ++i) {
+            const bool earlier = ready[i] < issue_t;
+            issue_t = earlier ? ready[i] : issue_t;
+            core_idx = earlier ? i : core_idx;
+        }
+        if (issue_t == idle)
             break;
         CoreModel &core = cores[core_idx];
-        const Cycle issue_t = core.nextIssueTime();
 
         // Interval boundaries strictly before this issue. Injector
         // epochs interleave with engine boundaries in cycle order;
         // the injector wins ties so fault responses land before a
         // same-cycle migration decision sees the placement.
-        while ((engine != nullptr && next_boundary <= issue_t) ||
-               (injector != nullptr && next_inject <= issue_t)) {
+        while ((withEngine && next_boundary <= issue_t) ||
+               (Inject && next_inject <= issue_t)) {
             const bool engine_due =
-                engine != nullptr && next_boundary <= issue_t;
-            const bool inject_due =
-                injector != nullptr && next_inject <= issue_t;
+                withEngine && next_boundary <= issue_t;
+            const bool inject_due = Inject && next_inject <= issue_t;
             if (inject_due &&
                 (!engine_due || next_inject <= next_boundary)) {
-                drain_transfers(next_inject);
+                drainTransfers(transfers, next_inject);
                 ++inject_epoch;
                 {
                     RAMP_PROF_SCOPE(fault_prof, "hma.fault_epoch");
@@ -800,7 +811,7 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
                 next_inject += injector->epochCycles();
                 continue;
             }
-            drain_transfers(next_boundary);
+            drainTransfers(transfers, next_boundary);
             RAMP_PROF_SCOPE(epoch_prof, "hma.migration_epoch");
             const auto decision =
                 engine->onInterval(next_boundary, placement);
@@ -848,7 +859,9 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
             }
             next_boundary += engine->interval();
         }
-        drain_transfers(issue_t);
+        // Only engine decisions and fault responses queue copies.
+        if constexpr (withEngine || Inject)
+            drainTransfers(transfers, issue_t);
 
         const MemRequest &req = core.current();
         const PageId page = pageOf(req.addr);
@@ -865,11 +878,14 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
         }
         const MemoryId mem = placement.memoryOf(state.handle);
 
-        const Cycle penalty =
-            engine != nullptr
-                ? engine->onSlotAccess(slot, page, req.isWrite, mem)
-                : 0;
-        if (injector != nullptr)
+        // The perf, fc and cc hooks are final, so these calls inline;
+        // the generic loop's Engine is MigrationEngine (one virtual
+        // call).
+        Cycle penalty = 0;
+        if constexpr (withEngine)
+            penalty = static_cast<Engine *>(engine)->onSlotAccess(
+                slot, page, req.isWrite, mem);
+        if constexpr (Inject)
             injector->onSlotAccess(slot, page);
 
         run.avf.onAccess(slot, lineInPage(req.addr), req.isWrite,
@@ -882,16 +898,9 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
         const Cycle completion =
             dram.access(issue_t + penalty, dev_addr, req.isWrite);
 
-        ++result.requests;
-        if (req.isWrite)
-            ++result.writes;
-        else
-            ++result.reads;
-        if (mem == MemoryId::HBM)
-            ++result.hbmAccessFraction; // normalised below
-        RAMP_OBS(Telemetry, mem == MemoryId::HBM
-                                ? systemTelemetry().hbmAccesses.add(1)
-                                : systemTelemetry().ddrAccesses.add(1));
+        ++requests;
+        writes += req.isWrite;
+        hbm_accesses += mem == MemoryId::HBM;
 
         if (!core.retire(req.isWrite ? issue_t : completion)) {
             ready_at[core_idx] = idle;
@@ -909,12 +918,94 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
         run.avf.prefetch(next_slot, lineInPage(core.current().addr));
         // The request after that: its Slot, so that next turn's
         // entry prefetch finds the handle in cache.
-        if (core.position() + 1 < traces[core_idx].size())
+        if (next + 1 < compiled.base(core_idx + 1))
             __builtin_prefetch(&run.slots[compiled.slot(next + 1)]);
     }
 
+    result.requests = requests;
+    result.writes = writes;
+    result.reads = requests - writes;
+    return hbm_accesses;
+}
+
+SimResult
+HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
+                      const CompiledTrace &compiled,
+                      PlacementMap &placement,
+                      MigrationEngine *engine,
+                      FaultInjector *injector)
+{
+    if (static_cast<int>(traces.size()) > config_.cores)
+        ramp_fatal("more traces than configured cores");
+    if (compiled.cores() != traces.size())
+        ramp_panic("compiled trace has ", compiled.cores(),
+                   " cores, the run has ", traces.size());
+    for (std::size_t c = 0; c < traces.size(); ++c)
+        if (compiled.coreRequests(c) != traces[c].size())
+            ramp_panic("compiled trace of core ", c,
+                       " does not match its trace");
+
+    RAMP_TELEM_SPAN(run_span, "hma.run", "sim",
+                    telemetry::traceArg(
+                        "engine",
+                        engine != nullptr ? engine->name()
+                                          : "static"));
+    RAMP_PROF_SCOPE_PMU(run_prof, "hma.run");
+
+    SimResult result;
+    // Runs never nest on a thread, so each worker owns one state. It
+    // lives here, not in accessLoop: a thread_local there would give
+    // every specialisation its own copy of the per-slot vectors.
+    static thread_local RunState run;
+    run.begin(compiled);
+    // The engine and the injector track pages by the trace's slots.
+    if (engine != nullptr)
+        engine->beginRun(compiled.index());
+    if (injector != nullptr)
+        injector->beginRun(compiled.index());
+
+    std::vector<CoreModel> cores;
+    cores.reserve(traces.size());
+    for (const auto &trace : traces)
+        cores.emplace_back(trace, config_.issueWidth, config_.robSize,
+                           config_.maxOutstandingReads);
+
+    ResponseState response(
+        injector != nullptr ? injector->config().maxRetries : 8);
+    std::deque<MigOp> transfers;
+
+    // Pick the run's loop once: 4 engine kinds x injector on/off.
+    const LoopShape shape = loopShape(engine, injector);
+    const auto loop = [&]<class Engine>(std::type_identity<Engine>) {
+        return shape.injector
+                   ? accessLoop<Engine, true>(compiled, placement,
+                                              engine, injector, cores,
+                                              run, response, transfers,
+                                              result)
+                   : accessLoop<Engine, false>(compiled, placement,
+                                               engine, injector, cores,
+                                               run, response,
+                                               transfers, result);
+    };
+    std::uint64_t hbm_accesses = 0;
+    switch (shape.engine) {
+      case LoopEngine::None:
+        hbm_accesses = loop(std::type_identity<NoEngine>{});
+        break;
+      case LoopEngine::FullCounter:
+        hbm_accesses = loop(std::type_identity<FullCounterMigration>{});
+        break;
+      case LoopEngine::CrossCounter:
+        hbm_accesses =
+            loop(std::type_identity<CrossCounterMigration>{});
+        break;
+      case LoopEngine::Generic:
+        hbm_accesses = loop(std::type_identity<MigrationEngine>{});
+        break;
+    }
+
     // Finish any still-draining page copies.
-    drain_transfers(UINT64_MAX);
+    drainTransfers(transfers, UINT64_MAX);
 
     for (const auto &core : cores) {
         result.instructions += core.instructions();
@@ -932,7 +1023,7 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
     result.hbmAccessFraction =
         result.requests == 0
             ? 0.0
-            : result.hbmAccessFraction /
+            : static_cast<double>(hbm_accesses) /
                   static_cast<double>(result.requests);
 
     run.avf.finalize(result.makespan);
@@ -974,6 +1065,8 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
         auto &tel = systemTelemetry();
         tel.runs.add(1);
         tel.instructions.add(result.instructions);
+        tel.hbmAccesses.add(hbm_accesses);
+        tel.ddrAccesses.add(result.requests - hbm_accesses);
     });
     return result;
 }

@@ -101,6 +101,29 @@ struct SimResult
     /** @} */
 };
 
+/** The engine half of a run's shape (HmaSystem::loopShape). */
+enum class LoopEngine : std::uint8_t
+{
+    None,         ///< no migration engine
+    FullCounter,  ///< perf- or fc-migration: inline counter hook
+    CrossCounter, ///< cc-migration: inline MEA/risk/remap hook
+    Generic,      ///< any other engine: one virtual call per access
+};
+
+/**
+ * Which of the access loop's specialisations a run takes: one per
+ * engine kind, with and without a fault injector (8 in all).
+ */
+struct LoopShape
+{
+    LoopEngine engine = LoopEngine::None;
+    bool injector = false;
+
+    bool operator==(const LoopShape &) const = default;
+};
+
+class CoreModel;
+
 /** One configured simulator instance; run() is single-shot. */
 class HmaSystem
 {
@@ -160,6 +183,15 @@ class HmaSystem
     /** The configuration this system was built with. */
     const SystemConfig &config() const { return config_; }
 
+    /**
+     * The access loop a run with this engine and injector takes. The
+     * perf, fc and cc engines get loops that call their slot hooks
+     * inline; any other engine (region schemes, PageId-only wrappers)
+     * gets the generic loop and its virtual onSlotAccess.
+     */
+    static LoopShape loopShape(const MigrationEngine *engine,
+                               const FaultInjector *injector);
+
   private:
     /**
      * One line transfer of an in-flight page migration. Transfers
@@ -182,6 +214,27 @@ class HmaSystem
      * the compiled trace's slots (defined in system.cc).
      */
     struct RunState;
+
+    /**
+     * The access loop of one run, specialised per LoopShape: `Engine`
+     * is the engine class whose slot hook it calls (a tag type when
+     * there is none) and `Inject` says whether an injector runs.
+     * Issues every request of `cores` in global time order, with the
+     * engine's boundaries and the injector's epochs interleaved, and
+     * fills the result's request counts; returns the HBM accesses.
+     */
+    template <class Engine, bool Inject>
+    std::uint64_t accessLoop(const CompiledTrace &compiled,
+                             PlacementMap &placement,
+                             MigrationEngine *engine,
+                             FaultInjector *injector,
+                             std::vector<CoreModel> &cores,
+                             RunState &run, ResponseState &response,
+                             std::deque<MigOp> &transfers,
+                             SimResult &result);
+
+    /** Perform the queued page-copy transfers due by `up_to`. */
+    void drainTransfers(std::deque<MigOp> &transfers, Cycle up_to);
 
     /**
      * Apply a migration decision: move the pages in the map, update

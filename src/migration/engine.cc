@@ -99,10 +99,10 @@ MigrationEngine::onFault(PageId page, bool uncorrected, Cycle now)
 }
 
 // ---------------------------------------------------------------
-// PerfFocusedMigration
+// FullCounterMigration
 // ---------------------------------------------------------------
 
-PerfFocusedMigration::PerfFocusedMigration(Cycle interval_cycles,
+FullCounterMigration::FullCounterMigration(Cycle interval_cycles,
                                            std::uint32_t cap_pages)
     : interval_(interval_cycles), capPages_(cap_pages)
 {
@@ -111,30 +111,24 @@ PerfFocusedMigration::PerfFocusedMigration(Cycle interval_cycles,
 }
 
 void
-PerfFocusedMigration::beginRun(const PageIndex &pages)
+FullCounterMigration::beginRun(const PageIndex &pages)
 {
     claimRun();
     counters_.bind(pages);
 }
 
-Cycle
-PerfFocusedMigration::onSlotAccess(std::uint32_t slot, PageId page,
-                                   bool is_write, MemoryId mem)
-{
-    (void)page;
-    (void)mem;
-    counters_.onSlotAccess(slot, is_write);
-    return 0;
-}
-
 void
-PerfFocusedMigration::onAccess(PageId page, bool is_write,
+FullCounterMigration::onAccess(PageId page, bool is_write,
                                MemoryId mem)
 {
     (void)mem;
     notePageAccess();
     counters_.onAccess(page, is_write);
 }
+
+// ---------------------------------------------------------------
+// PerfFocusedMigration
+// ---------------------------------------------------------------
 
 MigrationDecision
 PerfFocusedMigration::onInterval(Cycle now, const PlacementMap &map)
@@ -230,40 +224,6 @@ PerfFocusedMigration::hardwareCostBytes(std::uint64_t total_pages,
 // ---------------------------------------------------------------
 // FcReliabilityMigration
 // ---------------------------------------------------------------
-
-FcReliabilityMigration::FcReliabilityMigration(Cycle interval_cycles,
-                                               std::uint32_t cap_pages)
-    : interval_(interval_cycles), capPages_(cap_pages)
-{
-    if (interval_cycles == 0 || cap_pages == 0)
-        ramp_fatal("migration interval and cap must be positive");
-}
-
-void
-FcReliabilityMigration::beginRun(const PageIndex &pages)
-{
-    claimRun();
-    counters_.bind(pages);
-}
-
-Cycle
-FcReliabilityMigration::onSlotAccess(std::uint32_t slot, PageId page,
-                                     bool is_write, MemoryId mem)
-{
-    (void)page;
-    (void)mem;
-    counters_.onSlotAccess(slot, is_write);
-    return 0;
-}
-
-void
-FcReliabilityMigration::onAccess(PageId page, bool is_write,
-                                 MemoryId mem)
-{
-    (void)mem;
-    notePageAccess();
-    counters_.onAccess(page, is_write);
-}
 
 MigrationDecision
 FcReliabilityMigration::onInterval(Cycle now, const PlacementMap &map)
@@ -422,19 +382,6 @@ CrossCounterMigration::beginRun(const PageIndex &pages)
     claimRun();
     riskCounters_.bind(pages);
     remap_.bind(pages);
-}
-
-Cycle
-CrossCounterMigration::onSlotAccess(std::uint32_t slot, PageId page,
-                                    bool is_write, MemoryId mem)
-{
-    // The performance unit tracks every access (recency); the
-    // reliability unit's Full Counters exist only for HBM pages
-    // (Section 6.4.2's cost reduction).
-    mea_.onAccess(page);
-    if (mem == MemoryId::HBM)
-        riskCounters_.onSlotAccess(slot, is_write);
-    return remap_.lookupSlot(slot);
 }
 
 void

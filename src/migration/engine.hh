@@ -2,7 +2,8 @@
  * @file
  * Dynamic migration engines (paper Section 6).
  *
- * Three schemes share one interface:
+ * Three schemes share one interface; the two Full-Counter schemes
+ * also share FullCounterMigration, whose per-access hook is inline:
  *  - PerfFocusedMigration: Meswani-style interval migration on raw
  *    access counts with a dynamic mean-hotness threshold (6.1). This
  *    is the state-of-the-art baseline the reliability-aware schemes
@@ -118,7 +119,10 @@ struct MigrationDecision
  * only those calls needs. A bound engine indexes one run's slots, so
  * it serves one run: the engines that bind panic, naming themselves,
  * on beginRun after any tracked access and on a PageId access after
- * beginRun.
+ * beginRun. The Section 6 engines are final and define their slot
+ * hooks inline, so HmaSystem's access loop, which is specialised per
+ * engine class (HmaSystem::loopShape), calls them without the vtable;
+ * every other engine takes the loop's one virtual call per access.
  */
 class MigrationEngine
 {
@@ -189,50 +193,74 @@ class MigrationEngine
     bool tracked_ = false; ///< a PageId access was observed
 };
 
-/** Performance-focused interval migration (Section 6.1). */
-class PerfFocusedMigration : public MigrationEngine
+/**
+ * What the two Full-Counter engines share (Sections 6.1 and 6.2): an
+ * interval, a page-move budget per interval, and one counter table
+ * that every demand access feeds. The slot hook is final and inline,
+ * so an access loop that holds a FullCounterMigration calls it
+ * directly instead of through the vtable.
+ */
+class FullCounterMigration : public MigrationEngine
 {
   public:
+    void beginRun(const PageIndex &pages) final;
+
+    Cycle onSlotAccess(std::uint32_t slot, PageId page, bool is_write,
+                       MemoryId mem) final
+    {
+        (void)page;
+        (void)mem;
+        counters_.onSlotAccess(slot, is_write);
+        return 0;
+    }
+
+    void onAccess(PageId page, bool is_write, MemoryId mem) final;
+    Cycle interval() const final { return interval_; }
+
+  protected:
     /**
      * @param interval_cycles migration interval
      * @param cap_pages page-move budget per interval (bandwidth
      *                  guard; see SystemConfig::fcMigrationCapPages)
      */
-    explicit PerfFocusedMigration(Cycle interval_cycles,
-                                  std::uint32_t cap_pages = 256);
+    FullCounterMigration(Cycle interval_cycles, std::uint32_t cap_pages);
 
-    const char *name() const override { return "perf-migration"; }
-    void beginRun(const PageIndex &pages) override;
-    Cycle onSlotAccess(std::uint32_t slot, PageId page, bool is_write,
-                       MemoryId mem) override;
-    void onAccess(PageId page, bool is_write, MemoryId mem) override;
-    Cycle interval() const override { return interval_; }
-    MigrationDecision onInterval(Cycle now,
-                                 const PlacementMap &map) override;
-    std::uint64_t
-    hardwareCostBytes(std::uint64_t total_pages,
-                      std::uint64_t hbm_pages) const override;
-
-  private:
     Cycle interval_;
     std::uint32_t capPages_;
     FullCounterTable counters_;
 };
 
-/** Reliability-aware Full-Counter migration (Section 6.2). */
-class FcReliabilityMigration : public MigrationEngine
+/** Performance-focused interval migration (Section 6.1). */
+class PerfFocusedMigration final : public FullCounterMigration
 {
   public:
-    /** See PerfFocusedMigration for the cap semantics. */
+    /** See FullCounterMigration for the parameters. */
+    explicit PerfFocusedMigration(Cycle interval_cycles,
+                                  std::uint32_t cap_pages = 256)
+        : FullCounterMigration(interval_cycles, cap_pages)
+    {
+    }
+
+    const char *name() const override { return "perf-migration"; }
+    MigrationDecision onInterval(Cycle now,
+                                 const PlacementMap &map) override;
+    std::uint64_t
+    hardwareCostBytes(std::uint64_t total_pages,
+                      std::uint64_t hbm_pages) const override;
+};
+
+/** Reliability-aware Full-Counter migration (Section 6.2). */
+class FcReliabilityMigration final : public FullCounterMigration
+{
+  public:
+    /** See FullCounterMigration for the parameters. */
     explicit FcReliabilityMigration(Cycle interval_cycles,
-                                    std::uint32_t cap_pages = 256);
+                                    std::uint32_t cap_pages = 256)
+        : FullCounterMigration(interval_cycles, cap_pages)
+    {
+    }
 
     const char *name() const override { return "fc-migration"; }
-    void beginRun(const PageIndex &pages) override;
-    Cycle onSlotAccess(std::uint32_t slot, PageId page, bool is_write,
-                       MemoryId mem) override;
-    void onAccess(PageId page, bool is_write, MemoryId mem) override;
-    Cycle interval() const override { return interval_; }
     MigrationDecision onInterval(Cycle now,
                                  const PlacementMap &map) override;
     void onFault(PageId page, bool uncorrected, Cycle now) override;
@@ -241,14 +269,11 @@ class FcReliabilityMigration : public MigrationEngine
                       std::uint64_t hbm_pages) const override;
 
   private:
-    Cycle interval_;
-    std::uint32_t capPages_;
-    FullCounterTable counters_;
     std::unordered_set<PageId> faulted_; ///< struck pages stay risky
 };
 
 /** Cross-Counter migration: MEA + HBM risk counters (Section 6.4). */
-class CrossCounterMigration : public MigrationEngine
+class CrossCounterMigration final : public MigrationEngine
 {
   public:
     /**
@@ -266,8 +291,19 @@ class CrossCounterMigration : public MigrationEngine
 
     const char *name() const override { return "cc-migration"; }
     void beginRun(const PageIndex &pages) override;
+
     Cycle onSlotAccess(std::uint32_t slot, PageId page, bool is_write,
-                       MemoryId mem) override;
+                       MemoryId mem) override
+    {
+        // The performance unit tracks every access (recency); the
+        // reliability unit's Full Counters exist only for HBM pages
+        // (Section 6.4.2's cost reduction).
+        mea_.onAccess(page);
+        if (mem == MemoryId::HBM)
+            riskCounters_.onSlotAccess(slot, is_write);
+        return remap_.lookupSlot(slot);
+    }
+
     void onAccess(PageId page, bool is_write, MemoryId mem) override;
     Cycle interval() const override { return meaInterval_; }
     MigrationDecision onInterval(Cycle now,

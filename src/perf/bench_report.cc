@@ -28,10 +28,11 @@ perSecond(std::uint64_t count, double wall_seconds)
 }
 
 std::string
-hostJson(unsigned sample_ms)
+hostJson(unsigned sample_ms, unsigned jobs)
 {
     utsname uts{};
     const bool have_uname = uname(&uts) == 0;
+    const unsigned cpus = std::thread::hardware_concurrency();
     std::ostringstream out;
     out << "{\"os\": \""
         << jsonEscape(have_uname ? uts.sysname : "unknown")
@@ -39,7 +40,10 @@ hostJson(unsigned sample_ms)
         << jsonEscape(have_uname ? uts.release : "unknown")
         << "\", \"arch\": \""
         << jsonEscape(have_uname ? uts.machine : "unknown")
-        << "\", \"cpus\": " << std::thread::hardware_concurrency()
+        << "\", \"cpus\": " << cpus
+        // More workers than CPUs: the timings measure contention.
+        << ", \"oversubscribed\": "
+        << (cpus > 0 && jobs > cpus ? "true" : "false")
         // Profiles quote cycles; the baseline records which CPU
         // produced them and what a cycle is worth in seconds.
         << ", \"cpu_model\": \""
@@ -91,7 +95,7 @@ renderBenchReport(const BenchReportSpec &spec)
         << "  \"schema\": \"" << benchSchema << "\",\n"
         << "  \"tool\": \"" << jsonEscape(spec.tool) << "\",\n"
         << "  \"jobs\": " << spec.jobs << ",\n"
-        << "  \"host\": " << hostJson(spec.sampleMs) << ",\n"
+        << "  \"host\": " << hostJson(spec.sampleMs, spec.jobs) << ",\n"
         << "  \"wall_seconds\": " << jsonNumber(spec.wallSeconds)
         << ",\n";
 
@@ -467,6 +471,17 @@ compareBenchReports(const JsonValue &baseline,
         });
     }
     return diffs;
+}
+
+bool
+benchOversubscribed(const JsonValue &doc)
+{
+    const JsonValue *host = doc.find("host");
+    if (host == nullptr)
+        return false;
+    const double cpus = host->numberOr("cpus", 0);
+    return host->boolOr("oversubscribed",
+                        cpus > 0 && doc.numberOr("jobs", 0) > cpus);
 }
 
 std::vector<std::string>

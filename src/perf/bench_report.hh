@@ -147,6 +147,15 @@ compareBenchReports(const JsonValue &baseline,
                     const DiffOptions &options, std::string &error);
 
 /**
+ * True when the document's run had more workers than its host has
+ * CPUs (`jobs` > `host.cpus`), so its timings measure contention as
+ * much as the code. Reads the `host.oversubscribed` stamp, and
+ * derives it from `jobs` and `host.cpus` in documents older than
+ * the stamp.
+ */
+bool benchOversubscribed(const JsonValue &doc);
+
+/**
  * Top-level keys of a ramp-bench-v1 document that this build does
  * not know (newer schema additions, e.g. a baseline carrying a
  * block this binary predates). bench_diff notes and skips them

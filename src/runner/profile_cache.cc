@@ -103,8 +103,7 @@ ProfileCache::serializeBaseline(const std::string &fingerprint,
                                 const SimResult &base)
 {
     codec::Writer out;
-    out.bytes.insert(out.bytes.end(), diskMagic,
-                     diskMagic + sizeof(diskMagic));
+    out.bytes.assign(diskMagic, diskMagic + sizeof(diskMagic));
     out.str(fingerprint);
     out.result(base);
 

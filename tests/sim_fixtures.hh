@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared fixtures of the whole-run equivalence tests: engine kinds,
- * generated traces, a random fault storm, and a field-by-field
- * SimResult comparison.
+ * a PageId-only engine wrapper, generated traces, a random fault
+ * storm, and a field-by-field SimResult comparison.
  */
 
 #ifndef RAMP_TESTS_SIM_FIXTURES_HH
@@ -42,6 +42,45 @@ makeKind(Kind kind)
     }
     return nullptr;
 }
+
+/**
+ * Forwards every call to an engine through the PageId virtuals only,
+ * so the engine it wraps never binds to the run's slots.
+ */
+class PageIdOnly final : public MigrationEngine
+{
+  public:
+    explicit PageIdOnly(MigrationEngine &inner) : inner_(inner) {}
+
+    const char *name() const override { return inner_.name(); }
+    void onAccess(PageId page, bool is_write, MemoryId mem) override
+    {
+        inner_.onAccess(page, is_write, mem);
+    }
+    Cycle interval() const override { return inner_.interval(); }
+    MigrationDecision onInterval(Cycle now,
+                                 const PlacementMap &map) override
+    {
+        return inner_.onInterval(now, map);
+    }
+    Cycle remapPenalty(PageId page) override
+    {
+        return inner_.remapPenalty(page);
+    }
+    void onFault(PageId page, bool uncorrected, Cycle now) override
+    {
+        inner_.onFault(page, uncorrected, now);
+    }
+    std::uint64_t
+    hardwareCostBytes(std::uint64_t total_pages,
+                      std::uint64_t hbm_pages) const override
+    {
+        return inner_.hardwareCostBytes(total_pages, hbm_pages);
+    }
+
+  private:
+    MigrationEngine &inner_;
+};
 
 constexpr PageId slotUniverse = 256;
 constexpr std::uint64_t slotHbmFrames = 48;

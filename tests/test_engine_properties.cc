@@ -114,45 +114,6 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------
 // Slot path against PageId path, through HmaSystem::run
 
-/**
- * Forwards every call to an engine through the PageId virtuals only,
- * so the engine it wraps never binds to the run's slots.
- */
-class PageIdOnly final : public MigrationEngine
-{
-  public:
-    explicit PageIdOnly(MigrationEngine &inner) : inner_(inner) {}
-
-    const char *name() const override { return inner_.name(); }
-    void onAccess(PageId page, bool is_write, MemoryId mem) override
-    {
-        inner_.onAccess(page, is_write, mem);
-    }
-    Cycle interval() const override { return inner_.interval(); }
-    MigrationDecision onInterval(Cycle now,
-                                 const PlacementMap &map) override
-    {
-        return inner_.onInterval(now, map);
-    }
-    Cycle remapPenalty(PageId page) override
-    {
-        return inner_.remapPenalty(page);
-    }
-    void onFault(PageId page, bool uncorrected, Cycle now) override
-    {
-        inner_.onFault(page, uncorrected, now);
-    }
-    std::uint64_t
-    hardwareCostBytes(std::uint64_t total_pages,
-                      std::uint64_t hbm_pages) const override
-    {
-        return inner_.hardwareCostBytes(total_pages, hbm_pages);
-    }
-
-  private:
-    MigrationEngine &inner_;
-};
-
 class SlotPathTest
     : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>>
 {

@@ -314,6 +314,44 @@ TEST(BenchReport, RendersParseableDocument)
     EXPECT_EQ(micros->array[0].stringOr("name", ""), "kernel");
 }
 
+TEST(BenchReport, StampsOversubscribedHosts)
+{
+    const unsigned cpus = std::thread::hardware_concurrency();
+    if (cpus == 0)
+        GTEST_SKIP() << "CPU count unknown";
+    const auto render = [](unsigned jobs) {
+        BenchReportSpec spec = sampleSpec();
+        spec.jobs = jobs;
+        JsonValue doc;
+        std::string error;
+        EXPECT_TRUE(perf::parseJson(perf::renderBenchReport(spec), doc,
+                                    error))
+            << error;
+        return doc;
+    };
+
+    const JsonValue over = render(cpus + 1);
+    ASSERT_NE(over.find("host"), nullptr);
+    EXPECT_TRUE(over.find("host")->boolOr("oversubscribed", false));
+    EXPECT_TRUE(perf::benchOversubscribed(over));
+
+    const JsonValue fits = render(cpus);
+    EXPECT_FALSE(fits.find("host")->boolOr("oversubscribed", true));
+    EXPECT_FALSE(perf::benchOversubscribed(fits));
+
+    // Documents older than the stamp: derived from jobs and cpus.
+    JsonValue legacy;
+    std::string error;
+    ASSERT_TRUE(perf::parseJson(
+        R"({"jobs": 4, "host": {"cpus": 1}})", legacy, error));
+    EXPECT_TRUE(perf::benchOversubscribed(legacy));
+    ASSERT_TRUE(perf::parseJson(
+        R"({"jobs": 1, "host": {"cpus": 1}})", legacy, error));
+    EXPECT_FALSE(perf::benchOversubscribed(legacy));
+    ASSERT_TRUE(perf::parseJson(R"({"jobs": 4})", legacy, error));
+    EXPECT_FALSE(perf::benchOversubscribed(legacy));
+}
+
 TEST(BenchReport, UnmeasuredThroughputRendersAsNull)
 {
     BenchReportSpec spec;

@@ -14,6 +14,7 @@
 #include "faults/plan.hh"
 #include "hma/experiment.hh"
 #include "hma/system.hh"
+#include "region/engine.hh"
 #include "runner/pool.hh"
 #include "sim_fixtures.hh"
 
@@ -634,6 +635,88 @@ TEST(LazyResidency, PagesMovedBeforeFirstTouchMatchEagerResults)
     // out of HBM (engine swaps, the strike, the sweep) and into it.
     EXPECT_GT(left_untouched, 8u);
     EXPECT_TRUE(entered_untouched);
+}
+
+// ---------------------------------------------------------------
+// Loop dispatch: each run shape takes its own access loop
+
+TEST(LoopShape, EachEngineKindGetsItsLoop)
+{
+    const auto perf = fixtures::makeKind(Kind::Perf);
+    const auto fc = fixtures::makeKind(Kind::Fc);
+    const auto cc = fixtures::makeKind(Kind::Cc);
+    RegionMigrationEngine region(1000, RegionConfig{},
+                                 defaultRegionSchemes());
+    fixtures::PageIdOnly wrapped(*perf);
+    FaultInjector injector(InjectorConfig{});
+
+    const std::pair<const MigrationEngine *, LoopEngine> cases[] = {
+        {nullptr, LoopEngine::None},
+        {perf.get(), LoopEngine::FullCounter},
+        {fc.get(), LoopEngine::FullCounter},
+        {cc.get(), LoopEngine::CrossCounter},
+        {&region, LoopEngine::Generic},
+        {&wrapped, LoopEngine::Generic},
+    };
+    for (const auto &[engine, expected] : cases) {
+        SCOPED_TRACE(engine != nullptr ? engine->name() : "none");
+        EXPECT_EQ(HmaSystem::loopShape(engine, nullptr),
+                  (LoopShape{expected, false}));
+        EXPECT_EQ(HmaSystem::loopShape(engine, &injector),
+                  (LoopShape{expected, true}));
+    }
+}
+
+/** Takes the generic loop, observes every access, moves nothing. */
+class NeverDecides final : public MigrationEngine
+{
+  public:
+    const char *name() const override { return "never-decides"; }
+    void onAccess(PageId, bool, MemoryId) override { ++accesses; }
+    Cycle interval() const override { return 1000; }
+    MigrationDecision onInterval(Cycle, const PlacementMap &) override
+    {
+        ++intervals;
+        return {};
+    }
+    std::uint64_t hardwareCostBytes(std::uint64_t,
+                                    std::uint64_t) const override
+    {
+        return 0;
+    }
+
+    std::uint64_t accesses = 0;
+    std::uint64_t intervals = 0;
+};
+
+TEST(LoopShape, NoEngineLoopMatchesGenericLoopThatNeverDecides)
+{
+    Rng rng(2718);
+    const auto traces = fixtures::generatedTraces(rng);
+    const InjectorConfig storm = fixtures::randomStorm(rng);
+    SystemConfig config = SystemConfig::scaledDefault();
+    config.cores = 4;
+
+    for (const bool faulted : {false, true}) {
+        SCOPED_TRACE(faulted ? "with faults" : "no faults");
+        NeverDecides idle;
+        ASSERT_EQ(HmaSystem::loopShape(&idle, nullptr).engine,
+                  LoopEngine::Generic);
+        FaultInjector bare_faults(storm), idle_faults(storm);
+        const SimResult bare = HmaSystem(config).run(
+            traces, fixtures::slotPlacement(), nullptr,
+            faulted ? &bare_faults : nullptr);
+        const SimResult generic = HmaSystem(config).run(
+            traces, fixtures::slotPlacement(), &idle,
+            faulted ? &idle_faults : nullptr);
+        fixtures::expectSameResult(bare, generic);
+        EXPECT_EQ(idle.accesses, bare.requests);
+        EXPECT_GT(idle.intervals, 0u);
+        if (faulted) {
+            EXPECT_GT(bare.faultsInjected, 0u);
+            EXPECT_EQ(bare_faults.produced(), idle_faults.produced());
+        }
+    }
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 #include <iostream>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/table.hh"
@@ -121,6 +122,19 @@ main(int argc, char **argv)
     for (const auto &name : unknown_blocks)
         std::cout << "bench_diff: note: skipping unknown block '"
                   << name << "'\n";
+
+    // An oversubscribed side's timings are contended, so a verdict
+    // on them says little about the code.
+    for (const auto &[side, doc] :
+         {std::pair{"baseline", &baseline},
+          std::pair{"candidate", &candidate}}) {
+        if (perf::benchOversubscribed(*doc))
+            std::cout << "bench_diff: warning: the " << side
+                      << " ran oversubscribed (jobs "
+                      << doc->numberOr("jobs", 0) << " > cpus "
+                      << doc->find("host")->numberOr("cpus", 0)
+                      << "); its timings are contended\n";
+    }
 
     const auto diffs = perf::compareBenchReports(
         baseline, candidate, options, error);
