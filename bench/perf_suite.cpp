@@ -5,23 +5,21 @@
  * iterations, min-of-N reporting).
  *
  * Covers every inner loop the figure binaries spend their time in:
- * trace generation and its Zipf sampler (two table sizes), one
- * cache and the full cache hierarchy, the AVF tracker, the DDR and
- * HBM timing models, the migration counters (Full Counters, MEA),
- * the full HmaSystem access path, migration-epoch processing,
- * FaultSim trial batches, and thread-pool dispatch overhead (4
- * workers and 1). Run with --bench-out to emit the
- * BENCH_perf_suite.json document that bench_diff gates regressions
- * against (the committed baseline lives at the repo root); name one
- * or more cases as positional arguments to run a subset.
+ * trace generation and its Zipf sampler (two table sizes), the AVF
+ * tracker, the DDR and HBM timing models, the migration counters
+ * (Full Counters, MEA), the full HmaSystem access path,
+ * migration-epoch processing, FaultSim trial batches, and
+ * thread-pool dispatch overhead (4 workers and 1). Run with
+ * --bench-out to emit the BENCH_perf_suite.json document that
+ * bench_diff gates regressions against (the committed baseline lives
+ * at the repo root); name one or more cases as positional arguments
+ * to run a subset.
  */
 
 #include <atomic>
 #include <iostream>
 
 #include "bench_common.hh"
-#include "cache/cache.hh"
-#include "cache/hierarchy.hh"
 #include "common/rng.hh"
 #include "dram/memory.hh"
 #include "migration/counters.hh"
@@ -59,33 +57,6 @@ buildSuite(const SystemConfig &config, const WorkloadData &data)
         const auto traces =
             generateTraces(homogeneousWorkload("mcf"), options);
         return computeStats(traces).requests;
-    });
-
-    suite.add("cache_hierarchy", "accesses", [] {
-        CacheHierarchy hierarchy(HierarchyConfig{});
-        Rng rng(7);
-        constexpr std::uint64_t accesses = 400'000;
-        for (std::uint64_t i = 0; i < accesses; ++i) {
-            const CoreId core = static_cast<CoreId>(i % 16);
-            if (i % 4 == 0)
-                hierarchy.accessInst(core, rng.nextRange(8 << 20));
-            else
-                hierarchy.accessData(core, rng.nextRange(8 << 20),
-                                     rng.nextBool(0.3));
-        }
-        return accesses;
-    });
-
-    suite.add("cache_access", "accesses", [] {
-        SetAssocCache cache({512 * 1024, 16, lineSize});
-        Rng rng(6);
-        constexpr std::uint64_t accesses = 400'000;
-        std::uint64_t hits = 0;
-        for (std::uint64_t i = 0; i < accesses; ++i)
-            hits += cache.access(rng.nextRange(8 << 20),
-                                 rng.nextBool(0.3))
-                        .hit;
-        return keepLive(accesses, hits);
     });
 
     for (const auto &[name, pages] :

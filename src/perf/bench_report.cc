@@ -445,8 +445,14 @@ compareBenchReports(const JsonValue &baseline,
             if (name.empty())
                 continue;
             const JsonValue *other = findMicro(candidate, name);
-            if (other == nullptr)
+            if (other == nullptr) {
+                MetricDiff diff;
+                diff.name = "micro." + name;
+                diff.regressed = true;
+                diff.missing = true;
+                diffs.push_back(std::move(diff));
                 continue;
+            }
             compareOne(diffs, "micro." + name + ".min_seconds",
                        row.numberOr("min_seconds", NAN),
                        other->numberOr("min_seconds", NAN),
@@ -482,6 +488,21 @@ benchOversubscribed(const JsonValue &doc)
     const double cpus = host->numberOr("cpus", 0);
     return host->boolOr("oversubscribed",
                         cpus > 0 && doc.numberOr("jobs", 0) > cpus);
+}
+
+std::string
+benchCpuMismatch(const JsonValue &baseline, const JsonValue &candidate)
+{
+    const auto model = [](const JsonValue &doc) {
+        const JsonValue *host = doc.find("host");
+        return host == nullptr ? std::string()
+                               : host->stringOr("cpu_model", "");
+    };
+    const std::string base = model(baseline);
+    const std::string cand = model(candidate);
+    if (base.empty() || cand.empty() || base == cand)
+        return "";
+    return "baseline '" + base + "', candidate '" + cand + "'";
 }
 
 std::vector<std::string>

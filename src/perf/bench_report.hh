@@ -87,7 +87,10 @@ std::string renderBenchReport(const BenchReportSpec &spec);
 /** One metric comparison of a bench diff. */
 struct MetricDiff
 {
-    /** Dotted metric path ("wall_seconds", "micro.cache.mean"...). */
+    /**
+     * Dotted metric path ("wall_seconds",
+     * "micro.avf_tracker.min_seconds", ...).
+     */
     std::string name;
 
     double baseline = 0;
@@ -109,6 +112,13 @@ struct MetricDiff
     /** Moved beyond limitFactor in the bad / the good direction. */
     bool regressed = false;
     bool improved = false;
+
+    /**
+     * A baseline microbenchmark the candidate did not run at all;
+     * reported as regressed so a dropped kernel cannot leave the
+     * gate silently. No values or band apply.
+     */
+    bool missing = false;
 };
 
 /**
@@ -136,7 +146,9 @@ struct DiffOptions
 /**
  * Join two parsed BENCH documents metric by metric. The metric list
  * comes from the baseline; metrics missing (or null / below the
- * noise floor) on either side are skipped rather than flagged.
+ * noise floor) on either side are skipped rather than flagged,
+ * except a baseline microbenchmark row absent from the candidate,
+ * which yields one `missing` regression named "micro.<name>".
  * Returns every comparison made; `error` is set (and the result
  * empty) when the documents are not comparable (schema or tool
  * mismatch).
@@ -154,6 +166,15 @@ compareBenchReports(const JsonValue &baseline,
  * the stamp.
  */
 bool benchOversubscribed(const JsonValue &doc);
+
+/**
+ * "baseline 'A', candidate 'B'" when both documents stamp a
+ * `host.cpu_model` and the two differ, so their timings compare
+ * different hardware; "" when they match or either side lacks the
+ * stamp (documents older than it).
+ */
+std::string benchCpuMismatch(const JsonValue &baseline,
+                             const JsonValue &candidate);
 
 /**
  * Top-level keys of a ramp-bench-v1 document that this build does

@@ -186,7 +186,7 @@ class ScopedPhase
 /**
  * Open a TSC-only phase scope for the rest of the block:
  *
- *   RAMP_PROF_SCOPE(prof_scope, "cache.access");
+ *   RAMP_PROF_SCOPE(prof_scope, "hma.migration_epoch");
  */
 #define RAMP_PROF_SCOPE(var, name) \
     ::ramp::prof::ScopedPhase var((name), false)

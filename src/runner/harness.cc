@@ -67,7 +67,7 @@ parseSampleMs(const std::string &text)
 
 /**
  * Render the --metrics-out document: the merged registry snapshot
- * plus derived hit-rates, histogram percentiles, and the per-pass
+ * plus derived rates, histogram percentiles, and the per-pass
  * status/duration list.
  */
 std::string
@@ -81,21 +81,6 @@ metricsJson(const std::string &tool, unsigned jobs,
         << "\",\n"
         << "  \"jobs\": " << jobs << ",\n"
         << "  \"derived\": {\n"
-        << "    \"l1d_hit_rate\": "
-        << jsonNumber(
-               hitRate(snap.counterOr("cache.l1d.hits"),
-                       snap.counterOr("cache.l1d.misses")))
-        << ",\n"
-        << "    \"l1i_hit_rate\": "
-        << jsonNumber(
-               hitRate(snap.counterOr("cache.l1i.hits"),
-                       snap.counterOr("cache.l1i.misses")))
-        << ",\n"
-        << "    \"l2_hit_rate\": "
-        << jsonNumber(
-               hitRate(snap.counterOr("cache.l2.hits"),
-                       snap.counterOr("cache.l2.misses")))
-        << ",\n"
         // A share of traffic split across the memories, not a hit
         // rate: the HBM serving an access is not a "hit".
         << "    \"hbm_access_share\": "

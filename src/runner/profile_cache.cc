@@ -84,8 +84,7 @@ ProfileCache::fingerprint(const SystemConfig &config,
     for (const auto &bench : spec.coreBenchmarks)
         out << bench << ',';
     out << ";gen=" << options.seed << ','
-        << exact(options.traceScale) << ',' << options.cpuLevel
-        << ',' << options.hitBurst;
+        << exact(options.traceScale);
     out << ";cpu=" << config.cores << ',' << config.issueWidth
         << ',' << config.robSize << ','
         << config.maxOutstandingReads;

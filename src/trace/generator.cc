@@ -161,8 +161,7 @@ generateTraces(const WorkloadSpec &spec, const WorkloadLayout &layout,
             std::max(0.0, 1000.0 / profile.mpki - 1.0);
 
         auto &trace = traces[static_cast<std::size_t>(core)];
-        trace.reserve(requests *
-                      (options.cpuLevel ? options.hitBurst + 1 : 1));
+        trace.reserve(requests);
 
         for (std::uint64_t i = 0; i < requests; ++i) {
             const double pick = rng.nextDouble();
@@ -177,30 +176,7 @@ generateTraces(const WorkloadSpec &spec, const WorkloadLayout &layout,
                     : nextStreamAccess(state, rng);
             req.core = static_cast<CoreId>(core);
             req.gap = drawGap(rng, mean_gap);
-
-            if (options.cpuLevel) {
-                // Scatter the instruction gap over a burst of
-                // cache-friendly re-accesses so the cache hierarchy
-                // can filter the stream back to memory level.
-                const std::uint32_t parts = options.hitBurst + 1;
-                MemRequest first = req;
-                first.gap = req.gap / parts;
-                trace.push_back(first);
-                for (std::uint32_t b = 0; b < options.hitBurst; ++b) {
-                    MemRequest hit = req;
-                    const std::uint64_t line =
-                        lineInPage(req.addr);
-                    const std::uint64_t neighbour =
-                        (line + b) % linesPerPage;
-                    hit.addr = pageBase(pageOf(req.addr)) +
-                               neighbour * lineSize;
-                    hit.isWrite = req.isWrite && b == 0;
-                    hit.gap = req.gap / parts;
-                    trace.push_back(hit);
-                }
-            } else {
-                trace.push_back(req);
-            }
+            trace.push_back(req);
         }
     }
     return traces;

@@ -3,10 +3,8 @@
  * Synthetic trace generator (the PinPlay/SimPoints substitute).
  *
  * Produces deterministic per-core memory request streams from a
- * WorkloadSpec. The default output is memory-level (post-L2) traffic,
- * calibrated directly by the benchmark profiles; the CPU-level mode
- * produces a denser pre-cache stream for the cache-filter pipeline
- * (Moola substitute in src/cache).
+ * WorkloadSpec. The output is memory-level (post-L2) traffic,
+ * calibrated directly by the benchmark profiles.
  */
 
 #ifndef RAMP_TRACE_GENERATOR_HH
@@ -29,16 +27,6 @@ struct GeneratorOptions
 
     /** Multiplies every profile's requestsPerCore (tests use < 1). */
     double traceScale = 1.0;
-
-    /**
-     * Emit a CPU-level stream: every memory-level access is preceded
-     * by hitBurst cache-friendly re-accesses of nearby lines, so that
-     * a cache hierarchy filters the stream back down.
-     */
-    bool cpuLevel = false;
-
-    /** Cache-hit accesses injected per request in CPU-level mode. */
-    std::uint32_t hitBurst = 3;
 };
 
 /**

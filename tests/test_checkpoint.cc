@@ -291,7 +291,7 @@ TEST(Journal, UnreadableHeaderIsQuarantined)
 TEST(ProfileCache, CorruptDiskEntryQuarantinedAndRecomputed)
 {
     const SystemConfig config = SystemConfig::scaledDefault();
-    const std::string dir = freshDir("ramp_cache_quarantine");
+    const std::string dir = freshDir("ramp_profile_quarantine");
     const auto spec = homogeneousWorkload("astar");
 
     ProfileCache writer;

@@ -149,31 +149,6 @@ TEST(Generator, StreamingCoversStructureUniformly)
     EXPECT_LT(max_count, 4 * std::max<std::uint64_t>(min_count, 1));
 }
 
-TEST(Generator, CpuLevelModeIsDenser)
-{
-    const auto spec = homogeneousWorkload("gcc");
-    auto options = smallOptions();
-    const auto mem_level = generateTraces(spec, options);
-    options.cpuLevel = true;
-    options.hitBurst = 3;
-    const auto cpu_level = generateTraces(spec, options);
-    EXPECT_EQ(cpu_level[0].size(), 4 * mem_level[0].size());
-}
-
-TEST(Generator, CpuLevelPreservesInstructionBudgetApproximately)
-{
-    const auto spec = homogeneousWorkload("gcc");
-    auto options = smallOptions();
-    const auto mem_stats = computeStats(generateTraces(spec, options));
-    options.cpuLevel = true;
-    const auto cpu_stats = computeStats(generateTraces(spec, options));
-    // Gap splitting truncates; allow a third of slack.
-    EXPECT_GT(cpu_stats.instructions,
-              mem_stats.instructions * 2 / 3);
-    EXPECT_LE(cpu_stats.instructions,
-              mem_stats.instructions + cpu_stats.requests);
-}
-
 /** Property sweep over every registered program. */
 class GeneratorPropertyTest
     : public ::testing::TestWithParam<std::string>

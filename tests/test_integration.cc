@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cache/filter.hh"
 #include "hma/experiment.hh"
 #include "placement/quadrant.hh"
 
@@ -89,30 +88,6 @@ INSTANTIATE_TEST_SUITE_P(Workloads, WorkloadPipelineTest,
                          ::testing::Values("mcf", "milc", "astar",
                                            "cactusADM", "mix1",
                                            "mix5"));
-
-TEST(Integration, CacheFilterPipelineFeedsSimulator)
-{
-    // CPU-level generation -> cache filtering -> HMA simulation:
-    // the full paper methodology end to end.
-    GeneratorOptions options;
-    options.traceScale = 0.01;
-    options.cpuLevel = true;
-    const auto spec = homogeneousWorkload("gcc");
-    const auto layout = buildLayout(spec);
-    const auto cpu = generateTraces(spec, layout, options);
-
-    HierarchyConfig hierarchy;
-    FilterStats filter_stats;
-    const auto mem = filterTraces(cpu, hierarchy, &filter_stats);
-    EXPECT_LT(filter_stats.passRatio(), 1.0);
-
-    const SystemConfig config = SystemConfig::scaledDefault();
-    HmaSystem system(config);
-    const auto result =
-        system.run(mem, PlacementMap(config.hbmPages()));
-    EXPECT_GT(result.ipc, 0.0);
-    EXPECT_EQ(result.requests, filter_stats.memAccesses);
-}
 
 TEST(Integration, MigrationConservesHbmOccupancy)
 {

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "hma/experiment.hh"
+#include "perf/artifact.hh"
 #include "perf/bench_report.hh"
 #include "perf/json.hh"
 #include "perf/microbench.hh"
@@ -598,6 +599,164 @@ TEST(BenchDiff, MismatchedToolsRefuseToCompare)
     error.clear();
     perf::compareBenchReports(junk, a, DiffOptions{}, error);
     EXPECT_NE(error.find("schema"), std::string::npos);
+}
+
+TEST(BenchDiff, DroppedMicrobenchmarkRegresses)
+{
+    auto base_spec = sampleSpec();
+    perf::BenchResult dropped = base_spec.microbenchmarks[0];
+    dropped.name = "dropped";
+    base_spec.microbenchmarks.push_back(dropped);
+    JsonValue base, cand;
+    std::string error;
+    ASSERT_TRUE(perf::parseJson(perf::renderBenchReport(base_spec),
+                                base, error));
+    ASSERT_TRUE(perf::parseJson(perf::renderBenchReport(sampleSpec()),
+                                cand, error));
+
+    // Under a family filter too: the row belongs to "micro.".
+    for (const DiffOptions &options :
+         {DiffOptions{}, DiffOptions{.relax = 4.0,
+                                     .families = {"micro."}}}) {
+        const auto diffs =
+            perf::compareBenchReports(base, cand, options, error);
+        ASSERT_TRUE(error.empty()) << error;
+        std::size_t missing = 0;
+        for (const auto &diff : diffs) {
+            if (diff.name == "micro.dropped") {
+                ++missing;
+                EXPECT_TRUE(diff.missing);
+                EXPECT_TRUE(diff.regressed);
+            } else {
+                EXPECT_FALSE(diff.missing || diff.regressed)
+                    << diff.name;
+            }
+        }
+        EXPECT_EQ(missing, 1u);
+    }
+
+    // A kernel only the candidate ran is new, not a regression.
+    const auto reversed =
+        perf::compareBenchReports(cand, base, DiffOptions{}, error);
+    for (const auto &diff : reversed)
+        EXPECT_FALSE(diff.missing || diff.regressed) << diff.name;
+}
+
+TEST(BenchDiff, WarnsOnlyWhenBothSidesNameDifferentCpus)
+{
+    const auto doc = [](const char *json) {
+        JsonValue value;
+        std::string error;
+        EXPECT_TRUE(perf::parseJson(json, value, error)) << error;
+        return value;
+    };
+    const JsonValue xeon = doc(R"({"host": {"cpu_model": "Xeon"}})");
+    const JsonValue epyc = doc(R"({"host": {"cpu_model": "EPYC"}})");
+    const JsonValue legacy = doc(R"({"host": {"cpus": 1}})");
+    const JsonValue hostless = doc(R"({"jobs": 1})");
+
+    EXPECT_EQ(perf::benchCpuMismatch(xeon, epyc),
+              "baseline 'Xeon', candidate 'EPYC'");
+    EXPECT_EQ(perf::benchCpuMismatch(xeon, xeon), "");
+    EXPECT_EQ(perf::benchCpuMismatch(legacy, epyc), "");
+    EXPECT_EQ(perf::benchCpuMismatch(xeon, legacy), "");
+    EXPECT_EQ(perf::benchCpuMismatch(hostless, epyc), "");
+
+    // Rendered documents stamp the host's model on both sides.
+    JsonValue a, b;
+    std::string error;
+    ASSERT_TRUE(perf::parseJson(perf::renderBenchReport(sampleSpec()),
+                                a, error));
+    ASSERT_TRUE(perf::parseJson(perf::renderBenchReport(sampleSpec()),
+                                b, error));
+    EXPECT_EQ(perf::benchCpuMismatch(a, b), "");
+}
+
+/** Reads a JSONL file with one fixed schema, collecting records. */
+class JsonlTest : public ::testing::Test
+{
+  protected:
+    void TearDown() override { std::remove(path_.c_str()); }
+
+    void write(const std::string &content)
+    {
+        std::ofstream(path_, std::ios::binary) << content;
+    }
+
+    bool read(bool ignore_partial_tail)
+    {
+        records_.clear();
+        error_.clear();
+        return perf::readJsonl(
+            path_, {"unit-v1"}, "unit", ignore_partial_tail, header_,
+            [this](const JsonValue &record) {
+                records_.push_back(record.numberOr("n", -1));
+            },
+            error_);
+    }
+
+    const std::string path_ = ::testing::TempDir() + "unit.jsonl";
+    JsonValue header_;
+    std::vector<double> records_;
+    std::string error_;
+};
+
+TEST_F(JsonlTest, MissingFileIsUnreadable)
+{
+    std::remove(path_.c_str());
+    EXPECT_FALSE(read(false));
+    EXPECT_EQ(error_, "cannot read " + path_);
+}
+
+TEST_F(JsonlTest, EmptyFileHasNoHeader)
+{
+    write("");
+    EXPECT_FALSE(read(false));
+    EXPECT_EQ(error_, path_ + ": empty unit file (no header line)");
+    write("\n\n");
+    EXPECT_FALSE(read(false));
+    EXPECT_EQ(error_, path_ + ": empty unit file (no header line)");
+}
+
+TEST_F(JsonlTest, ForeignSchemaIsRejected)
+{
+    write("{\"schema\": \"other-v1\"}\n{\"n\": 1}\n");
+    EXPECT_FALSE(read(false));
+    EXPECT_EQ(error_, path_ + ": not a unit-v1 file (schema 'other-v1')");
+    EXPECT_TRUE(records_.empty());
+}
+
+TEST_F(JsonlTest, MalformedMiddleLineNamesItsLine)
+{
+    write("{\"schema\": \"unit-v1\"}\n{\"n\": 1}\n{\"n\": \n"
+          "{\"n\": 3}\n");
+    EXPECT_FALSE(read(false));
+    EXPECT_EQ(error_.rfind(path_ + ":3: ", 0), 0u) << error_;
+    EXPECT_EQ(records_, std::vector<double>{1});
+}
+
+TEST_F(JsonlTest, UnterminatedLastLine)
+{
+    write("{\"schema\": \"unit-v1\"}\n{\"n\": 1}\n{\"n\": 2}");
+    // A finished file: the last line counts without its newline.
+    ASSERT_TRUE(read(false)) << error_;
+    EXPECT_EQ(header_.stringOr("schema", ""), "unit-v1");
+    EXPECT_EQ(records_, (std::vector<double>{1, 2}));
+    // A live tail: the line may still be growing, so it is skipped.
+    ASSERT_TRUE(read(true)) << error_;
+    EXPECT_EQ(records_, std::vector<double>{1});
+
+    // A torn line that would not parse is skipped the same way.
+    write("{\"schema\": \"unit-v1\"}\n{\"n\": 1}\n{\"n\"");
+    ASSERT_TRUE(read(true)) << error_;
+    EXPECT_EQ(records_, std::vector<double>{1});
+    EXPECT_FALSE(read(false));
+    EXPECT_EQ(error_.rfind(path_ + ":3: ", 0), 0u) << error_;
+
+    // A torn header alone leaves nothing to read.
+    write("{\"schema\": \"unit");
+    EXPECT_FALSE(read(true));
+    EXPECT_EQ(error_, path_ + ": empty unit file (no header line)");
 }
 
 GeneratorOptions

@@ -6,9 +6,10 @@
  *
  * Compares two ramp-bench-v1 documents metric by metric with the
  * per-family noise bands of perf/bench_report.cc and prints a
- * human-readable verdict table. Exit code: 0 when no metric
- * regressed beyond its threshold, 1 on any regression, 2 on usage
- * or unreadable/incomparable inputs. CI runs it against the
+ * human-readable verdict table. A baseline microbenchmark the
+ * candidate did not run counts as a regression. Exit code: 0 when
+ * no metric regressed beyond its threshold, 1 on any regression, 2
+ * on usage or unreadable/incomparable inputs. CI runs it against the
  * baselines committed at the repo root, so a PR that slows a hot
  * kernel down fails visibly instead of silently.
  */
@@ -135,6 +136,12 @@ main(int argc, char **argv)
                       << doc->find("host")->numberOr("cpus", 0)
                       << "); its timings are contended\n";
     }
+    if (const std::string cpus =
+            perf::benchCpuMismatch(baseline, candidate);
+        !cpus.empty())
+        std::cout << "bench_diff: warning: baseline and candidate ran "
+                     "on different CPUs ("
+                  << cpus << ")\n";
 
     const auto diffs = perf::compareBenchReports(
         baseline, candidate, options, error);
@@ -149,6 +156,11 @@ main(int argc, char **argv)
     for (const auto &diff : diffs) {
         if (diff.regressed)
             ++regressions;
+        if (diff.missing) {
+            table.addRow({diff.name, "-", "missing in candidate", "-",
+                          "-", "REGRESSED"});
+            continue;
+        }
         table.addRow({diff.name, quantity(diff.baseline),
                       quantity(diff.candidate), pct(diff.deltaPct),
                       quantity(diff.limitFactor) + "x",
