@@ -467,6 +467,19 @@ compareBenchReports(const JsonValue &baseline,
         }
     }
 
+    if (const JsonValue *rows = candidate.find("microbenchmarks");
+        rows != nullptr && rows->isArray()) {
+        for (const JsonValue &row : rows->array) {
+            const std::string name = row.stringOr("name", "");
+            if (name.empty() || findMicro(baseline, name) != nullptr)
+                continue;
+            MetricDiff diff;
+            diff.name = "micro." + name;
+            diff.unbaselined = true;
+            diffs.push_back(std::move(diff));
+        }
+    }
+
     if (!options.families.empty()) {
         std::erase_if(diffs, [&](const MetricDiff &diff) {
             return std::none_of(

@@ -89,7 +89,7 @@ struct MetricDiff
 {
     /**
      * Dotted metric path ("wall_seconds",
-     * "micro.avf_tracker.min_seconds", ...).
+     * "micro.faultsim_trials.min_seconds", ...).
      */
     std::string name;
 
@@ -119,6 +119,13 @@ struct MetricDiff
      * gate silently. No values or band apply.
      */
     bool missing = false;
+
+    /**
+     * A candidate microbenchmark with no baseline row; reported so
+     * an ungated kernel shows in the verdict table, never regressed.
+     * No values or band apply.
+     */
+    bool unbaselined = false;
 };
 
 /**
@@ -147,8 +154,10 @@ struct DiffOptions
  * Join two parsed BENCH documents metric by metric. The metric list
  * comes from the baseline; metrics missing (or null / below the
  * noise floor) on either side are skipped rather than flagged,
- * except a baseline microbenchmark row absent from the candidate,
- * which yields one `missing` regression named "micro.<name>".
+ * except microbenchmark rows present on one side only: a baseline
+ * row absent from the candidate yields one `missing` regression
+ * named "micro.<name>", and a candidate row absent from the
+ * baseline one `unbaselined` (not gated) entry of the same form.
  * Returns every comparison made; `error` is set (and the result
  * empty) when the documents are not comparable (schema or tool
  * mismatch).

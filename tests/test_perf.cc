@@ -642,6 +642,44 @@ TEST(BenchDiff, DroppedMicrobenchmarkRegresses)
         EXPECT_FALSE(diff.missing || diff.regressed) << diff.name;
 }
 
+TEST(BenchDiff, CandidateOnlyKernelIsReportedNotGated)
+{
+    // A new kernel ten times slower than any baseline row: with no
+    // row of its own it is listed, never judged.
+    auto cand_spec = sampleSpec();
+    perf::BenchResult fresh = cand_spec.microbenchmarks[0];
+    fresh.name = "fresh";
+    fresh.minSeconds *= 10;
+    cand_spec.microbenchmarks.push_back(fresh);
+    JsonValue base, cand;
+    std::string error;
+    ASSERT_TRUE(perf::parseJson(perf::renderBenchReport(sampleSpec()),
+                                base, error));
+    ASSERT_TRUE(perf::parseJson(perf::renderBenchReport(cand_spec),
+                                cand, error));
+
+    for (const DiffOptions &options :
+         {DiffOptions{}, DiffOptions{.relax = 4.0,
+                                     .families = {"micro."}}}) {
+        const auto diffs =
+            perf::compareBenchReports(base, cand, options, error);
+        ASSERT_TRUE(error.empty()) << error;
+        std::size_t ungated = 0;
+        for (const auto &diff : diffs) {
+            EXPECT_FALSE(diff.regressed || diff.improved ||
+                         diff.missing)
+                << diff.name;
+            EXPECT_EQ(diff.unbaselined, diff.name == "micro.fresh")
+                << diff.name;
+            EXPECT_EQ(diff.name.rfind("micro.fresh.", 0),
+                      std::string::npos)
+                << diff.name;
+            ungated += diff.unbaselined ? 1 : 0;
+        }
+        EXPECT_EQ(ungated, 1u);
+    }
+}
+
 TEST(BenchDiff, WarnsOnlyWhenBothSidesNameDifferentCpus)
 {
     const auto doc = [](const char *json) {

@@ -7,11 +7,12 @@
  * Compares two ramp-bench-v1 documents metric by metric with the
  * per-family noise bands of perf/bench_report.cc and prints a
  * human-readable verdict table. A baseline microbenchmark the
- * candidate did not run counts as a regression. Exit code: 0 when
- * no metric regressed beyond its threshold, 1 on any regression, 2
- * on usage or unreadable/incomparable inputs. CI runs it against the
- * baselines committed at the repo root, so a PR that slows a hot
- * kernel down fails visibly instead of silently.
+ * candidate did not run counts as a regression; a candidate
+ * microbenchmark with no baseline row is listed as not gated. Exit
+ * code: 0 when no metric regressed beyond its threshold, 1 on any
+ * regression, 2 on usage or unreadable/incomparable inputs. CI runs
+ * it against the baselines committed at the repo root, so a PR that
+ * slows a hot kernel down fails visibly instead of silently.
  */
 
 #include <cstdio>
@@ -151,6 +152,7 @@ main(int argc, char **argv)
     }
 
     std::size_t regressions = 0;
+    std::size_t ungated = 0;
     TextTable table({"metric", "baseline", "candidate", "delta",
                      "limit", "verdict"});
     for (const auto &diff : diffs) {
@@ -159,6 +161,12 @@ main(int argc, char **argv)
         if (diff.missing) {
             table.addRow({diff.name, "-", "missing in candidate", "-",
                           "-", "REGRESSED"});
+            continue;
+        }
+        if (diff.unbaselined) {
+            ++ungated;
+            table.addRow({diff.name, "no baseline", "-", "-", "-",
+                          "not gated"});
             continue;
         }
         table.addRow({diff.name, quantity(diff.baseline),
@@ -170,9 +178,9 @@ main(int argc, char **argv)
     }
     table.print(std::cout,
                 "bench_diff: " + paths[0] + " -> " + paths[1] +
-                    " (" + std::to_string(diffs.size()) +
+                    " (" + std::to_string(diffs.size() - ungated) +
                     " metrics compared)");
-    if (diffs.empty())
+    if (diffs.size() == ungated)
         std::cout << "bench_diff: no comparable metrics "
                      "(documents measure nothing in common)\n";
     if (regressions > 0) {
