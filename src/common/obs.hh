@@ -1,7 +1,7 @@
 /**
  * @file
  * The observability switch: one process-wide enable mask for the
- * four instrumentation layers. A site tests its layer's bit with the
+ * five instrumentation layers. A site tests its layer's bit with the
  * inline on() — one relaxed load and a branch, no call — and the
  * harness sets bits from its output table (runner/harness.cc).
  */
@@ -17,11 +17,12 @@ namespace ramp::obs
 
 enum Layer : std::uint8_t
 {
-    Telemetry = 1u << 0, ///< metrics registry and trace spans
+    Telemetry = 1u << 0, ///< metrics registry
     Events = 1u << 1,    ///< decision ledger (eventlog)
     Health = 1u << 2,    ///< epoch health timeline and rules
     Prof = 1u << 3,      ///< cycle profiler phase trees
-    All = Telemetry | Events | Health | Prof,
+    Trace = 1u << 4,     ///< Chrome trace events (--trace-out)
+    All = Telemetry | Events | Health | Prof | Trace,
 };
 
 /** The enable mask (default: every layer off). */

@@ -87,7 +87,7 @@ void setCapacity(std::uint64_t max_records);
  * "<config>/shard<index>") — analyzers order runs by label, which
  * keeps timelines independent of pool scheduling. Scopes nest; the
  * innermost wins. Inert (and free) when recording is disabled at
- * construction, mirroring telemetry's ScopedSpan.
+ * construction, mirroring prof::ScopedPhase.
  */
 class RunScope
 {

@@ -1,7 +1,6 @@
 #include "hma/experiment.hh"
 
 #include "common/logging.hh"
-#include "telemetry/telemetry.hh"
 
 namespace ramp
 {
@@ -20,8 +19,6 @@ WorkloadData
 prepareWorkload(const WorkloadSpec &spec,
                 const GeneratorOptions &options)
 {
-    RAMP_TELEM_SPAN(generate_span, "trace.generate", "workload",
-                    telemetry::traceArg("workload", spec.name));
     WorkloadData data;
     data.spec = spec;
     validateWorkloadSpec(spec);

@@ -945,12 +945,8 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
             ramp_panic("compiled trace of core ", c,
                        " does not match its trace");
 
-    RAMP_TELEM_SPAN(run_span, "hma.run", "sim",
-                    telemetry::traceArg(
-                        "engine",
-                        engine != nullptr ? engine->name()
-                                          : "static"));
-    RAMP_PROF_SCOPE_PMU(run_prof, "hma.run");
+    RAMP_PROF_SCOPE_PMU(run_prof, "hma.run", "engine",
+                        engine != nullptr ? engine->name() : "static");
 
     SimResult result;
     // Runs never nest on a thread, so each worker owns one state. It

@@ -8,13 +8,13 @@
  * and the live/peak resident set. ResourceSampler runs a background
  * thread that takes a reading every period, publishes it as
  * telemetry gauges (proc.rss_bytes, proc.peak_rss_bytes,
- * proc.cpu_user_seconds, proc.cpu_sys_seconds) and a Chrome counter
- * event (an RSS-over-time track in the trace viewer), and folds the
- * RSS series into a RunningStat for the BENCH report. stop() is
- * idempotent and joins the thread promptly (condition-variable
- * sleep, not a busy wait), so a SIGINT-cancelled campaign still
- * winds the sampler down cleanly before the harness flushes its
- * BENCH file.
+ * proc.cpu_user_seconds, proc.cpu_sys_seconds), records a Chrome
+ * counter event while tracing (an RSS-over-time track in the trace
+ * viewer), and folds the RSS series into a RunningStat for the
+ * BENCH report. stop() is idempotent and joins the thread promptly
+ * (condition-variable sleep, not a busy wait), so a SIGINT-cancelled
+ * campaign still winds the sampler down cleanly before the harness
+ * flushes its BENCH file.
  */
 
 #ifndef RAMP_PERF_RESOURCE_HH

@@ -10,6 +10,7 @@
 
 #include "prof/tsc.hh"
 #include "common/json.hh"
+#include "telemetry/trace.hh"
 
 namespace ramp::prof
 {
@@ -78,6 +79,19 @@ threadState()
         return fresh;
     }();
     return *state;
+}
+
+/** One B or E event of a phase scope (caller checked obs::Trace). */
+void
+traceEvent(char phase, const char *name, std::string args_json = {})
+{
+    telemetry::TraceEvent event;
+    event.name = name;
+    event.cat = "phase";
+    event.phase = phase;
+    event.tsMicros = telemetry::nowMicros();
+    event.argsJson = std::move(args_json);
+    telemetry::emitEvent(std::move(event));
 }
 
 std::uint64_t
@@ -186,9 +200,20 @@ internName(std::string_view name)
 }
 
 void
-ScopedPhase::begin(const char *name, bool with_pmu)
+ScopedPhase::begin(const char *name, bool with_pmu, const char *arg_key,
+                   std::string_view arg_value)
 {
-    active_ = true;
+    modes_ = obs::mask.load(std::memory_order_relaxed) &
+             (obs::Prof | obs::Trace);
+    name_ = name;
+    if ((modes_ & obs::Trace) != 0)
+        traceEvent('B', name,
+                   arg_key == nullptr
+                       ? std::string()
+                       : telemetry::traceArg(arg_key,
+                                             std::string(arg_value)));
+    if ((modes_ & obs::Prof) == 0)
+        return;
     pmuActive_ = false;
     state_ = &threadState();
     {
@@ -220,33 +245,40 @@ ScopedPhase::begin(const char *name, bool with_pmu)
         pmuStartLlcMisses_ = start.llcMisses;
         pmuStartBranchMisses_ = start.branchMisses;
     }
-    // Last, so the phase never charges itself for its own setup.
+    // Last, so the phase never charges itself for its own setup or
+    // for the trace's B event above.
     startCycles_ = readCycles();
 }
 
 void
 ScopedPhase::end()
 {
-    const std::uint64_t stop = readCycles();
-    PmuSample pmu_stop;
-    if (pmuActive_)
-        pmu_stop = pmuRead();
+    if ((modes_ & obs::Prof) != 0) {
+        // First, so the phase never charges itself for its own exit
+        // or for the trace's E event below.
+        const std::uint64_t stop = readCycles();
+        PmuSample pmu_stop;
+        if (pmuActive_)
+            pmu_stop = pmuRead();
 
-    std::lock_guard<std::mutex> lock(state_->mutex);
-    node_->calls += 1;
-    node_->totalCycles += saturatingDelta(startCycles_, stop);
-    if (pmuActive_ && pmu_stop.valid) {
-        node_->pmuCalls += 1;
-        node_->pmuCycles +=
-            saturatingDelta(pmuStartCycles_, pmu_stop.cycles);
-        node_->pmuInstructions += saturatingDelta(
-            pmuStartInstructions_, pmu_stop.instructions);
-        node_->pmuLlcMisses += saturatingDelta(
-            pmuStartLlcMisses_, pmu_stop.llcMisses);
-        node_->pmuBranchMisses += saturatingDelta(
-            pmuStartBranchMisses_, pmu_stop.branchMisses);
+        std::lock_guard<std::mutex> lock(state_->mutex);
+        node_->calls += 1;
+        node_->totalCycles += saturatingDelta(startCycles_, stop);
+        if (pmuActive_ && pmu_stop.valid) {
+            node_->pmuCalls += 1;
+            node_->pmuCycles +=
+                saturatingDelta(pmuStartCycles_, pmu_stop.cycles);
+            node_->pmuInstructions += saturatingDelta(
+                pmuStartInstructions_, pmu_stop.instructions);
+            node_->pmuLlcMisses += saturatingDelta(
+                pmuStartLlcMisses_, pmu_stop.llcMisses);
+            node_->pmuBranchMisses += saturatingDelta(
+                pmuStartBranchMisses_, pmu_stop.branchMisses);
+        }
+        state_->current = node_->parent;
     }
-    state_->current = node_->parent;
+    if ((modes_ & obs::Trace) != 0)
+        traceEvent('E', name_);
 }
 
 ProfileSnapshot

@@ -21,10 +21,16 @@
  * same phases run the same number of times at any --jobs, only the
  * raw cycle counts carry timing noise.
  *
- * Scopes gate on the obs::Prof bit (common/obs.hh): while it is off
- * a site costs one relaxed atomic load and a branch, with no call,
- * and allocates nothing — thread state is only created by recording
- * scopes.
+ * The same scope writes the Chrome trace (telemetry/trace.hh): while
+ * the obs::Trace bit is on, each scope emits a B event on entry and
+ * the matching E on exit under its phase name. Trace bookkeeping
+ * sits outside the cycle window (begin reads the TSC last, end reads
+ * it first), so phase cycles never absorb it.
+ *
+ * Scopes gate on the obs::Prof and obs::Trace bits (common/obs.hh):
+ * while both are off a site costs one relaxed atomic load and a
+ * branch, with no call, and allocates nothing — profiler thread
+ * state is only created by scopes recording under obs::Prof.
  *
  * Exports: profileJson() renders the self-describing
  * ramp-profile-v1 document, foldedStacks() the matching
@@ -137,24 +143,30 @@ struct PhaseNode;
 } // namespace detail
 
 /**
- * RAII phase timer; use through RAMP_PROF_SCOPE /
- * RAMP_PROF_SCOPE_PMU. Samples the obs::Prof bit at entry and
- * commits at exit even if profiling is toggled off mid-scope, so
- * trees stay balanced.
+ * RAII phase scope, the one scope type of both exporters; use
+ * through RAMP_PROF_SCOPE / RAMP_PROF_SCOPE_PMU. While obs::Prof is
+ * on it times the phase into the calling thread's tree; while
+ * obs::Trace is on it writes the Chrome trace's B/E pair under the
+ * phase's name, the B carrying a one-entry args object
+ * {arg_key: arg_value} when arg_key is given (rendered only while
+ * tracing). Samples both bits at entry and closes what it opened
+ * even if a bit is toggled mid-scope, so trees stay balanced and
+ * pairs matched.
  */
 class ScopedPhase
 {
   public:
-    ScopedPhase(const char *name, bool with_pmu)
+    ScopedPhase(const char *name, bool with_pmu,
+                const char *arg_key = nullptr,
+                std::string_view arg_value = {})
     {
-        if (!obs::on(obs::Prof))
-            return;
-        begin(name, with_pmu);
+        if (obs::on(obs::Prof | obs::Trace))
+            begin(name, with_pmu, arg_key, arg_value);
     }
 
     ~ScopedPhase()
     {
-        if (active_)
+        if (modes_ != 0)
             end();
     }
 
@@ -162,16 +174,18 @@ class ScopedPhase
     ScopedPhase &operator=(const ScopedPhase &) = delete;
 
   private:
-    void begin(const char *name, bool with_pmu);
+    void begin(const char *name, bool with_pmu, const char *arg_key,
+               std::string_view arg_value);
     void end();
 
-    // Only active_ carries a default: a disabled construction must
-    // cost one byte store beyond the obs::Prof check, so the other
+    // Only modes_ carries a default: a disabled construction must
+    // cost one byte store beyond the mask check, so the other
     // members (including the PMU start values, stored raw rather
     // than as a PmuSample whose default constructor would zero
     // them) stay uninitialized until begin() runs.
-    bool active_ = false;
+    std::uint8_t modes_ = 0; ///< obs::Prof / obs::Trace at entry
     bool pmuActive_;
+    const char *name_;
     detail::ThreadProf *state_;
     detail::PhaseNode *node_;
     std::uint64_t startCycles_;
@@ -184,13 +198,15 @@ class ScopedPhase
 } // namespace ramp::prof
 
 /**
- * Open a TSC-only phase scope for the rest of the block:
+ * Open a TSC-only phase scope for the rest of the block, optionally
+ * with one trace arg (a key and a string value):
  *
  *   RAMP_PROF_SCOPE(prof_scope, "hma.migration_epoch");
+ *   RAMP_PROF_SCOPE(pass_scope, "runner.pass", "workload", name);
  */
-#define RAMP_PROF_SCOPE(var, name) \
-    ::ramp::prof::ScopedPhase var((name), false)
-#define RAMP_PROF_SCOPE_PMU(var, name) \
-    ::ramp::prof::ScopedPhase var((name), true)
+#define RAMP_PROF_SCOPE(var, name, ...) \
+    ::ramp::prof::ScopedPhase var((name), false __VA_OPT__(, ) __VA_ARGS__)
+#define RAMP_PROF_SCOPE_PMU(var, name, ...) \
+    ::ramp::prof::ScopedPhase var((name), true __VA_OPT__(, ) __VA_ARGS__)
 
 #endif // RAMP_PROF_PROF_HH

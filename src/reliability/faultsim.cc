@@ -173,8 +173,8 @@ FaultSim::ShardCounts
 FaultSim::runShard(std::uint64_t trials, std::uint64_t seed,
                    std::uint64_t shard) const
 {
-    RAMP_TELEM_SPAN(shard_span, "faultsim.shard", "reliability");
-    RAMP_PROF_SCOPE_PMU(shard_prof, "faultsim.shard");
+    RAMP_PROF_SCOPE_PMU(shard_prof, "faultsim.shard", "config",
+                        config_.name);
     // Shard labels are schedule-independent, so ledger analyzers
     // see identical fault streams at any --jobs width.
     eventlog::RunScope events_scope(config_.name + "/shard" +
@@ -239,10 +239,6 @@ FaultSimResult
 FaultSim::run(std::uint64_t trials, std::uint64_t seed,
               runner::ThreadPool *pool) const
 {
-    RAMP_TELEM_SPAN(campaign_span, "faultsim.campaign",
-                    "reliability",
-                    telemetry::traceArg("config", config_.name));
-
     // The campaign is embarrassingly parallel: fixed-size shards
     // with SplitMix64-derived seeds make the outcome a pure
     // function of (trials, seed) regardless of thread count.

@@ -210,9 +210,6 @@ Harness::outputs()
     using Path = const std::string &;
     constexpr std::uint8_t monitor =
         obs::Telemetry | obs::Events | obs::Health;
-    static constexpr auto capture_logs = [](Harness &) {
-        telemetry::captureLogEvents();
-    };
     // Installs --health-rules, or the defaults when only the
     // timeline is on.
     static constexpr auto install_rules = [](Harness &h) {
@@ -244,7 +241,7 @@ Harness::outputs()
         {"--metrics-out", "RAMP_METRICS_OUT",
          "  --metrics-out PATH  write a telemetry metrics "
          "snapshot (env RAMP_METRICS_OUT)\n",
-         &RunnerOptions::metricsPath, obs::Telemetry, capture_logs, 3,
+         &RunnerOptions::metricsPath, obs::Telemetry, nullptr, 3,
          {{{"", "metrics snapshot",
             [](Harness &h, Path path) {
                 return atomicWriteFile(
@@ -254,7 +251,8 @@ Harness::outputs()
         {"--trace-out", "RAMP_TRACE_OUT",
          "  --trace-out PATH  write a Chrome trace-event file "
          "(env RAMP_TRACE_OUT)\n",
-         &RunnerOptions::tracePath, obs::Telemetry, capture_logs, 4,
+         &RunnerOptions::tracePath, obs::Trace,
+         [](Harness &) { telemetry::captureLogEvents(); }, 4,
          {{{"", "trace",
             [](Harness &, Path path) {
                 return atomicWriteFile(path, telemetry::traceJson());
@@ -266,7 +264,6 @@ Harness::outputs()
          "performance report (env RAMP_BENCH_OUT)\n",
          &RunnerOptions::benchPath, obs::Telemetry,
          [](Harness &h) {
-             telemetry::captureLogEvents();
              h.sampler_ = std::make_unique<perf::ResourceSampler>(
                  std::chrono::milliseconds(h.options_.sampleMs));
          },
@@ -433,9 +430,7 @@ Harness::runPassesImpl(const std::vector<PassDesc> &descs,
         const std::string &key = keys[index];
         PassOutcome &out = outcomes[index];
 
-        RAMP_TELEM_SPAN(pass_span, "pass", "runner",
-                        telemetry::traceArg("workload", name));
-        RAMP_PROF_SCOPE(pass_prof, "runner.pass");
+        RAMP_PROF_SCOPE(pass_prof, "runner.pass", "workload", name);
         eventlog::RunScope events_scope(name + "/" +
                                         descs[index].label);
         std::optional<Watchdog::Scope> scope;

@@ -36,7 +36,7 @@ poolTelemetry()
     return telemetry;
 }
 
-/** Run one task index, wrapped in a span and lifetime histogram. */
+/** Run one task index, wrapped in a phase and lifetime histogram. */
 void
 runInstrumented(const std::function<void(std::size_t)> &task,
                 std::size_t index)
@@ -47,7 +47,6 @@ runInstrumented(const std::function<void(std::size_t)> &task,
     if (obs::on(obs::Telemetry)) {
         auto &tel = poolTelemetry();
         tel.tasks.add(1);
-        telemetry::ScopedSpan span("pool.task", "runner");
         const auto start = std::chrono::steady_clock::now();
         task(index);
         tel.taskSeconds.observe(

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "prof/prof.hh"
 #include "runner/checkpoint.hh"
 #include "runner/codec.hh"
 #include "telemetry/telemetry.hh"
@@ -181,8 +182,8 @@ ProfileCache::compute(const SystemConfig &config,
                       const GeneratorOptions &options,
                       const std::string &key)
 {
-    RAMP_TELEM_SPAN(compute_span, "profile.compute", "runner",
-                    telemetry::traceArg("workload", spec.name));
+    RAMP_PROF_SCOPE(compute_prof, "profile.compute", "workload",
+                    spec.name);
     auto profiled = std::make_shared<ProfiledWorkload>();
     profiled->data = prepareWorkload(spec, options);
     profiled->fingerprint = key;

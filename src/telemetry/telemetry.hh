@@ -1,17 +1,19 @@
 /**
  * @file
- * Telemetry subsystem front door: the span macro and log capture.
+ * Telemetry subsystem front door: the metrics registry, the trace
+ * sink, and log capture.
  *
- * Instrumentation sites gate on the obs::Telemetry bit of the
- * observability mask (common/obs.hh), through RAMP_OBS(Telemetry,
- * ...) or RAMP_TELEM_SPAN, so a site costs one relaxed atomic load
- * and branch while telemetry is off.
+ * Metric sites gate on the obs::Telemetry bit of the observability
+ * mask (common/obs.hh) through RAMP_OBS(Telemetry, ...), so a site
+ * costs one relaxed atomic load and branch while telemetry is off.
+ * Trace events gate on the separate obs::Trace bit (trace.hh); their
+ * B/E pairs come from prof::ScopedPhase.
  *
  * Everything is process-global and thread-safe: metrics() is the
- * shared registry (registry.hh), spans and instants land in
- * per-thread buffers (trace.hh), and captureLogEvents() tees
- * warn()/inform() lines into the trace as instant events without
- * touching their stderr output.
+ * shared registry (registry.hh), trace events land in per-thread
+ * buffers (trace.hh), and captureLogEvents() tees warn()/inform()
+ * lines into the trace as instant events without touching their
+ * stderr output.
  */
 
 #ifndef RAMP_TELEMETRY_TELEMETRY_HH
@@ -36,14 +38,5 @@ void captureLogEvents();
 void resetAll();
 
 } // namespace ramp::telemetry
-
-/**
- * Scoped trace span covering the rest of the enclosing block:
- * RAMP_TELEM_SPAN(span, "hma.run", "sim"); the named variable can
- * be ignored or used to keep the span alive explicitly. Inert (one
- * branch) while telemetry is disabled.
- */
-#define RAMP_TELEM_SPAN(var, ...) \
-    ::ramp::telemetry::ScopedSpan var(__VA_ARGS__)
 
 #endif // RAMP_TELEMETRY_TELEMETRY_HH

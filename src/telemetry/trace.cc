@@ -16,7 +16,7 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
-/** Fixed at first telemetry use; all timestamps are relative. */
+/** Fixed at first trace use; all timestamps are relative. */
 Clock::time_point
 epoch()
 {
@@ -88,8 +88,6 @@ traceArgNumber(const std::string &key, double value)
 void
 emitEvent(TraceEvent event)
 {
-    if (!obs::on(obs::Telemetry))
-        return;
     ThreadBuffer &buffer = threadBuffer();
     std::lock_guard<std::mutex> lock(buffer.mutex);
     event.tid = buffer.tid;
@@ -100,7 +98,7 @@ void
 instant(const std::string &name, const std::string &cat,
         const std::string &args_json)
 {
-    if (!obs::on(obs::Telemetry))
+    if (!obs::on(obs::Trace))
         return;
     TraceEvent event;
     event.name = name;
@@ -115,7 +113,7 @@ void
 counterEvent(const std::string &name, const std::string &cat,
              const std::string &series, double value)
 {
-    if (!obs::on(obs::Telemetry))
+    if (!obs::on(obs::Trace))
         return;
     TraceEvent event;
     event.name = name;
@@ -124,38 +122,6 @@ counterEvent(const std::string &name, const std::string &cat,
     event.tsMicros = nowMicros();
     event.argsJson = traceArgNumber(series, value);
     emitEvent(std::move(event));
-}
-
-ScopedSpan::ScopedSpan(const char *name, const char *cat,
-                       std::string args_json)
-    : active_(obs::on(obs::Telemetry)), name_(name), cat_(cat)
-{
-    if (!active_)
-        return;
-    TraceEvent event;
-    event.name = name_;
-    event.cat = cat_;
-    event.phase = 'B';
-    event.tsMicros = nowMicros();
-    event.argsJson = std::move(args_json);
-    emitEvent(std::move(event));
-}
-
-ScopedSpan::~ScopedSpan()
-{
-    if (!active_)
-        return;
-    TraceEvent event;
-    event.name = name_;
-    event.cat = cat_;
-    event.phase = 'E';
-    event.tsMicros = nowMicros();
-    // Emit the E even if telemetry was toggled off mid-span, so
-    // the B opened above is always closed.
-    ThreadBuffer &buffer = threadBuffer();
-    std::lock_guard<std::mutex> lock(buffer.mutex);
-    event.tid = buffer.tid;
-    buffer.events.push_back(std::move(event));
 }
 
 std::vector<TraceEvent>

@@ -1,18 +1,20 @@
 /**
  * @file
- * Chrome trace-event collection: scoped spans and instant events.
+ * Chrome trace-event collection: the sink behind --trace-out.
  *
  * Events accumulate in per-thread buffers (one short lock on the
  * owning thread per event, no cross-thread contention on the hot
  * path) registered with a process-wide collector. traceJson()
  * merges every buffer into one Chrome trace-event document that
  * chrome://tracing and Perfetto load directly: B/E duration pairs
- * for spans, "i" events for instants, timestamps in microseconds
- * since the first telemetry use.
+ * for phase scopes, "i" events for instants, "C" events for
+ * counters, timestamps in microseconds since the first trace use.
  *
- * Spans are scoped objects, so B/E pairs are well-nested per thread
- * by construction. All emission is gated on the obs::Telemetry
- * bit: while it is off nothing records and a site pays one branch.
+ * The B/E pairs come from prof::ScopedPhase (prof/prof.hh), the
+ * one scope type, so they are well-nested per thread by
+ * construction. Recording is gated on the obs::Trace bit, which
+ * only --trace-out sets: while it is off nothing is buffered and a
+ * site pays one branch.
  */
 
 #ifndef RAMP_TELEMETRY_TRACE_HH
@@ -36,7 +38,7 @@ struct TraceEvent
     /** Chrome phase: 'B' begin, 'E' end, 'i' instant, 'C' counter. */
     char phase = 'i';
 
-    /** Microseconds since the process's telemetry epoch. */
+    /** Microseconds since the process's trace epoch. */
     std::int64_t tsMicros = 0;
 
     /** Small stable id of the emitting thread. */
@@ -49,7 +51,7 @@ struct TraceEvent
     std::string argsJson;
 };
 
-/** Microseconds since the telemetry epoch (steady clock). */
+/** Microseconds since the trace epoch (steady clock). */
 std::int64_t nowMicros();
 
 /** Render one {"key": "value"} args object with escaping. */
@@ -59,42 +61,26 @@ std::string traceArg(const std::string &key,
 /** Render one {"key": number} args object (null when non-finite). */
 std::string traceArgNumber(const std::string &key, double value);
 
-/** Append an event to the calling thread's buffer (when enabled). */
+/**
+ * Append an event to the calling thread's buffer. Unconditional:
+ * producers test obs::Trace first. instant() and counterEvent() do;
+ * a phase scope samples the bit at entry and always closes the B it
+ * opened.
+ */
 void emitEvent(TraceEvent event);
 
-/** Emit an instant event (thread scope) when enabled. */
+/** Emit an instant event (thread scope) while obs::Trace is on. */
 void instant(const std::string &name, const std::string &cat,
              const std::string &args_json = "");
 
 /**
- * Emit a Chrome counter event ('C' phase) when enabled: the viewer
+ * Emit a Chrome counter event ('C' phase) while obs::Trace is on:
+ * the viewer
  * plots the named series as a value-over-time track. The resource
  * sampler emits one per sample (RSS over time).
  */
 void counterEvent(const std::string &name, const std::string &cat,
                   const std::string &series, double value);
-
-/**
- * RAII span: emits a B event at construction and the matching E at
- * destruction. When telemetry is disabled at construction the span
- * is inert (and stays inert even if telemetry is enabled before it
- * closes, so pairs never go unmatched).
- */
-class ScopedSpan
-{
-  public:
-    ScopedSpan(const char *name, const char *cat,
-               std::string args_json = "");
-    ~ScopedSpan();
-
-    ScopedSpan(const ScopedSpan &) = delete;
-    ScopedSpan &operator=(const ScopedSpan &) = delete;
-
-  private:
-    bool active_;
-    const char *name_;
-    const char *cat_;
-};
 
 /** Every event collected so far, across all thread buffers. */
 std::vector<TraceEvent> collectEvents();

@@ -104,7 +104,8 @@ generateTraces(const WorkloadSpec &spec, const WorkloadLayout &layout,
         ramp_fatal("workload ", spec.name, " must define ",
                    workloadCores, " cores");
 
-    RAMP_PROF_SCOPE_PMU(gen_prof, "trace.generate");
+    RAMP_PROF_SCOPE_PMU(gen_prof, "trace.generate", "workload",
+                        spec.name);
 
     // Zipf CDF construction is the expensive part of setup; identical
     // (pages, alpha) samplers are shared across cores and structures.

@@ -4,8 +4,8 @@
  *
  * Mirrors the paper's trace format (Section 3.1): each record carries
  * the number of intervening non-memory instructions, the address, and
- * the request type. Traces are memory-level (post-L2) unless produced
- * by the CPU-level generator mode for the cache-filter pipeline.
+ * the request type. Traces are memory-level (post-L2), as the
+ * generator (trace/generator.hh) produces them.
  */
 
 #ifndef RAMP_TRACE_REQUEST_HH

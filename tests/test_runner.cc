@@ -495,7 +495,7 @@ outputCases()
          &RunnerOptions::metricsPath, obs::Telemetry,
          {{"", "metrics snapshot"}}},
         {"--trace-out", "RAMP_TRACE_OUT", &RunnerOptions::tracePath,
-         obs::Telemetry, {{"", "trace"}}},
+         obs::Trace, {{"", "trace"}}},
         {"--bench-out", "RAMP_BENCH_OUT", &RunnerOptions::benchPath,
          obs::Telemetry, {{"", "bench report"}}},
         {"--events-out", "RAMP_EVENTS_OUT", &RunnerOptions::eventsPath,

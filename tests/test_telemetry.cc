@@ -2,8 +2,10 @@
  * @file
  * Unit tests for the telemetry subsystem (src/telemetry): sharded
  * counter exactness under threads, fixed-bucket histogram
- * semantics, snapshot determinism under the pool, and trace-event
- * JSON well-formedness.
+ * semantics, snapshot determinism under the pool, trace-event JSON
+ * well-formedness, and the split between the metrics bit
+ * (obs::Telemetry) and the trace bit (obs::Trace) that the one
+ * phase scope (prof::ScopedPhase) writes B/E pairs under.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +20,8 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "perf/resource.hh"
+#include "prof/prof.hh"
 #include "reliability/faultsim.hh"
 #include "runner/pool.hh"
 #include "telemetry/telemetry.hh"
@@ -27,20 +31,22 @@ namespace ramp::telemetry
 namespace
 {
 
-/** Fresh telemetry state (enabled) for each test body. */
+/** Fresh metrics and trace state (both enabled) for each test body. */
 class TelemetryTest : public ::testing::Test
 {
   protected:
     void SetUp() override
     {
         resetAll();
-        obs::set(obs::Telemetry, true);
+        prof::reset();
+        obs::set(obs::Telemetry | obs::Trace, true);
     }
 
     void TearDown() override
     {
-        obs::set(obs::Telemetry, false);
+        obs::set(obs::All, false);
         resetAll();
+        prof::reset();
     }
 };
 
@@ -256,11 +262,11 @@ TEST_F(TelemetryTest, SnapshotIsDeterministicUnderThePool)
 
 TEST_F(TelemetryTest, DisabledSitesRecordNothing)
 {
-    obs::set(obs::Telemetry, false);
+    obs::set(obs::Telemetry | obs::Trace, false);
     Counter &counter = metrics().counter("test.disabled");
     RAMP_OBS(Telemetry, counter.add(1));
     {
-        RAMP_TELEM_SPAN(span, "test.span", "test");
+        RAMP_PROF_SCOPE(span, "test.span");
     }
     instant("test.instant", "test");
     EXPECT_EQ(counter.total(), 0u);
@@ -322,10 +328,9 @@ jsonBalanced(const std::string &text)
 TEST_F(TelemetryTest, TraceJsonIsWellFormedWithNestedSpans)
 {
     {
-        RAMP_TELEM_SPAN(outer, "outer", "test",
-                        traceArg("key", "value \"quoted\"\n"));
+        RAMP_PROF_SCOPE(outer, "outer", "key", "value \"quoted\"\n");
         {
-            RAMP_TELEM_SPAN(inner, "inner", "test");
+            RAMP_PROF_SCOPE(inner, "inner");
         }
         instant("marker", "test");
     }
@@ -336,7 +341,12 @@ TEST_F(TelemetryTest, TraceJsonIsWellFormedWithNestedSpans)
     EXPECT_EQ(json.find(",]"), std::string::npos);
     EXPECT_EQ(json.find(",}"), std::string::npos);
 
-    // Spans are well-nested per thread by construction: walking
+    // The args object carries the escaped value.
+    const std::string args =
+        "\"args\": {\"key\": \"value \\\"quoted\\\"\\n\"}";
+    EXPECT_NE(json.find(args), std::string::npos) << json;
+
+    // Scopes are well-nested per thread by construction: walking
     // this thread's events, every E closes the latest open B.
     std::vector<std::string> open;
     for (const auto &event : collectEvents()) {
@@ -353,8 +363,8 @@ TEST_F(TelemetryTest, TraceJsonIsWellFormedWithNestedSpans)
 TEST_F(TelemetryTest, SpanOrderIsBeginInnerEnd)
 {
     {
-        RAMP_TELEM_SPAN(outer, "outer", "test");
-        RAMP_TELEM_SPAN(inner, "inner", "test");
+        RAMP_PROF_SCOPE(outer, "outer");
+        RAMP_PROF_SCOPE(inner, "inner");
     }
     const auto events = collectEvents();
     ASSERT_EQ(events.size(), 4u);
@@ -379,15 +389,106 @@ TEST_F(TelemetryTest, FaultSimShardsEmitSpansAndCounters)
     EXPECT_EQ(snap.counterOr("faultsim.trials"), 2000u);
     EXPECT_GE(snap.counterOr("faultsim.shards"), 1u);
 
-    bool campaign_span = false, shard_span = false;
+    // The shard scopes cover the whole campaign; each B names the
+    // configuration and has its E.
+    std::uint64_t shard_begins = 0, shard_ends = 0;
     for (const auto &event : collectEvents()) {
-        if (event.phase != 'B')
+        if (event.name != "faultsim.shard")
             continue;
-        campaign_span |= event.name == "faultsim.campaign";
-        shard_span |= event.name == "faultsim.shard";
+        if (event.phase == 'B') {
+            ++shard_begins;
+            EXPECT_NE(event.argsJson.find("\"config\""),
+                      std::string::npos);
+        }
+        shard_ends += event.phase == 'E';
     }
-    EXPECT_TRUE(campaign_span);
-    EXPECT_TRUE(shard_span);
+    EXPECT_EQ(shard_begins, snap.counterOr("faultsim.shards"));
+    EXPECT_EQ(shard_ends, shard_begins);
+}
+
+/** Calls recorded for the phase at `path` (0 when it has none). */
+std::uint64_t
+phaseCalls(const std::string &path)
+{
+    for (const prof::PhaseStat &phase : prof::snapshot().phases)
+        if (phase.path == path)
+            return phase.calls;
+    return 0;
+}
+
+TEST_F(TelemetryTest, ScopeRecordsWhatItsBitsSelect)
+{
+    auto events_named = [](const std::string &name) {
+        std::vector<TraceEvent> out;
+        for (const auto &event : collectEvents())
+            if (event.name == name)
+                out.push_back(event);
+        return out;
+    };
+
+    // Prof only: a phase record and no trace event.
+    obs::set(obs::All, false);
+    obs::set(obs::Prof, true);
+    {
+        RAMP_PROF_SCOPE(scope, "test.prof_only", "key", "value");
+    }
+    EXPECT_EQ(phaseCalls("test.prof_only"), 1u);
+    EXPECT_TRUE(collectEvents().empty());
+
+    // Trace only: a B/E pair with args, and no profiler state, even
+    // on a thread that never profiled.
+    obs::set(obs::All, false);
+    obs::set(obs::Trace, true);
+    const std::size_t states = prof::threadStateCountForTest();
+    std::thread([] {
+        RAMP_PROF_SCOPE(scope, "test.trace_only", "key", "value");
+    }).join();
+    EXPECT_EQ(prof::threadStateCountForTest(), states);
+    EXPECT_EQ(phaseCalls("test.trace_only"), 0u);
+    const auto traced = events_named("test.trace_only");
+    ASSERT_EQ(traced.size(), 2u);
+    EXPECT_EQ(traced[0].phase, 'B');
+    EXPECT_EQ(traced[0].argsJson, "{\"key\": \"value\"}");
+    EXPECT_EQ(traced[1].phase, 'E');
+    EXPECT_LE(traced[0].tsMicros, traced[1].tsMicros);
+
+    // Both: both.
+    obs::set(obs::Prof | obs::Trace, true);
+    {
+        RAMP_PROF_SCOPE_PMU(scope, "test.both");
+    }
+    EXPECT_EQ(phaseCalls("test.both"), 1u);
+    const auto both = events_named("test.both");
+    ASSERT_EQ(both.size(), 2u);
+    EXPECT_EQ(both[0].phase, 'B');
+    EXPECT_EQ(both[0].argsJson, "");
+    EXPECT_EQ(both[1].phase, 'E');
+}
+
+TEST_F(TelemetryTest, MetricsWithoutTraceBufferNoEvents)
+{
+    // What --bench-out and --metrics-out switch on: the metrics
+    // registry and nothing that only --trace-out reads. Log capture
+    // stays installed from any earlier --trace-out in the process.
+    obs::set(obs::All, false);
+    obs::set(obs::Telemetry, true);
+    captureLogEvents();
+
+    constexpr std::size_t tasks = 16;
+    {
+        runner::ThreadPool pool(2);
+        pool.runIndexed(tasks, [](std::size_t) {});
+    }
+    ramp_warn("metrics-only log probe");
+    perf::ResourceSampler sampler(std::chrono::milliseconds(1000));
+    sampler.stop();
+
+    EXPECT_TRUE(collectEvents().empty());
+    const auto snap = metrics().snapshot();
+    EXPECT_EQ(snap.counterOr("pool.tasks"), tasks);
+    ASSERT_EQ(snap.histograms.count("pool.task_seconds"), 1u);
+    EXPECT_EQ(snap.histograms.at("pool.task_seconds").total(), tasks);
+    EXPECT_GE(sampler.summary().samples, 1u);
 }
 
 TEST_F(TelemetryTest, LogCaptureEmitsInstantEvents)
