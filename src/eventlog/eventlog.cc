@@ -2,13 +2,13 @@
 
 #include <atomic>
 #include <cmath>
-#include <memory>
 #include <mutex>
 #include <sstream>
 #include <unordered_map>
 
 #include "common/json.hh"
 #include "common/parse.hh"
+#include "common/thread_registry.hh"
 
 namespace ramp::eventlog
 {
@@ -49,50 +49,23 @@ store()
 /** Ring buffer of one thread; appended only by its owner. */
 struct ThreadRing
 {
-    std::mutex mutex; ///< Owner appends, collect()/reset() drain.
+    ThreadRing() { records.reserve(ringCapacity); }
+
     std::vector<EventRecord> records;
 };
 
-struct Registry
-{
-    std::mutex mutex;
-    std::vector<std::shared_ptr<ThreadRing>> rings;
-};
+using Rings = ThreadRegistry<ThreadRing>;
 
-Registry &
-registry()
-{
-    static Registry instance;
-    return instance;
-}
-
-/** The calling thread's ring, registered on first use. */
-ThreadRing &
-threadRing()
-{
-    thread_local std::shared_ptr<ThreadRing> ring = [] {
-        auto fresh = std::make_shared<ThreadRing>();
-        fresh->records.reserve(ringCapacity);
-        Registry &r = registry();
-        std::lock_guard<std::mutex> lock(r.mutex);
-        r.rings.push_back(fresh);
-        return fresh;
-    }();
-    return *ring;
-}
-
-/** Move a full (or draining) ring's batch into the central store. */
+/** Move a ring's batch into the central store (caller holds the
+ * ring's mutex; store() locks after it, never before). */
 void
-drainRing(ThreadRing &ring)
+drainLocked(ThreadRing &ring)
 {
+    if (ring.records.empty())
+        return;
     std::vector<EventRecord> batch;
-    {
-        std::lock_guard<std::mutex> lock(ring.mutex);
-        if (ring.records.empty())
-            return;
-        batch.swap(ring.records);
-        ring.records.reserve(ringCapacity);
-    }
+    batch.swap(ring.records);
+    ring.records.reserve(ringCapacity);
     Store &s = store();
     std::lock_guard<std::mutex> lock(s.mutex);
     s.records.insert(s.records.end(), batch.begin(), batch.end());
@@ -304,15 +277,11 @@ emit(EventRecord record)
             s.unscopedSeq.fetch_add(1, std::memory_order_relaxed);
     }
 
-    ThreadRing &ring = threadRing();
-    bool full = false;
-    {
-        std::lock_guard<std::mutex> lock(ring.mutex);
-        ring.records.push_back(record);
-        full = ring.records.size() >= ringCapacity;
-    }
-    if (full)
-        drainRing(ring);
+    Rings::Slot &slot = Rings::local();
+    std::lock_guard<std::mutex> lock(slot.mutex);
+    slot.state.records.push_back(record);
+    if (slot.state.records.size() >= ringCapacity)
+        drainLocked(slot.state);
 }
 
 std::string
@@ -335,14 +304,7 @@ runLabel(std::uint32_t run)
 std::vector<EventRecord>
 collect()
 {
-    std::vector<std::shared_ptr<ThreadRing>> rings;
-    {
-        Registry &r = registry();
-        std::lock_guard<std::mutex> lock(r.mutex);
-        rings = r.rings;
-    }
-    for (const auto &ring : rings)
-        drainRing(*ring);
+    Rings::forEach(drainLocked);
     Store &s = store();
     std::lock_guard<std::mutex> lock(s.mutex);
     return s.records;
@@ -495,16 +457,7 @@ postMortemJsonl(const std::string &tool, std::size_t n)
 void
 reset()
 {
-    std::vector<std::shared_ptr<ThreadRing>> rings;
-    {
-        Registry &r = registry();
-        std::lock_guard<std::mutex> lock(r.mutex);
-        rings = r.rings;
-    }
-    for (const auto &ring : rings) {
-        std::lock_guard<std::mutex> lock(ring->mutex);
-        ring->records.clear();
-    }
+    Rings::forEach([](ThreadRing &ring) { ring.records.clear(); });
     Store &s = store();
     std::lock_guard<std::mutex> lock(s.mutex);
     s.records.clear();

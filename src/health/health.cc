@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "common/json.hh"
+#include "common/parse.hh"
 #include "eventlog/eventlog.hh"
 #include "telemetry/telemetry.hh"
 
@@ -68,12 +69,21 @@ streakKey(std::size_t rule, const TimelineSample &sample,
     return key;
 }
 
-/** Alert ordering: sample order first, then rule, then scope. */
-auto
-alertKey(const HealthAlert &alert)
+/** Sample ordering: (source, run label, seq). */
+bool
+sampleBefore(const TimelineSample &a, const TimelineSample &b)
 {
-    return std::make_tuple(alert.source, alert.run, alert.seq,
-                           alert.rule, alert.tenant, alert.shard);
+    return std::tie(a.source, a.run, a.seq) <
+           std::tie(b.source, b.run, b.seq);
+}
+
+/** Alert ordering: sample order first, then rule, then scope. */
+bool
+alertBefore(const HealthAlert &a, const HealthAlert &b)
+{
+    return std::tie(a.source, a.run, a.seq, a.rule, a.tenant,
+                    a.shard) < std::tie(b.source, b.run, b.seq,
+                                        b.rule, b.tenant, b.shard);
 }
 
 void
@@ -277,6 +287,140 @@ sampleJson(const TimelineSample &sample)
     return out.str();
 }
 
+/**
+ * The fields of one timeline record. A missing or mistyped field
+ * names itself in `problem` (the first one wins), which fails the
+ * record, so a renamed key never reads as a default.
+ */
+struct FieldReader
+{
+    const JsonValue &record;
+    const char *what;
+    std::string &problem;
+
+    void fail(const char *key, const char *why = "missing or malformed")
+    {
+        if (problem.empty())
+            problem = std::string(what) + " record: " + why +
+                      " field '" + key + "'";
+    }
+
+    const JsonValue &get(const char *key, JsonValue::Kind kind)
+    {
+        static const JsonValue none;
+        const JsonValue *value = record.find(key);
+        if (value != nullptr && value->kind == kind)
+            return *value;
+        fail(key);
+        return none;
+    }
+
+    std::string text(const char *key)
+    {
+        return get(key, JsonValue::Kind::String).string;
+    }
+
+    bool flag(const char *key)
+    {
+        return get(key, JsonValue::Kind::Bool).boolean;
+    }
+
+    template <typename T>
+    T whole(const char *key)
+    {
+        T out{};
+        if (!assignFinite(out, get(key, JsonValue::Kind::Number).number))
+            fail(key);
+        return out;
+    }
+
+    /** A signal value; null reads back as unmeasured. */
+    double measured(const char *key)
+    {
+        const JsonValue *value = record.find(key);
+        return value != nullptr && value->isNull()
+                   ? unmeasured
+                   : get(key, JsonValue::Kind::Number).number;
+    }
+
+    template <typename E>
+    E name(const char *key, E last, const char *(*spell)(E))
+    {
+        const auto parsed =
+            parseName(text(key), static_cast<E>(0), last, spell);
+        if (!parsed)
+            fail(key, "unknown value in");
+        return parsed.value_or(last);
+    }
+};
+
+/** sampleJson()'s inverse. */
+TimelineSample
+readSample(const JsonValue &record, std::string &problem)
+{
+    FieldReader in{record, "sample", problem};
+    TimelineSample sample;
+    sample.source = in.text("source");
+    sample.run = in.text("run");
+    sample.epoch = in.whole<std::uint64_t>("epoch");
+    sample.seq = in.whole<std::uint64_t>("seq");
+    sample.moves = in.whole<std::uint64_t>("moves");
+    sample.faultsInjected = in.whole<std::uint64_t>("faults_injected");
+    sample.pagesRetired = in.whole<std::uint64_t>("pages_retired");
+    sample.capacityLost = in.whole<std::uint64_t>("capacity_lost");
+    sample.backlog = in.measured("backlog");
+    sample.degraded = in.flag("degraded");
+    sample.fairness = in.measured("fairness");
+    sample.p99Slowdown = in.measured("p99_slowdown");
+    for (const JsonValue &row :
+         in.get("tenants", JsonValue::Kind::Array).array) {
+        FieldReader cell{row, "tenant", problem};
+        TenantSample &tenant = sample.tenants.emplace_back();
+        tenant.id = cell.whole<std::uint32_t>("tenant");
+        tenant.shard = cell.whole<std::uint32_t>("shard");
+        tenant.resident = cell.whole<std::uint64_t>("resident");
+        tenant.grant = cell.whole<std::uint64_t>("grant");
+        tenant.hbmShare = cell.measured("hbm_share");
+        tenant.slowdown = cell.measured("slowdown");
+    }
+    for (const JsonValue &row :
+         in.get("shards", JsonValue::Kind::Array).array) {
+        FieldReader cell{row, "shard", problem};
+        ShardSample &shard = sample.shards.emplace_back();
+        shard.shard = cell.whole<std::uint32_t>("shard");
+        shard.capacityPages = cell.whole<std::uint64_t>("capacity");
+        shard.usedPages = cell.whole<std::uint64_t>("used");
+        shard.occupancy = cell.measured("occupancy");
+        shard.degraded = cell.flag("degraded");
+        shard.retired = cell.whole<std::uint64_t>("retired");
+    }
+    return sample;
+}
+
+/** alertJson()'s inverse. */
+HealthAlert
+readAlert(const JsonValue &record, std::string &problem)
+{
+    FieldReader in{record, "alert", problem};
+    HealthAlert alert;
+    alert.severity = in.name("severity", Severity::Alert, severityName);
+    alert.rule = in.whole<std::uint32_t>("rule");
+    alert.signal = in.name("signal", HealthSignal::ShardDegraded,
+                           healthSignalName);
+    alert.source = in.text("source");
+    alert.run = in.text("run");
+    alert.epoch = in.whole<std::uint64_t>("epoch");
+    alert.seq = in.whole<std::uint64_t>("seq");
+    // Run-wide alerts omit their scope.
+    if (record.find("tenant") != nullptr)
+        alert.tenant = in.whole<std::uint32_t>("tenant");
+    if (record.find("shard") != nullptr)
+        alert.shard = in.whole<std::int32_t>("shard");
+    alert.value = in.measured("value");
+    alert.threshold = in.measured("threshold");
+    return alert;
+}
+
 } // namespace
 
 void
@@ -348,10 +492,7 @@ alerts()
     Store &s = store();
     std::lock_guard<std::mutex> lock(s.mutex);
     std::vector<HealthAlert> sorted = s.alerts;
-    std::stable_sort(sorted.begin(), sorted.end(),
-                     [](const HealthAlert &a, const HealthAlert &b) {
-                         return alertKey(a) < alertKey(b);
-                     });
+    std::stable_sort(sorted.begin(), sorted.end(), alertBefore);
     return sorted;
 }
 
@@ -385,12 +526,7 @@ timelineJsonl(const std::string &tool)
     const auto baseline = s.baseline;
     lock.unlock();
 
-    std::stable_sort(
-        samples.begin(), samples.end(),
-        [](const TimelineSample &a, const TimelineSample &b) {
-            return std::tie(a.source, a.run, a.seq) <
-                   std::tie(b.source, b.run, b.seq);
-        });
+    std::stable_sort(samples.begin(), samples.end(), sampleBefore);
     const auto sorted_alerts = alerts();
 
     std::ostringstream out;
@@ -426,6 +562,34 @@ timelineJsonl(const std::string &tool)
     }
     out << "}}\n";
     return out.str();
+}
+
+bool
+readTimeline(const std::string &path, Timeline &timeline,
+             std::string &error, bool ignore_partial_tail)
+{
+    timeline = Timeline{};
+    const auto add = [&](const JsonValue &record, std::string &why) {
+        const std::string type = record.stringOr("type", "");
+        if (type == "sample")
+            timeline.samples.push_back(readSample(record, why));
+        else if (type == "alert")
+            timeline.alerts.push_back(readAlert(record, why));
+        // The "metrics" line is the registry delta for bench
+        // tooling; no timeline analysis reads it.
+        return why.empty();
+    };
+    JsonValue header;
+    if (!readJsonl(path, {timelineSchema}, "timeline",
+                   ignore_partial_tail, header, add, error))
+        return false;
+    timeline.tool = header.stringOr("tool", "?");
+    timeline.rules = header.stringOr("rules", "");
+    std::stable_sort(timeline.samples.begin(), timeline.samples.end(),
+                     sampleBefore);
+    std::stable_sort(timeline.alerts.begin(), timeline.alerts.end(),
+                     alertBefore);
+    return true;
 }
 
 void

@@ -38,6 +38,10 @@
  * Run labels come from the calling thread's eventlog::RunScope, so
  * the harness enables the ledger whenever the timeline is on;
  * without a scope, samples land in the "unattributed" run.
+ *
+ * readTimeline() is the writer's inverse: it reads a timeline file
+ * back into TimelineSamples and HealthAlerts, in the writer's order,
+ * for the ramp_health analyzer.
  */
 
 #ifndef RAMP_HEALTH_HEALTH_HH
@@ -217,6 +221,32 @@ std::string alertJson(const HealthAlert &alert);
  * counter delta since setRules().
  */
 std::string timelineJsonl(const std::string &tool);
+
+/** A timeline document read back by readTimeline(). */
+struct Timeline
+{
+    /** Header fields: the writing tool and its rule set. */
+    std::string tool;
+    std::string rules;
+
+    /** Sorted by (source, run, seq), as timelineJsonl() writes. */
+    std::vector<TimelineSample> samples;
+
+    /** Sorted by (source, run, seq, rule, scope), as alerts(). */
+    std::vector<HealthAlert> alerts;
+};
+
+/**
+ * Read a timelineJsonl() file: every field of every sample and
+ * alert (null reads back as unmeasured), re-sorted into the
+ * writer's order so an analysis never trusts file order. The
+ * "metrics" line is skipped. With `ignore_partial_tail` a last line
+ * still missing its newline is skipped (a live file). Returns false
+ * with `error` set when the file is unreadable, not a timeline, or
+ * a record lacks a field or names an unknown severity or signal.
+ */
+bool readTimeline(const std::string &path, Timeline &timeline,
+                  std::string &error, bool ignore_partial_tail = false);
 
 /** Drop samples, alerts, rules, callbacks, and streaks (tests). */
 void reset();

@@ -3,8 +3,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
+#include <sys/stat.h>
 
 namespace ramp::perf
 {
@@ -53,70 +53,18 @@ numberCell(double value, int precision)
     return out.str();
 }
 
-bool
-readJsonl(const std::string &path,
-          std::initializer_list<std::string_view> schemas,
-          const char *kind, bool ignore_partial_tail,
-          JsonValue &header,
-          const std::function<void(const JsonValue &)> &record,
-          std::string &error)
+std::optional<FileStamp>
+fileStamp(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        error = "cannot read " + path;
-        return false;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    std::string content = buffer.str();
-    if (ignore_partial_tail && !content.empty() &&
-        content.back() != '\n') {
-        // A live tail: drop the torn line; the next read parses it
-        // once its newline has arrived.
-        const std::size_t last_newline = content.rfind('\n');
-        content.resize(last_newline == std::string::npos
-                           ? 0
-                           : last_newline + 1);
-    }
-    std::istringstream lines(content);
-    std::string line;
-    std::size_t line_no = 0;
-    bool saw_header = false;
-    while (std::getline(lines, line)) {
-        ++line_no;
-        if (line.empty())
-            continue;
-        JsonValue value;
-        if (!parseJson(line, value, error)) {
-            error = path + ":" + std::to_string(line_no) + ": " +
-                    error;
-            return false;
-        }
-        if (saw_header) {
-            record(value);
-            continue;
-        }
-        const std::string schema = value.stringOr("schema", "");
-        std::string accepted;
-        bool known = false;
-        for (const std::string_view name : schemas) {
-            accepted += (accepted.empty() ? "" : " / ");
-            accepted += name;
-            known = known || schema == name;
-        }
-        if (!known) {
-            error = path + ": not a " + accepted + " file (schema '" +
-                    schema + "')";
-            return false;
-        }
-        header = std::move(value);
-        saw_header = true;
-    }
-    if (!saw_header) {
-        error = path + ": empty " + kind + " file (no header line)";
-        return false;
-    }
-    return true;
+    struct stat st{};
+    if (::stat(path.c_str(), &st) != 0)
+        return std::nullopt;
+    FileStamp stamp;
+    stamp.mtimeSeconds = st.st_mtim.tv_sec;
+    stamp.mtimeNanos = st.st_mtim.tv_nsec;
+    stamp.inode = st.st_ino;
+    stamp.size = static_cast<std::uint64_t>(st.st_size);
+    return stamp;
 }
 
 } // namespace ramp::perf

@@ -1,24 +1,21 @@
 /**
  * @file
  * What the analysis tools (ramp_explain, ramp_health, ramp_prof,
- * bench_diff) share: the JSONL artifact reader, the flag-value
- * parsers (the bench binaries' too), and the table cell for a
- * measured number.
+ * bench_diff) share beyond the JSON reader (common/json.hh): the
+ * flag-value parsers (the bench binaries' too), the table cell for
+ * a measured number, and the file stamp --follow polls.
  */
 
 #ifndef RAMP_PERF_ARTIFACT_HH
 #define RAMP_PERF_ARTIFACT_HH
 
 #include <cstdint>
-#include <functional>
-#include <initializer_list>
 #include <limits>
+#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/parse.hh"
-#include "perf/json.hh"
 
 namespace ramp::perf
 {
@@ -62,20 +59,23 @@ parsePositiveArg(const char *tool, const char *flag,
 std::string numberCell(double value, int precision);
 
 /**
- * Read a JSONL artifact: the first non-empty line is a header whose
- * "schema" is one of `schemas` (it lands in `header`), and `record`
- * sees every later non-empty line. `kind` names the file in the
- * "empty <kind> file" error. With `ignore_partial_tail` a last line
- * still missing its newline is skipped (a writer may be mid-line).
- * Returns false with `error` filled when the file is unreadable, a
- * line is malformed, or the header is missing or foreign.
+ * What a poller compares to see that a file was rewritten: the
+ * modification time to the nanosecond, the inode (an atomic
+ * tmp + rename writer makes a new one) and the size. Whole-second
+ * mtime alone misses a rewrite within the same second.
  */
-bool readJsonl(const std::string &path,
-               std::initializer_list<std::string_view> schemas,
-               const char *kind, bool ignore_partial_tail,
-               JsonValue &header,
-               const std::function<void(const JsonValue &)> &record,
-               std::string &error);
+struct FileStamp
+{
+    std::int64_t mtimeSeconds = 0;
+    std::int64_t mtimeNanos = 0;
+    std::uint64_t inode = 0;
+    std::uint64_t size = 0;
+
+    bool operator==(const FileStamp &other) const = default;
+};
+
+/** The file's stamp, or nullopt when it cannot be stat'ed. */
+std::optional<FileStamp> fileStamp(const std::string &path);
 
 } // namespace ramp::perf
 

@@ -182,11 +182,6 @@ renderBenchReport(const BenchReportSpec &spec)
             << "\n  },\n";
     }
 
-    // The cycle-profile summary, present only when the profiler
-    // ran (--profile-out); bench_diff skips it.
-    if (!spec.profileBlock.empty())
-        out << "  \"profile\": " << spec.profileBlock << ",\n";
-
     const BenchPassSummary &passes = spec.passes;
     out << "  \"passes\": {\n"
         << "    \"count\": " << passes.count << ",\n"
@@ -528,7 +523,7 @@ unknownBenchBlocks(const JsonValue &doc)
         "schema",        "tool",      "jobs",
         "host",          "wall_seconds", "resources",
         "throughput",    "counters",  "service",
-        "health",        "profile",   "passes",
+        "health",        "passes",
         "percentiles",   "microbenchmarks",
     };
     std::vector<std::string> unknown;

@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "common/stats.hh"
-#include "perf/json.hh"
+#include "common/json.hh"
 #include "perf/microbench.hh"
 #include "perf/resource.hh"
 #include "telemetry/registry.hh"
@@ -75,10 +75,6 @@ struct BenchReportSpec
 
     /** Microbenchmark rows (empty for figure binaries). */
     std::vector<BenchResult> microbenchmarks;
-
-    /** Pre-rendered `profile` block (prof::profileBlockJson());
-     * "" = profiler off, block omitted. */
-    std::string profileBlock;
 };
 
 /** Render the BENCH_<tool>.json document. */

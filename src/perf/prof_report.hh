@@ -29,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "perf/json.hh"
+#include "common/json.hh"
 
 namespace ramp::perf
 {

@@ -1,6 +1,5 @@
 #include "prof/prof.hh"
 
-#include <algorithm>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -10,6 +9,7 @@
 
 #include "prof/tsc.hh"
 #include "common/json.hh"
+#include "common/thread_registry.hh"
 #include "telemetry/trace.hh"
 
 namespace ramp::prof
@@ -36,12 +36,12 @@ struct PhaseNode
 };
 
 /**
- * One thread's tree and cursor. The owner mutates under the mutex;
- * snapshot() and reset() read/zero from other threads under it.
+ * One thread's tree and cursor. The owner mutates under its slot's
+ * mutex; snapshot() and reset() read/zero from other threads under
+ * it.
  */
 struct ThreadProf
 {
-    std::mutex mutex;
     PhaseNode root;
     PhaseNode *current = &root;
 };
@@ -51,35 +51,9 @@ struct ThreadProf
 namespace
 {
 
-struct Collector
-{
-    std::mutex mutex;
-    std::vector<std::shared_ptr<detail::ThreadProf>> states;
-};
-
-Collector &
-collector()
-{
-    static Collector instance;
-    return instance;
-}
-
-/**
- * The calling thread's tree, registered on first use. Only enabled
- * scopes call this, so a disabled run registers nothing.
- */
-detail::ThreadProf &
-threadState()
-{
-    thread_local std::shared_ptr<detail::ThreadProf> state = [] {
-        auto fresh = std::make_shared<detail::ThreadProf>();
-        Collector &c = collector();
-        std::lock_guard<std::mutex> lock(c.mutex);
-        c.states.push_back(fresh);
-        return fresh;
-    }();
-    return *state;
-}
+/** Only enabled scopes register, so a disabled run registers
+ * nothing. */
+using Trees = ThreadRegistry<detail::ThreadProf>;
 
 /** One B or E event of a phase scope (caller checked obs::Trace). */
 void
@@ -215,10 +189,10 @@ ScopedPhase::begin(const char *name, bool with_pmu, const char *arg_key,
     if ((modes_ & obs::Prof) == 0)
         return;
     pmuActive_ = false;
-    state_ = &threadState();
+    state_ = &Trees::local();
     {
         std::lock_guard<std::mutex> lock(state_->mutex);
-        detail::PhaseNode *parent = state_->current;
+        detail::PhaseNode *parent = state_->state.current;
         detail::PhaseNode *child = nullptr;
         for (const auto &candidate : parent->children) {
             if (candidate->name == name ||
@@ -234,7 +208,7 @@ ScopedPhase::begin(const char *name, bool with_pmu, const char *arg_key,
             child->name = name;
             child->parent = parent;
         }
-        state_->current = child;
+        state_->state.current = child;
         node_ = child;
     }
     if (with_pmu) {
@@ -275,7 +249,7 @@ ScopedPhase::end()
             node_->pmuBranchMisses += saturatingDelta(
                 pmuStartBranchMisses_, pmu_stop.branchMisses);
         }
-        state_->current = node_->parent;
+        state_->state.current = node_->parent;
     }
     if ((modes_ & obs::Trace) != 0)
         traceEvent('E', name_);
@@ -284,18 +258,11 @@ ScopedPhase::end()
 ProfileSnapshot
 snapshot()
 {
-    std::vector<std::shared_ptr<detail::ThreadProf>> states;
-    {
-        Collector &c = collector();
-        std::lock_guard<std::mutex> lock(c.mutex);
-        states = c.states;
-    }
     MergeNode merged;
-    for (const auto &state : states) {
-        std::lock_guard<std::mutex> lock(state->mutex);
-        for (const auto &child : state->root.children)
+    Trees::forEach([&](const detail::ThreadProf &tree) {
+        for (const auto &child : tree.root.children)
             mergeInto(merged.children[child->name], *child);
-    }
+    });
     ProfileSnapshot result;
     result.pmuAvailable = pmuAvailable();
     flatten(merged, "", 0, result.phases);
@@ -382,75 +349,19 @@ foldedStacks()
     return out.str();
 }
 
-std::string
-profileBlockJson()
-{
-
-    const ProfileSnapshot snap = snapshot();
-    if (snap.phases.empty())
-        return "";
-
-    std::uint64_t total = 0;
-    for (const PhaseStat &phase : snap.phases)
-        if (phase.depth == 0)
-            total += phase.totalCycles;
-
-    // Top self-cycle phases, path-sorted within equal cycles so
-    // the block is deterministic.
-    std::vector<const PhaseStat *> top;
-    for (const PhaseStat &phase : snap.phases)
-        top.push_back(&phase);
-    std::sort(top.begin(), top.end(),
-              [](const PhaseStat *a, const PhaseStat *b) {
-                  if (a->selfCycles != b->selfCycles)
-                      return a->selfCycles > b->selfCycles;
-                  return a->path < b->path;
-              });
-    if (top.size() > 5)
-        top.resize(5);
-
-    std::ostringstream out;
-    out << "{\n";
-    out << "    \"schema\": \"" << profileSchema << "\",\n";
-    out << "    \"pmu_available\": "
-        << (snap.pmuAvailable ? "true" : "false") << ",\n";
-    out << "    \"phases\": " << snap.phases.size() << ",\n";
-    out << "    \"total_cycles\": " << total << ",\n";
-    out << "    \"top_self\": [\n";
-    for (std::size_t i = 0; i < top.size(); ++i) {
-        out << "      {\"path\": \"" << jsonEscape(top[i]->path)
-            << "\", \"self_cycles\": " << top[i]->selfCycles
-            << ", \"calls\": " << top[i]->calls << "}"
-            << (i + 1 < top.size() ? "," : "") << "\n";
-    }
-    out << "    ]\n";
-    out << "  }";
-    return out.str();
-}
-
 void
 reset()
 {
-    std::vector<std::shared_ptr<detail::ThreadProf>> states;
-    {
-        Collector &c = collector();
-        std::lock_guard<std::mutex> lock(c.mutex);
-        states = c.states;
-    }
     // Zero counters but keep the nodes: live threads hold cursor
     // pointers into their trees, and those must stay valid.
-    for (const auto &state : states) {
-        std::lock_guard<std::mutex> lock(state->mutex);
-        zeroTree(state->root);
-    }
+    Trees::forEach(
+        [](detail::ThreadProf &tree) { zeroTree(tree.root); });
 }
 
 std::size_t
 threadStateCountForTest()
 {
-    Collector &c = collector();
-    std::lock_guard<std::mutex> lock(c.mutex);
-    return c.states.size();
+    return Trees::size();
 }
 
 } // namespace ramp::prof

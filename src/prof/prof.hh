@@ -14,12 +14,12 @@
  * the PMU is unavailable (CI containers) those scopes silently
  * degrade to TSC-only.
  *
- * Each thread owns its tree (mutations under a per-thread mutex the
- * way telemetry trace buffers do) and snapshot() merges all trees
- * exactly, keyed by phase-name content — like the metrics registry,
- * totals are schedule-independent for deterministic workloads: the
- * same phases run the same number of times at any --jobs, only the
- * raw cycle counts carry timing noise.
+ * Each thread owns its tree (mutations under its slot's mutex in the
+ * shared per-thread registry, common/thread_registry.hh) and
+ * snapshot() merges all trees exactly, keyed by phase-name content
+ * — like the metrics registry, totals are schedule-independent for
+ * deterministic workloads: the same phases run the same number of
+ * times at any --jobs, only the raw cycle counts carry timing noise.
  *
  * The same scope writes the Chrome trace (telemetry/trace.hh): while
  * the obs::Trace bit is on, each scope emits a B event on entry and
@@ -33,11 +33,9 @@
  * state is only created by scopes recording under obs::Prof.
  *
  * Exports: profileJson() renders the self-describing
- * ramp-profile-v1 document, foldedStacks() the matching
- * `path;to;phase self_cycles` flamegraph lines, and
- * profileBlockJson() the conditional `profile` block embedded in
- * ramp-bench-v1 documents. The harness wires all three behind
- * --profile-out / RAMP_PROF_OUT.
+ * ramp-profile-v1 document and foldedStacks() the matching
+ * `path;to;phase self_cycles` flamegraph lines. The harness wires
+ * both behind --profile-out / RAMP_PROF_OUT.
  */
 
 #ifndef RAMP_PROF_PROF_HH
@@ -50,6 +48,14 @@
 
 #include "common/obs.hh"
 #include "prof/pmu.hh"
+
+namespace ramp
+{
+
+template <class State>
+struct ThreadSlot;
+
+} // namespace ramp
 
 namespace ramp::prof
 {
@@ -122,12 +128,6 @@ std::string profileJson(const std::string &tool, unsigned jobs);
  */
 std::string foldedStacks();
 
-/**
- * The `profile` block for ramp-bench-v1 documents (object value,
- * no trailing newline), or "" when nothing was profiled.
- */
-std::string profileBlockJson();
-
 /** Zero every registered tree's counters (tests). */
 void reset();
 
@@ -186,7 +186,7 @@ class ScopedPhase
     std::uint8_t modes_ = 0; ///< obs::Prof / obs::Trace at entry
     bool pmuActive_;
     const char *name_;
-    detail::ThreadProf *state_;
+    ThreadSlot<detail::ThreadProf> *state_;
     detail::PhaseNode *node_;
     std::uint64_t startCycles_;
     std::uint64_t pmuStartCycles_;

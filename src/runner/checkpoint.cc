@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fcntl.h>
 #include <filesystem>
 #include <thread>
@@ -94,63 +93,6 @@ tryAtomicWrite(const std::string &path, std::string_view bytes,
     return false;
 }
 
-/**
- * Read an escaped JSON string starting at `pos` (just past the
- * opening quote); leaves `pos` past the closing quote.
- */
-bool
-readEscaped(const std::string &line, std::size_t &pos,
-            std::string &out)
-{
-    out.clear();
-    while (pos < line.size()) {
-        const char c = line[pos];
-        if (c == '"') {
-            ++pos;
-            return true;
-        }
-        if (c != '\\') {
-            out.push_back(c);
-            ++pos;
-            continue;
-        }
-        if (pos + 1 >= line.size())
-            return false;
-        const char esc = line[pos + 1];
-        pos += 2;
-        switch (esc) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case 'n': out.push_back('\n'); break;
-          case 't': out.push_back('\t'); break;
-          case 'r': out.push_back('\r'); break;
-          case 'u': {
-            if (pos + 4 > line.size())
-                return false;
-            unsigned value = 0;
-            if (std::sscanf(line.c_str() + pos, "%4x", &value) != 1)
-                return false;
-            out.push_back(static_cast<char>(value));
-            pos += 4;
-            break;
-          }
-          default: return false;
-        }
-    }
-    return false;
-}
-
-/** Expect `token` at `pos` and advance past it. */
-bool
-expect(const std::string &line, std::size_t &pos, const char *token)
-{
-    const std::size_t len = std::strlen(token);
-    if (line.compare(pos, len, token) != 0)
-        return false;
-    pos += len;
-    return true;
-}
-
 std::string
 headerLine(const std::string &tool)
 {
@@ -213,23 +155,27 @@ CheckpointJournal::decodeLine(const std::string &line,
     if (recorded != hashHex(fnv1a64(line.substr(0, crcPos))))
         return false;
 
-    std::size_t pos = 0;
-    std::string hex;
-    if (!expect(line, pos, "{\"key\":\"") ||
-        !readEscaped(line, pos, key) ||
-        !expect(line, pos, ",\"workload\":\"") ||
-        !readEscaped(line, pos, workload) ||
-        !expect(line, pos, ",\"result\":\"") ||
-        !readEscaped(line, pos, hex) || pos != crcPos)
+    JsonValue doc;
+    std::string error;
+    if (!parseJson(line, doc, error) || doc.object.size() != 4)
+        return false;
+    const JsonValue *key_value = doc.find("key");
+    const JsonValue *workload_value = doc.find("workload");
+    const JsonValue *hex = doc.find("result");
+    if (key_value == nullptr || !key_value->isString() ||
+        workload_value == nullptr || !workload_value->isString() ||
+        hex == nullptr || !hex->isString())
         return false;
 
     std::vector<std::uint8_t> bytes;
-    if (!codec::hexDecode(hex, bytes))
+    if (!codec::hexDecode(hex->string, bytes))
         return false;
     codec::Reader reader{bytes};
     SimResult decoded = reader.result();
     if (!reader.ok || reader.pos != bytes.size())
         return false;
+    key = key_value->string;
+    workload = workload_value->string;
     result = std::move(decoded);
     return true;
 }

@@ -558,8 +558,6 @@ Harness::benchJson()
     }
     spec.eventRecords = eventlog::stats().recorded;
     spec.microbenchmarks = microResults_;
-    if (obs::on(obs::Prof))
-        spec.profileBlock = prof::profileBlockJson();
     return perf::renderBenchReport(spec);
 }
 

@@ -366,7 +366,6 @@ struct PlacementService::Shard
     std::uint64_t hbmUsedPages = 0;
     std::uint64_t rounds = 0;
     std::uint64_t clips = 0;
-    std::uint64_t moves = 0;
     std::uint64_t faults = 0;
     std::uint64_t retired = 0;
     std::uint64_t capacityLost = 0;

@@ -1,11 +1,11 @@
 #include "telemetry/trace.hh"
 
 #include <chrono>
-#include <memory>
 #include <mutex>
 #include <sstream>
 
 #include "common/json.hh"
+#include "common/thread_registry.hh"
 #include "telemetry/telemetry.hh"
 
 namespace ramp::telemetry
@@ -24,42 +24,13 @@ epoch()
     return start;
 }
 
-/** Event buffer of one thread; appended only by its owner. */
-struct ThreadBuffer
+/** One thread's trace events, appended only by their thread. */
+struct ThreadEvents
 {
-    std::mutex mutex; ///< Owner appends, the collector reads.
     std::vector<TraceEvent> events;
-    std::uint32_t tid = 0;
 };
 
-struct Collector
-{
-    std::mutex mutex;
-    std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-    std::uint32_t nextTid = 1;
-};
-
-Collector &
-collector()
-{
-    static Collector instance;
-    return instance;
-}
-
-/** The calling thread's buffer, registered on first use. */
-ThreadBuffer &
-threadBuffer()
-{
-    thread_local std::shared_ptr<ThreadBuffer> buffer = [] {
-        auto fresh = std::make_shared<ThreadBuffer>();
-        Collector &c = collector();
-        std::lock_guard<std::mutex> lock(c.mutex);
-        fresh->tid = c.nextTid++;
-        c.buffers.push_back(fresh);
-        return fresh;
-    }();
-    return *buffer;
-}
+using Buffers = ThreadRegistry<ThreadEvents>;
 
 } // namespace
 
@@ -88,10 +59,10 @@ traceArgNumber(const std::string &key, double value)
 void
 emitEvent(TraceEvent event)
 {
-    ThreadBuffer &buffer = threadBuffer();
-    std::lock_guard<std::mutex> lock(buffer.mutex);
-    event.tid = buffer.tid;
-    buffer.events.push_back(std::move(event));
+    Buffers::Slot &slot = Buffers::local();
+    std::lock_guard<std::mutex> lock(slot.mutex);
+    event.tid = slot.id;
+    slot.state.events.push_back(std::move(event));
 }
 
 void
@@ -127,18 +98,11 @@ counterEvent(const std::string &name, const std::string &cat,
 std::vector<TraceEvent>
 collectEvents()
 {
-    std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-    {
-        Collector &c = collector();
-        std::lock_guard<std::mutex> lock(c.mutex);
-        buffers = c.buffers;
-    }
     std::vector<TraceEvent> events;
-    for (const auto &buffer : buffers) {
-        std::lock_guard<std::mutex> lock(buffer->mutex);
-        events.insert(events.end(), buffer->events.begin(),
-                      buffer->events.end());
-    }
+    Buffers::forEach([&](const ThreadEvents &buffer) {
+        events.insert(events.end(), buffer.events.begin(),
+                      buffer.events.end());
+    });
     return events;
 }
 
@@ -168,16 +132,7 @@ traceJson()
 void
 clearEvents()
 {
-    std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-    {
-        Collector &c = collector();
-        std::lock_guard<std::mutex> lock(c.mutex);
-        buffers = c.buffers;
-    }
-    for (const auto &buffer : buffers) {
-        std::lock_guard<std::mutex> lock(buffer->mutex);
-        buffer->events.clear();
-    }
+    Buffers::forEach([](ThreadEvents &buffer) { buffer.events.clear(); });
 }
 
 } // namespace ramp::telemetry

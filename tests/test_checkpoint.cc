@@ -213,6 +213,81 @@ TEST(JournalCodec, RejectsTamperedLines)
         CheckpointJournal::decodeLine("", key, workload, restored));
 }
 
+TEST(JournalCodec, EveryOneByteFlipIsRejected)
+{
+    const std::string line = CheckpointJournal::encodeLine(
+        "fig01/mix1 \"q\"", "astar", nastyResult());
+    std::string key, workload;
+    SimResult restored;
+    for (std::size_t i = 0; i < line.size(); ++i) {
+        std::string flipped = line;
+        flipped[i] = static_cast<char>(flipped[i] ^ 0x01);
+        EXPECT_FALSE(CheckpointJournal::decodeLine(flipped, key,
+                                                   workload, restored))
+            << "byte " << i;
+    }
+}
+
+TEST(JournalCodec, HostileKeysAndWorkloadsRoundTrip)
+{
+    const std::string hostile[] = {
+        "quote \" mid", "back\\slash",   "new\nline",
+        "tab\tcr\r",    "bell\x07 esc\x1b", "\x01\x1f ends",
+        "utf-8 \xc3\xa9", "\"",             "",
+    };
+    const SimResult result = nastyResult();
+    for (const std::string &text : hostile) {
+        const std::string line =
+            CheckpointJournal::encodeLine(text, "wl:" + text, result);
+        EXPECT_EQ(line.find('\n'), std::string::npos);
+        std::string key, workload;
+        SimResult restored;
+        ASSERT_TRUE(CheckpointJournal::decodeLine(line, key, workload,
+                                                  restored))
+            << line;
+        EXPECT_EQ(key, text);
+        EXPECT_EQ(workload, "wl:" + text);
+        expectBitExact(restored, result);
+    }
+}
+
+TEST(JournalCodec, DecodesLinesOfTheVersion2Encoder)
+{
+    // Written by the encoder as of journal version 2, before the
+    // decoder moved onto the shared JSON reader: journals already on
+    // disk must keep resuming.
+    const std::string golden =
+        R"({"key":"fig01/mix1 \"q\" \\ \n\t\r\u0001\u001f)"
+        "\xc3\xa9"
+        R"(","workload":"wl)"
+        "\x7f"
+        R"(","result":")"
+        "08000000000000006464722d6f6e6c79e80300000000000000000000"
+        "00000000030000000000000000000000000000000000000000000000"
+        "000000000000e03f0000000000000000000000000000000000000000"
+        "00000000000000000000000000000000000000000000000000000000"
+        "00000000000000000000000000000000000000000000000000000000"
+        "00000000000000000000000000000000000000000000000000000000"
+        "00000000000000000000000000000000000000000000000000000000"
+        "00000000000000000000000000000000000000000000000000000000"
+        "00000000000000000000000000000000000000000000000000000000"
+        "000000000000000000000000"
+        R"(","crc":"ffb2e009f769917b"})";
+    std::string key, workload;
+    SimResult restored;
+    ASSERT_TRUE(
+        CheckpointJournal::decodeLine(golden, key, workload, restored));
+    EXPECT_EQ(key, "fig01/mix1 \"q\" \\ \n\t\r\x01\x1f\xc3\xa9");
+    EXPECT_EQ(workload, "wl\x7f");
+    EXPECT_EQ(restored.label, "ddr-only");
+    EXPECT_EQ(restored.makespan, 1000u);
+    EXPECT_EQ(restored.requests, 3u);
+    EXPECT_EQ(restored.ipc, 0.5);
+    // And the encoder still writes exactly that line.
+    EXPECT_EQ(CheckpointJournal::encodeLine(key, workload, restored),
+              golden);
+}
+
 TEST(Journal, PersistsAndResumesAcrossInstances)
 {
     const std::string dir = freshDir("ramp_journal_resume");

@@ -1,20 +1,25 @@
 /**
  * @file
  * Tests for address arithmetic, logging formatting, the table
- * printer, the JSON writer helpers, and the dense page index
- * (src/common).
+ * printer, the JSON writer helpers, the dense page index, and the
+ * per-thread state registry (src/common).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <mutex>
 #include <sstream>
 #include <string_view>
+#include <thread>
+#include <vector>
 
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/page_index.hh"
 #include "common/table.hh"
+#include "common/thread_registry.hh"
 #include "common/types.hh"
 
 namespace ramp
@@ -135,6 +140,51 @@ TEST(PageIndex, InternsDenseSlotsInFirstSightOrder)
     EXPECT_EQ(index.find(3), PageIndex::none);
     EXPECT_EQ(index.intern(3), 0u);
     EXPECT_EQ(index.page(0), 3u);
+}
+
+/** A state type of this test's own, so its registry starts empty. */
+struct Tally
+{
+    int calls = 0;
+};
+
+TEST(ThreadRegistry, RegistersEachThreadOnceAndOutlivesIt)
+{
+    using Registry = ThreadRegistry<Tally>;
+    constexpr int threads = 4;
+    std::vector<std::uint32_t> ids(threads);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < threads; ++t)
+        workers.emplace_back([t, &ids] {
+            // Thread t asks for its slot t + 1 times: one slot.
+            for (int call = 0; call <= t; ++call) {
+                Registry::Slot &slot = Registry::local();
+                EXPECT_EQ(&slot, &Registry::local());
+                std::lock_guard<std::mutex> lock(slot.mutex);
+                ++slot.state.calls;
+                ids[static_cast<std::size_t>(t)] = slot.id;
+            }
+        });
+    for (std::thread &worker : workers)
+        worker.join();
+
+    // Every thread has exited; each state is still registered and
+    // still holds what its thread recorded.
+    EXPECT_EQ(Registry::size(), static_cast<std::size_t>(threads));
+    std::vector<int> calls;
+    Registry::forEach(
+        [&](const Tally &tally) { calls.push_back(tally.calls); });
+    std::sort(calls.begin(), calls.end());
+    EXPECT_EQ(calls, (std::vector<int>{1, 2, 3, 4}));
+
+    // Ids are the registration order, 1-based and distinct.
+    std::sort(ids.begin(), ids.end());
+    EXPECT_EQ(ids, (std::vector<std::uint32_t>{1, 2, 3, 4}));
+
+    // forEach hands out mutable states, each under its mutex.
+    Registry::forEach([](Tally &tally) { tally.calls = 0; });
+    Registry::forEach(
+        [](const Tally &tally) { EXPECT_EQ(tally.calls, 0); });
 }
 
 } // namespace

@@ -12,12 +12,12 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "eventlog/eventlog.hh"
 #include "faults/injector.hh"
 #include "faults/plan.hh"
 #include "hma/system.hh"
 #include "migration/engine.hh"
-#include "perf/json.hh"
 #include "telemetry/registry.hh"
 #include "telemetry/telemetry.hh"
 
@@ -175,11 +175,11 @@ TEST_F(EventlogTest, JsonlIsParseableAndSelfDescribing)
     const std::string jsonl = eventlog::toJsonl("test_eventlog");
     std::istringstream in(jsonl);
     std::string line;
-    std::vector<perf::JsonValue> docs;
+    std::vector<JsonValue> docs;
     std::string error;
     while (std::getline(in, line)) {
-        perf::JsonValue doc;
-        ASSERT_TRUE(perf::parseJson(line, doc, error))
+        JsonValue doc;
+        ASSERT_TRUE(parseJson(line, doc, error))
             << error << " in: " << line;
         docs.push_back(std::move(doc));
     }
@@ -228,9 +228,9 @@ TEST_F(EventlogTest, PostMortemKeepsOnlyTheTail)
     while (std::getline(in, line))
         lines.push_back(line);
     ASSERT_EQ(lines.size(), 4u); // header + trailing 3
-    perf::JsonValue doc;
+    JsonValue doc;
     std::string error;
-    ASSERT_TRUE(perf::parseJson(lines.back(), doc, error)) << error;
+    ASSERT_TRUE(parseJson(lines.back(), doc, error)) << error;
     EXPECT_DOUBLE_EQ(doc.numberOr("page", -1), 9.0);
 }
 

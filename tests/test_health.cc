@@ -9,22 +9,28 @@
  * timeline of a placement-service run is byte-identical at any pool
  * width, and an injected fault storm keeps the monitor, the
  * decision ledger, and the telemetry counters in exact agreement on
- * how many rules fired.
+ * how many rules fired, and readTimeline() reads back every field
+ * the timeline writer wrote.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "common/json.hh"
 #include "eventlog/eventlog.hh"
 #include "faults/injector.hh"
 #include "health/health.hh"
 #include "health/rules.hh"
 #include "hma/system.hh"
-#include "perf/json.hh"
 #include "runner/pool.hh"
 #include "service/service.hh"
 #include "telemetry/telemetry.hh"
@@ -173,6 +179,68 @@ TEST(HealthRules, RejectsNonFiniteAndOutOfRangeNumbers)
     }
 }
 
+/** Equal, counting two unmeasured (NaN) values as equal. */
+bool
+sameValue(double a, double b)
+{
+    return a == b || (std::isnan(a) && std::isnan(b));
+}
+
+void
+expectSameSample(const health::TimelineSample &a,
+                 const health::TimelineSample &b)
+{
+    EXPECT_EQ(std::tie(a.source, a.run, a.epoch, a.seq, a.moves,
+                       a.faultsInjected, a.pagesRetired,
+                       a.capacityLost, a.degraded),
+              std::tie(b.source, b.run, b.epoch, b.seq, b.moves,
+                       b.faultsInjected, b.pagesRetired,
+                       b.capacityLost, b.degraded));
+    EXPECT_TRUE(sameValue(a.backlog, b.backlog));
+    EXPECT_TRUE(sameValue(a.fairness, b.fairness));
+    EXPECT_TRUE(sameValue(a.p99Slowdown, b.p99Slowdown));
+    ASSERT_EQ(a.tenants.size(), b.tenants.size());
+    for (std::size_t i = 0; i < a.tenants.size(); ++i) {
+        const health::TenantSample &x = a.tenants[i];
+        const health::TenantSample &y = b.tenants[i];
+        EXPECT_EQ(std::tie(x.id, x.shard, x.resident, x.grant),
+                  std::tie(y.id, y.shard, y.resident, y.grant));
+        EXPECT_TRUE(sameValue(x.hbmShare, y.hbmShare));
+        EXPECT_TRUE(sameValue(x.slowdown, y.slowdown));
+    }
+    ASSERT_EQ(a.shards.size(), b.shards.size());
+    for (std::size_t i = 0; i < a.shards.size(); ++i) {
+        const health::ShardSample &x = a.shards[i];
+        const health::ShardSample &y = b.shards[i];
+        EXPECT_EQ(std::tie(x.shard, x.capacityPages, x.usedPages,
+                           x.degraded, x.retired),
+                  std::tie(y.shard, y.capacityPages, y.usedPages,
+                           y.degraded, y.retired));
+        EXPECT_TRUE(sameValue(x.occupancy, y.occupancy));
+    }
+}
+
+void
+expectSameAlert(const health::HealthAlert &a,
+                const health::HealthAlert &b)
+{
+    EXPECT_EQ(std::tie(a.severity, a.rule, a.signal, a.source, a.run,
+                       a.epoch, a.seq, a.tenant, a.shard),
+              std::tie(b.severity, b.rule, b.signal, b.source, b.run,
+                       b.epoch, b.seq, b.tenant, b.shard));
+    EXPECT_TRUE(sameValue(a.value, b.value));
+    EXPECT_TRUE(sameValue(a.threshold, b.threshold));
+}
+
+/** Write `text` to a scratch file and return its path. */
+std::string
+scratchFile(const std::string &name, const std::string &text)
+{
+    const std::string path = ::testing::TempDir() + name;
+    std::ofstream(path, std::ios::binary) << text;
+    return path;
+}
+
 TEST_F(HealthTest, HysteresisFiresOncePerSustainedBreach)
 {
     std::string error;
@@ -255,13 +323,13 @@ TEST_F(HealthTest, MetricsDeltaExactUnderConcurrentWriters)
     const std::string timeline = health::timelineJsonl("test");
     const std::size_t cut = timeline.rfind("{\"type\": \"metrics\"");
     ASSERT_NE(cut, std::string::npos);
-    perf::JsonValue metrics;
+    JsonValue metrics;
     std::string error;
     std::string last = timeline.substr(cut);
     ASSERT_FALSE(last.empty());
     last.pop_back(); // trailing newline
-    ASSERT_TRUE(perf::parseJson(last, metrics, error)) << error;
-    const perf::JsonValue *counters = metrics.find("counters");
+    ASSERT_TRUE(parseJson(last, metrics, error)) << error;
+    const JsonValue *counters = metrics.find("counters");
     ASSERT_NE(counters, nullptr);
 
     // Exact delta — the sharded counters summed exactly, and the
@@ -411,8 +479,8 @@ TEST_F(HealthTest, StormAlertsAgreeAcrossLedgerAndTelemetry)
     while (std::getline(ledger, line)) {
         if (line.find("\"kind\": \"alert\"") == std::string::npos)
             continue;
-        perf::JsonValue record;
-        ASSERT_TRUE(perf::parseJson(line, record, error)) << error;
+        JsonValue record;
+        ASSERT_TRUE(parseJson(line, record, error)) << error;
         EXPECT_EQ(record.stringOr("run", ""), "storm/static");
         EXPECT_EQ(record.stringOr("signal", ""), "shard_degraded");
         EXPECT_EQ(record.numberOr("rule", -1), 0.0);
@@ -426,13 +494,134 @@ TEST_F(HealthTest, StormAlertsAgreeAcrossLedgerAndTelemetry)
     std::istringstream lines(timeline);
     std::string header;
     ASSERT_TRUE(std::getline(lines, header));
-    perf::JsonValue head;
-    ASSERT_TRUE(perf::parseJson(header, head, error)) << error;
+    JsonValue head;
+    ASSERT_TRUE(parseJson(header, head, error)) << error;
     EXPECT_EQ(head.stringOr("schema", ""), "ramp-timeline-v1");
     EXPECT_EQ(head.numberOr("alerts", -1),
               static_cast<double>(fired.size()));
     EXPECT_EQ(head.numberOr("samples", -1),
               static_cast<double>(health::sampleCount()));
+}
+
+TEST_F(HealthTest, TimelineReadsBackEveryFieldTheWriterWrote)
+{
+    // A per-tenant, a per-shard and two run-wide rules, one of them
+    // boolean (its threshold is unmeasured and renders as null).
+    std::string error;
+    health::setRules(health::parseHealthRules(
+        "alert:slowdown>1.5;warn:shard_occupancy>0.9;"
+        "alert:shard_degraded;warn:p99_slowdown>2",
+        error));
+    ASSERT_TRUE(error.empty()) << error;
+
+    health::TimelineSample service;
+    service.source = "service";
+    service.epoch = 4;
+    service.moves = 17;
+    service.faultsInjected = 3;
+    service.pagesRetired = 2;
+    service.capacityLost = 64;
+    service.backlog = 12.5;
+    service.degraded = true;
+    service.fairness = 0.1 + 0.2;
+    service.p99Slowdown = 2.25;
+    service.tenants = {{1, 0, 100, 120, 0.5, 1.75},
+                       {2, 1, 0, 0, health::unmeasured,
+                        health::unmeasured}};
+    service.shards = {{0, 256, 250, 250.0 / 256, true, 9},
+                      {1, 0, 0, health::unmeasured, false, 0}};
+    // Every optional signal unmeasured, no tenant or shard rows.
+    health::TimelineSample system;
+    system.source = "system";
+    system.epoch = 1;
+
+    // Recorded out of order: the reader must return the writer's
+    // (source, run, seq) order.
+    std::vector<health::TimelineSample> expected;
+    const auto stamp = [&](health::TimelineSample sample,
+                           const char *run) {
+        sample.run = run;
+        sample.seq = 0;
+        expected.push_back(std::move(sample));
+    };
+    {
+        eventlog::RunScope scope("b/run");
+        health::record(system);
+        health::record(service);
+        stamp(system, "b/run");
+        stamp(service, "b/run");
+    }
+    {
+        eventlog::RunScope scope("a/run");
+        health::record(service);
+        stamp(service, "a/run");
+    }
+    std::sort(expected.begin(), expected.end(),
+              [](const auto &a, const auto &b) {
+                  return std::tie(a.source, a.run) <
+                         std::tie(b.source, b.run);
+              });
+
+    const auto fired = health::alerts();
+    const auto scoped = [&](auto predicate) {
+        return std::any_of(fired.begin(), fired.end(), predicate);
+    };
+    ASSERT_TRUE(scoped([](const auto &a) { return a.tenant != 0; }));
+    ASSERT_TRUE(scoped([](const auto &a) { return a.shard >= 0; }));
+    ASSERT_TRUE(
+        scoped([](const auto &a) { return std::isnan(a.threshold); }));
+
+    const std::string path = scratchFile(
+        "timeline_roundtrip.jsonl", health::timelineJsonl("test_health"));
+    health::Timeline timeline;
+    ASSERT_TRUE(health::readTimeline(path, timeline, error)) << error;
+    EXPECT_EQ(timeline.tool, "test_health");
+    EXPECT_EQ(timeline.rules, health::formatHealthRules(health::rules()));
+    ASSERT_EQ(timeline.samples.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i)
+        expectSameSample(timeline.samples[i], expected[i]);
+    ASSERT_EQ(timeline.alerts.size(), fired.size());
+    for (std::size_t i = 0; i < fired.size(); ++i)
+        expectSameAlert(timeline.alerts[i], fired[i]);
+    std::remove(path.c_str());
+}
+
+TEST_F(HealthTest, TimelineReaderRejectsRenamedOrUnknownFields)
+{
+    std::string error;
+    health::setRules(health::parseHealthRules("alert:churn>0", error));
+    ASSERT_TRUE(error.empty()) << error;
+    health::TimelineSample sample;
+    sample.source = "system";
+    sample.moves = 1;
+    health::record(sample);
+    ASSERT_EQ(health::alerts().size(), 1u);
+    const std::string text = health::timelineJsonl("test_health");
+
+    const auto read_with = [&](const std::string &from,
+                               const std::string &to) {
+        std::string edited = text;
+        const auto at = edited.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        edited.replace(at, from.size(), to);
+        const std::string path =
+            scratchFile("timeline_edited.jsonl", edited);
+        health::Timeline timeline;
+        std::string error;
+        EXPECT_FALSE(health::readTimeline(path, timeline, error));
+        std::remove(path.c_str());
+        return error;
+    };
+    EXPECT_NE(read_with("\"capacity_lost\"", "\"capacity_gone\"")
+                  .find("sample record: missing or malformed field "
+                        "'capacity_lost'"),
+              std::string::npos);
+    EXPECT_NE(read_with("\"fairness\": null", "\"fairness\": \"x\"")
+                  .find("field 'fairness'"),
+              std::string::npos);
+    EXPECT_NE(read_with("\"churn\"", "\"chrun\"")
+                  .find("alert record: unknown value in field 'signal'"),
+              std::string::npos);
 }
 
 } // namespace

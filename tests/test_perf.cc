@@ -18,10 +18,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.hh"
 #include "hma/experiment.hh"
 #include "perf/artifact.hh"
 #include "perf/bench_report.hh"
-#include "perf/json.hh"
 #include "perf/microbench.hh"
 #include "perf/resource.hh"
 #include "runner/harness.hh"
@@ -35,7 +35,6 @@ namespace
 using perf::BenchOptions;
 using perf::BenchReportSpec;
 using perf::DiffOptions;
-using perf::JsonValue;
 using perf::Microbench;
 using runner::Harness;
 using runner::PassDesc;
@@ -178,7 +177,7 @@ TEST(Json, ParsesScalarsContainersAndEscapes)
 {
     JsonValue doc;
     std::string error;
-    ASSERT_TRUE(perf::parseJson(
+    ASSERT_TRUE(parseJson(
         R"({"a": 1.5, "b": [true, null, -2e3], "c": "x\n\"yA"})",
         doc, error))
         << error;
@@ -198,7 +197,7 @@ TEST(Json, DecodesUnicodeEscapesAsUtf8)
     std::string error;
     // ASCII, 2-byte, 3-byte, and a surrogate pair (4-byte):
     // A, e-acute, euro sign, and an emoji outside the BMP.
-    ASSERT_TRUE(perf::parseJson(
+    ASSERT_TRUE(parseJson(
         "{\"s\": \"\\u0041\\u00e9\\u20ac\\ud83d\\ude00\"}", doc,
         error))
         << error;
@@ -206,7 +205,7 @@ TEST(Json, DecodesUnicodeEscapesAsUtf8)
               "A\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80");
     // Upper-case hex digits decode identically.
     ASSERT_TRUE(
-        perf::parseJson("[\"\\u20AC\"]", doc, error))
+        parseJson("[\"\\u20AC\"]", doc, error))
         << error;
     EXPECT_EQ(doc.array.at(0).string, "\xe2\x82\xac");
 }
@@ -216,15 +215,15 @@ TEST(Json, RejectsBrokenUnicodeEscapes)
     JsonValue doc;
     std::string error;
     // Non-hex digit.
-    EXPECT_FALSE(perf::parseJson(R"(["\u12zf"])", doc, error));
+    EXPECT_FALSE(parseJson(R"(["\u12zf"])", doc, error));
     // Truncated escape at end of input.
-    EXPECT_FALSE(perf::parseJson(R"(["\u12)", doc, error));
+    EXPECT_FALSE(parseJson(R"(["\u12)", doc, error));
     // High surrogate with no low surrogate after it.
-    EXPECT_FALSE(perf::parseJson(R"(["\ud83dx"])", doc, error));
+    EXPECT_FALSE(parseJson(R"(["\ud83dx"])", doc, error));
     // High surrogate followed by a non-surrogate escape.
-    EXPECT_FALSE(perf::parseJson(R"(["\ud83dA"])", doc, error));
+    EXPECT_FALSE(parseJson(R"(["\ud83dA"])", doc, error));
     // Low surrogate on its own.
-    EXPECT_FALSE(perf::parseJson(R"(["\ude00"])", doc, error));
+    EXPECT_FALSE(parseJson(R"(["\ude00"])", doc, error));
     EXPECT_FALSE(error.empty());
 }
 
@@ -232,11 +231,11 @@ TEST(Json, RejectsMalformedAndTrailingGarbage)
 {
     JsonValue doc;
     std::string error;
-    EXPECT_FALSE(perf::parseJson("{\"a\": }", doc, error));
+    EXPECT_FALSE(parseJson("{\"a\": }", doc, error));
     EXPECT_FALSE(error.empty());
-    EXPECT_FALSE(perf::parseJson("[1, 2] tail", doc, error));
-    EXPECT_FALSE(perf::parseJson("", doc, error));
-    EXPECT_FALSE(perf::parseJson("{\"a\": 1", doc, error));
+    EXPECT_FALSE(parseJson("[1, 2] tail", doc, error));
+    EXPECT_FALSE(parseJson("", doc, error));
+    EXPECT_FALSE(parseJson("{\"a\": 1", doc, error));
 }
 
 /** A report spec with deterministic, nontrivial content. */
@@ -283,7 +282,7 @@ TEST(BenchReport, RendersParseableDocument)
     const std::string json = perf::renderBenchReport(sampleSpec());
     JsonValue doc;
     std::string error;
-    ASSERT_TRUE(perf::parseJson(json, doc, error)) << error;
+    ASSERT_TRUE(parseJson(json, doc, error)) << error;
 
     EXPECT_EQ(doc.stringOr("schema", ""), perf::benchSchema);
     EXPECT_EQ(doc.stringOr("tool", ""), "unit_tool");
@@ -325,7 +324,7 @@ TEST(BenchReport, StampsOversubscribedHosts)
         spec.jobs = jobs;
         JsonValue doc;
         std::string error;
-        EXPECT_TRUE(perf::parseJson(perf::renderBenchReport(spec), doc,
+        EXPECT_TRUE(parseJson(perf::renderBenchReport(spec), doc,
                                     error))
             << error;
         return doc;
@@ -343,13 +342,13 @@ TEST(BenchReport, StampsOversubscribedHosts)
     // Documents older than the stamp: derived from jobs and cpus.
     JsonValue legacy;
     std::string error;
-    ASSERT_TRUE(perf::parseJson(
+    ASSERT_TRUE(parseJson(
         R"({"jobs": 4, "host": {"cpus": 1}})", legacy, error));
     EXPECT_TRUE(perf::benchOversubscribed(legacy));
-    ASSERT_TRUE(perf::parseJson(
+    ASSERT_TRUE(parseJson(
         R"({"jobs": 1, "host": {"cpus": 1}})", legacy, error));
     EXPECT_FALSE(perf::benchOversubscribed(legacy));
-    ASSERT_TRUE(perf::parseJson(R"({"jobs": 4})", legacy, error));
+    ASSERT_TRUE(parseJson(R"({"jobs": 4})", legacy, error));
     EXPECT_FALSE(perf::benchOversubscribed(legacy));
 }
 
@@ -361,7 +360,7 @@ TEST(BenchReport, UnmeasuredThroughputRendersAsNull)
     const std::string json = perf::renderBenchReport(spec);
     JsonValue doc;
     std::string error;
-    ASSERT_TRUE(perf::parseJson(json, doc, error)) << error;
+    ASSERT_TRUE(parseJson(json, doc, error)) << error;
     const JsonValue *throughput = doc.find("throughput");
     ASSERT_NE(throughput, nullptr);
     const JsonValue *accesses =
@@ -380,7 +379,7 @@ TEST(BenchReport, ServiceAggregateCountsEveryAccessOverRunSeconds)
     spec.metrics.gauges["service.run_seconds"] = 0.5;
     JsonValue doc;
     std::string error;
-    ASSERT_TRUE(perf::parseJson(perf::renderBenchReport(spec), doc,
+    ASSERT_TRUE(parseJson(perf::renderBenchReport(spec), doc,
                                 error))
         << error;
     ASSERT_NE(doc.find("service"), nullptr);
@@ -393,7 +392,7 @@ TEST(BenchReport, ServiceAggregateCountsEveryAccessOverRunSeconds)
 
     // Without the run's seconds the aggregate is unmeasured.
     spec.metrics.gauges.erase("service.run_seconds");
-    ASSERT_TRUE(perf::parseJson(perf::renderBenchReport(spec), doc,
+    ASSERT_TRUE(parseJson(perf::renderBenchReport(spec), doc,
                                 error))
         << error;
     const JsonValue *aggregate =
@@ -407,8 +406,8 @@ TEST(BenchDiff, IdenticalDocumentsHaveNoRegressions)
     const std::string json = perf::renderBenchReport(sampleSpec());
     JsonValue a, b;
     std::string error;
-    ASSERT_TRUE(perf::parseJson(json, a, error)) << error;
-    ASSERT_TRUE(perf::parseJson(json, b, error)) << error;
+    ASSERT_TRUE(parseJson(json, a, error)) << error;
+    ASSERT_TRUE(parseJson(json, b, error)) << error;
     const auto diffs =
         perf::compareBenchReports(a, b, DiffOptions{}, error);
     EXPECT_TRUE(error.empty()) << error;
@@ -431,9 +430,9 @@ TEST(BenchDiff, FlagsRegressionsDirectionally)
 
     JsonValue base, cand;
     std::string error;
-    ASSERT_TRUE(perf::parseJson(perf::renderBenchReport(base_spec),
+    ASSERT_TRUE(parseJson(perf::renderBenchReport(base_spec),
                                 base, error));
-    ASSERT_TRUE(perf::parseJson(perf::renderBenchReport(slow_spec),
+    ASSERT_TRUE(parseJson(perf::renderBenchReport(slow_spec),
                                 cand, error));
     const auto diffs =
         perf::compareBenchReports(base, cand, DiffOptions{}, error);
@@ -515,7 +514,7 @@ TEST(BenchDiff, TwoXSlowdownFailsEveryFamilyUnderCiRelax)
     };
     JsonValue base;
     std::string error;
-    ASSERT_TRUE(perf::parseJson(perf::renderBenchReport(sampleSpec()),
+    ASSERT_TRUE(parseJson(perf::renderBenchReport(sampleSpec()),
                                 base, error))
         << error;
     const auto slot = [](JsonValue &doc, const Metric &metric)
@@ -585,9 +584,9 @@ TEST(BenchDiff, MismatchedToolsRefuseToCompare)
     JsonValue a, b;
     std::string error;
     ASSERT_TRUE(
-        perf::parseJson(perf::renderBenchReport(a_spec), a, error));
+        parseJson(perf::renderBenchReport(a_spec), a, error));
     ASSERT_TRUE(
-        perf::parseJson(perf::renderBenchReport(b_spec), b, error));
+        parseJson(perf::renderBenchReport(b_spec), b, error));
     const auto diffs =
         perf::compareBenchReports(a, b, DiffOptions{}, error);
     EXPECT_TRUE(diffs.empty());
@@ -595,7 +594,7 @@ TEST(BenchDiff, MismatchedToolsRefuseToCompare)
 
     // Non-BENCH documents are rejected the same way.
     JsonValue junk;
-    ASSERT_TRUE(perf::parseJson("{\"x\": 1}", junk, error));
+    ASSERT_TRUE(parseJson("{\"x\": 1}", junk, error));
     error.clear();
     perf::compareBenchReports(junk, a, DiffOptions{}, error);
     EXPECT_NE(error.find("schema"), std::string::npos);
@@ -609,9 +608,9 @@ TEST(BenchDiff, DroppedMicrobenchmarkRegresses)
     base_spec.microbenchmarks.push_back(dropped);
     JsonValue base, cand;
     std::string error;
-    ASSERT_TRUE(perf::parseJson(perf::renderBenchReport(base_spec),
+    ASSERT_TRUE(parseJson(perf::renderBenchReport(base_spec),
                                 base, error));
-    ASSERT_TRUE(perf::parseJson(perf::renderBenchReport(sampleSpec()),
+    ASSERT_TRUE(parseJson(perf::renderBenchReport(sampleSpec()),
                                 cand, error));
 
     // Under a family filter too: the row belongs to "micro.".
@@ -653,9 +652,9 @@ TEST(BenchDiff, CandidateOnlyKernelIsReportedNotGated)
     cand_spec.microbenchmarks.push_back(fresh);
     JsonValue base, cand;
     std::string error;
-    ASSERT_TRUE(perf::parseJson(perf::renderBenchReport(sampleSpec()),
+    ASSERT_TRUE(parseJson(perf::renderBenchReport(sampleSpec()),
                                 base, error));
-    ASSERT_TRUE(perf::parseJson(perf::renderBenchReport(cand_spec),
+    ASSERT_TRUE(parseJson(perf::renderBenchReport(cand_spec),
                                 cand, error));
 
     for (const DiffOptions &options :
@@ -685,7 +684,7 @@ TEST(BenchDiff, WarnsOnlyWhenBothSidesNameDifferentCpus)
     const auto doc = [](const char *json) {
         JsonValue value;
         std::string error;
-        EXPECT_TRUE(perf::parseJson(json, value, error)) << error;
+        EXPECT_TRUE(parseJson(json, value, error)) << error;
         return value;
     };
     const JsonValue xeon = doc(R"({"host": {"cpu_model": "Xeon"}})");
@@ -703,9 +702,9 @@ TEST(BenchDiff, WarnsOnlyWhenBothSidesNameDifferentCpus)
     // Rendered documents stamp the host's model on both sides.
     JsonValue a, b;
     std::string error;
-    ASSERT_TRUE(perf::parseJson(perf::renderBenchReport(sampleSpec()),
+    ASSERT_TRUE(parseJson(perf::renderBenchReport(sampleSpec()),
                                 a, error));
-    ASSERT_TRUE(perf::parseJson(perf::renderBenchReport(sampleSpec()),
+    ASSERT_TRUE(parseJson(perf::renderBenchReport(sampleSpec()),
                                 b, error));
     EXPECT_EQ(perf::benchCpuMismatch(a, b), "");
 }
@@ -725,10 +724,16 @@ class JsonlTest : public ::testing::Test
     {
         records_.clear();
         error_.clear();
-        return perf::readJsonl(
+        return readJsonl(
             path_, {"unit-v1"}, "unit", ignore_partial_tail, header_,
-            [this](const JsonValue &record) {
-                records_.push_back(record.numberOr("n", -1));
+            [this](const JsonValue &record, std::string &why) {
+                const double n = record.numberOr("n", -1);
+                if (n < 0) {
+                    why = "record without n";
+                    return false;
+                }
+                records_.push_back(n);
+                return true;
             },
             error_);
     }
@@ -773,6 +778,15 @@ TEST_F(JsonlTest, MalformedMiddleLineNamesItsLine)
     EXPECT_EQ(records_, std::vector<double>{1});
 }
 
+TEST_F(JsonlTest, RejectedRecordNamesItsLine)
+{
+    write("{\"schema\": \"unit-v1\"}\n{\"n\": 1}\n{\"m\": 2}\n"
+          "{\"n\": 3}\n");
+    EXPECT_FALSE(read(false));
+    EXPECT_EQ(error_, path_ + ":3: record without n");
+    EXPECT_EQ(records_, std::vector<double>{1});
+}
+
 TEST_F(JsonlTest, UnterminatedLastLine)
 {
     write("{\"schema\": \"unit-v1\"}\n{\"n\": 1}\n{\"n\": 2}");
@@ -795,6 +809,35 @@ TEST_F(JsonlTest, UnterminatedLastLine)
     write("{\"schema\": \"unit");
     EXPECT_FALSE(read(true));
     EXPECT_EQ(error_, path_ + ": empty unit file (no header line)");
+}
+
+TEST(FileStamp, RewriteWithinOneSecondChangesTheStamp)
+{
+    // The predicate: any of nanosecond mtime, inode or size moving
+    // is a rewrite, including a move within the same whole second.
+    const perf::FileStamp base{100, 5, 7, 9};
+    perf::FileStamp other = base;
+    EXPECT_EQ(other, base);
+    other.mtimeNanos = 6;
+    EXPECT_NE(other, base);
+    other = base;
+    other.inode = 8;
+    EXPECT_NE(other, base);
+    other = base;
+    other.size = 10;
+    EXPECT_NE(other, base);
+
+    // An atomic rewrite of the same size right after the first write
+    // still reads as a new stamp.
+    const std::string path = ::testing::TempDir() + "stamp.jsonl";
+    ASSERT_TRUE(runner::atomicWriteFile(path, "first\n"));
+    const auto before = perf::fileStamp(path);
+    ASSERT_TRUE(before.has_value());
+    EXPECT_EQ(perf::fileStamp(path), before);
+    ASSERT_TRUE(runner::atomicWriteFile(path, "again\n"));
+    EXPECT_NE(perf::fileStamp(path), before);
+    std::remove(path.c_str());
+    EXPECT_FALSE(perf::fileStamp(path).has_value());
 }
 
 GeneratorOptions
@@ -838,7 +881,7 @@ TEST_F(PerfTest, HarnessWritesBenchDocumentUnderWatchdog)
 
     JsonValue doc;
     std::string error;
-    ASSERT_TRUE(perf::parseJsonFile(options.benchPath, doc, error))
+    ASSERT_TRUE(parseJsonFile(options.benchPath, doc, error))
         << error;
     EXPECT_EQ(doc.stringOr("schema", ""), perf::benchSchema);
     EXPECT_EQ(doc.stringOr("tool", ""), "bench_tool");
@@ -896,7 +939,7 @@ TEST_F(PerfTest, CancelledCampaignStillFlushesBenchDocument)
     EXPECT_GE(harness.sampler()->summary().samples, 1u);
     JsonValue doc;
     std::string error;
-    ASSERT_TRUE(perf::parseJsonFile(options.benchPath, doc, error))
+    ASSERT_TRUE(parseJsonFile(options.benchPath, doc, error))
         << error;
     EXPECT_EQ(doc.stringOr("tool", ""), "cancel_bench_tool");
     std::remove(options.benchPath.c_str());

@@ -19,7 +19,7 @@
 #include <thread>
 #include <vector>
 
-#include "perf/json.hh"
+#include "common/json.hh"
 #include "perf/prof_report.hh"
 #include "prof/pmu.hh"
 #include "prof/prof.hh"
@@ -206,12 +206,12 @@ TEST_F(ProfTest, PmuUnavailableDegradesToTscOnly)
     EXPECT_EQ(phase->pmuInstructions, 0u);
 
     // The rendered document says so too.
-    perf::JsonValue json;
+    JsonValue json;
     std::string error;
     ASSERT_TRUE(
-        perf::parseJson(prof::profileJson("test", 1), json, error))
+        parseJson(prof::profileJson("test", 1), json, error))
         << error;
-    const perf::JsonValue *pmu = json.find("pmu");
+    const JsonValue *pmu = json.find("pmu");
     ASSERT_NE(pmu, nullptr);
     EXPECT_FALSE(pmu->boolOr("available", true));
 }
@@ -228,9 +228,9 @@ TEST_F(ProfTest, ExportersStaySelfConsistent)
     // The JSON document parses back to the same snapshot.
     perf::ProfileDoc doc;
     std::string error;
-    perf::JsonValue json;
+    JsonValue json;
     ASSERT_TRUE(
-        perf::parseJson(prof::profileJson("test", 2), json, error))
+        parseJson(prof::profileJson("test", 2), json, error))
         << error;
     ASSERT_TRUE(perf::parseProfileDoc(json, doc, error)) << error;
     EXPECT_EQ(doc.tool, "test");
@@ -272,10 +272,10 @@ syntheticProfile(std::uint64_t hot_self)
         "   \"calls\": 10, \"total_cycles\": 5000000,"
         "   \"self_cycles\": 5000000}"
         " ]}";
-    perf::JsonValue json;
+    JsonValue json;
     perf::ProfileDoc doc;
     std::string error;
-    EXPECT_TRUE(perf::parseJson(text, json, error)) << error;
+    EXPECT_TRUE(parseJson(text, json, error)) << error;
     EXPECT_TRUE(perf::parseProfileDoc(json, doc, error)) << error;
     return doc;
 }
@@ -340,10 +340,10 @@ TEST_F(ProfTest, CallsViewIsInvariantAcrossJobs)
                 RAMP_PROF_SCOPE(step, "campaign.step");
             }
         });
-        perf::JsonValue json;
+        JsonValue json;
         perf::ProfileDoc doc;
         std::string error;
-        EXPECT_TRUE(perf::parseJson(
+        EXPECT_TRUE(parseJson(
             prof::profileJson("campaign", jobs), json, error))
             << error;
         EXPECT_TRUE(perf::parseProfileDoc(json, doc, error))

@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/table.hh"
 #include "perf/artifact.hh"
 #include "perf/bench_report.hh"
@@ -105,10 +106,10 @@ main(int argc, char **argv)
         return 2;
     }
 
-    perf::JsonValue baseline, candidate;
+    JsonValue baseline, candidate;
     std::string error;
-    if (!perf::parseJsonFile(paths[0], baseline, error) ||
-        !perf::parseJsonFile(paths[1], candidate, error)) {
+    if (!parseJsonFile(paths[0], baseline, error) ||
+        !parseJsonFile(paths[1], candidate, error)) {
         std::fprintf(stderr, "bench_diff: %s\n", error.c_str());
         return 2;
     }

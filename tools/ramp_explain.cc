@@ -38,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/table.hh"
 #include "perf/artifact.hh"
 
@@ -113,8 +114,8 @@ bool
 loadEvents(const std::string &path, std::vector<Event> &events,
            std::string &error)
 {
-    perf::JsonValue header;
-    const auto add = [&](const perf::JsonValue &value) {
+    JsonValue header;
+    const auto add = [&](const JsonValue &value, std::string &) {
         Event event;
         event.run = value.stringOr("run", "unattributed");
         event.seq = value.uintOr("seq", 0);
@@ -148,9 +149,10 @@ loadEvents(const std::string &path, std::vector<Event> &events,
         event.resident = value.uintOr("resident", 0);
         event.hbmShare = value.numberOr("hbm_share", NAN);
         events.push_back(std::move(event));
+        return true;
     };
-    if (!perf::readJsonl(path, {eventsSchemaV1, eventsSchemaV2},
-                         "events", false, header, add, error))
+    if (!readJsonl(path, {eventsSchemaV1, eventsSchemaV2}, "events",
+                   false, header, add, error))
         return false;
     // Canonical order: run label, then the per-run sequence number.
     // Run ids are assigned in pool-scheduling order, but labels are

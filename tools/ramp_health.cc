@@ -33,15 +33,16 @@
 #include <cstdio>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
-#include <sys/stat.h>
 #include <thread>
 #include <tuple>
 #include <vector>
 
 #include "common/table.hh"
+#include "health/health.hh"
 #include "perf/artifact.hh"
 
 using namespace ramp;
@@ -49,54 +50,9 @@ using namespace ramp;
 namespace
 {
 
-constexpr const char *timelineSchema = "ramp-timeline-v1";
-
-/** One "sample" line, denormalized. */
-struct Sample
-{
-    std::string source;
-    std::string run;
-    std::uint64_t epoch = 0;
-    std::uint64_t seq = 0;
-    std::uint64_t moves = 0;
-    std::uint64_t faultsInjected = 0;
-    std::uint64_t pagesRetired = 0;
-    double backlog = NAN;
-    bool degraded = false;
-    double fairness = NAN;
-    double p99Slowdown = NAN;
-    std::size_t tenants = 0;
-    std::size_t shards = 0;
-    bool anyShardDegraded = false;
-
-    /** Scope hits for the --tenant / --shard filters. */
-    std::set<std::uint64_t> tenantIds;
-    std::set<std::uint64_t> shardIds;
-};
-
-/** One "alert" line, denormalized. */
-struct Alert
-{
-    std::string severity;
-    std::uint64_t rule = 0;
-    std::string signal;
-    std::string source;
-    std::string run;
-    std::uint64_t epoch = 0;
-    std::uint64_t seq = 0;
-    std::uint64_t tenant = 0; ///< 0 = run-wide
-    std::int64_t shard = -1;  ///< -1 = run-wide
-    double value = NAN;
-    double threshold = NAN;
-};
-
-struct Timeline
-{
-    std::string tool;
-    std::string rules;
-    std::vector<Sample> samples;
-    std::vector<Alert> alerts;
-};
+using health::HealthAlert;
+using health::Timeline;
+using health::TimelineSample;
 
 void
 usage()
@@ -115,86 +71,6 @@ usage()
         "1 empty result, 2 usage/malformed input.\n");
 }
 
-bool
-loadTimeline(const std::string &path, Timeline &timeline,
-             std::string &error, bool ignore_partial_tail = false)
-{
-    timeline = Timeline{};
-    perf::JsonValue header;
-    const auto add = [&](const perf::JsonValue &value) {
-        const std::string type = value.stringOr("type", "");
-        if (type == "sample") {
-            Sample sample;
-            sample.source = value.stringOr("source", "?");
-            sample.run = value.stringOr("run", "unattributed");
-            sample.epoch = value.uintOr("epoch", 0);
-            sample.seq = value.uintOr("seq", 0);
-            sample.moves = value.uintOr("moves", 0);
-            sample.faultsInjected = value.uintOr("faults_injected", 0);
-            sample.pagesRetired = value.uintOr("pages_retired", 0);
-            sample.backlog = value.numberOr("backlog", NAN);
-            sample.degraded = value.boolOr("degraded", false);
-            sample.fairness = value.numberOr("fairness", NAN);
-            sample.p99Slowdown =
-                value.numberOr("p99_slowdown", NAN);
-            if (const perf::JsonValue *tenants =
-                    value.find("tenants");
-                tenants != nullptr && tenants->isArray()) {
-                sample.tenants = tenants->array.size();
-                for (const perf::JsonValue &row : tenants->array)
-                    sample.tenantIds.insert(row.uintOr("tenant", 0));
-            }
-            if (const perf::JsonValue *shards = value.find("shards");
-                shards != nullptr && shards->isArray()) {
-                sample.shards = shards->array.size();
-                for (const perf::JsonValue &row : shards->array) {
-                    sample.shardIds.insert(row.uintOr("shard", 0));
-                    if (row.boolOr("degraded", false))
-                        sample.anyShardDegraded = true;
-                }
-            }
-            timeline.samples.push_back(std::move(sample));
-        } else if (type == "alert") {
-            Alert alert;
-            alert.severity = value.stringOr("severity", "?");
-            alert.rule = value.uintOr("rule", 0);
-            alert.signal = value.stringOr("signal", "?");
-            alert.source = value.stringOr("source", "?");
-            alert.run = value.stringOr("run", "unattributed");
-            alert.epoch = value.uintOr("epoch", 0);
-            alert.seq = value.uintOr("seq", 0);
-            alert.tenant = value.uintOr("tenant", 0);
-            alert.shard = static_cast<std::int64_t>(value.uintOr(
-                "shard", static_cast<std::uint64_t>(-1)));
-            alert.value = value.numberOr("value", NAN);
-            alert.threshold = value.numberOr("threshold", NAN);
-            timeline.alerts.push_back(std::move(alert));
-        }
-        // "metrics" lines are the registry delta for bench tooling;
-        // no per-run analysis reads them.
-    };
-    if (!perf::readJsonl(path, {timelineSchema}, "timeline",
-                         ignore_partial_tail, header, add, error))
-        return false;
-    timeline.tool = header.stringOr("tool", "?");
-    timeline.rules = header.stringOr("rules", "");
-    // Canonical order: the writer already sorts, but an analyzer
-    // must not trust its input to keep the --jobs invariance.
-    std::stable_sort(timeline.samples.begin(),
-                     timeline.samples.end(),
-                     [](const Sample &a, const Sample &b) {
-                         return std::tie(a.source, a.run, a.seq) <
-                                std::tie(b.source, b.run, b.seq);
-                     });
-    std::stable_sort(
-        timeline.alerts.begin(), timeline.alerts.end(),
-        [](const Alert &a, const Alert &b) {
-            return std::tie(a.source, a.run, a.seq, a.rule) <
-                   std::tie(b.source, b.run, b.seq, b.rule);
-        });
-    return true;
-}
-
 std::string
 num(double value, int precision = 4)
 {
@@ -202,13 +78,20 @@ num(double value, int precision = 4)
 }
 
 std::string
-scopeCell(const Alert &alert)
+scopeCell(const HealthAlert &alert)
 {
     if (alert.tenant != 0)
         return "tenant " + std::to_string(alert.tenant);
     if (alert.shard >= 0)
         return "shard " + std::to_string(alert.shard);
     return "run";
+}
+
+bool
+anyShardDegraded(const TimelineSample &sample)
+{
+    return std::ranges::any_of(
+        sample.shards, [](const auto &shard) { return shard.degraded; });
 }
 
 /** Apply the --tenant / --shard scope filters in place. */
@@ -218,20 +101,23 @@ applyFilters(Timeline &timeline, bool have_tenant,
              std::uint64_t shard)
 {
     if (have_tenant) {
-        std::erase_if(timeline.alerts, [&](const Alert &alert) {
+        std::erase_if(timeline.alerts, [&](const HealthAlert &alert) {
             return alert.tenant != tenant;
         });
-        std::erase_if(timeline.samples, [&](const Sample &sample) {
-            return sample.tenantIds.count(tenant) == 0;
+        std::erase_if(timeline.samples, [&](const auto &sample) {
+            return std::ranges::none_of(sample.tenants, [&](const auto &row) {
+                return row.id == tenant;
+            });
         });
     }
     if (have_shard) {
-        std::erase_if(timeline.alerts, [&](const Alert &alert) {
-            return alert.shard !=
-                   static_cast<std::int64_t>(shard);
+        std::erase_if(timeline.alerts, [&](const HealthAlert &alert) {
+            return alert.shard != static_cast<std::int64_t>(shard);
         });
-        std::erase_if(timeline.samples, [&](const Sample &sample) {
-            return sample.shardIds.count(shard) == 0;
+        std::erase_if(timeline.samples, [&](const auto &sample) {
+            return std::ranges::none_of(sample.shards, [&](const auto &row) {
+                return row.shard == shard;
+            });
         });
     }
 }
@@ -256,7 +142,7 @@ summarize(const Timeline &timeline)
         bool degraded = false;
     };
     std::map<std::pair<std::string, std::string>, RunSummary> runs;
-    for (const Sample &sample : timeline.samples) {
+    for (const TimelineSample &sample : timeline.samples) {
         RunSummary &run = runs[{sample.source, sample.run}];
         ++run.samples;
         run.lastEpoch = std::max(run.lastEpoch, sample.epoch);
@@ -268,12 +154,12 @@ summarize(const Timeline &timeline)
         if (std::isfinite(sample.fairness) &&
             !(run.worstFairness <= sample.fairness))
             run.worstFairness = sample.fairness;
-        if (sample.degraded || sample.anyShardDegraded)
+        if (sample.degraded || anyShardDegraded(sample))
             run.degraded = true;
     }
-    for (const Alert &alert : timeline.alerts) {
+    for (const HealthAlert &alert : timeline.alerts) {
         RunSummary &run = runs[{alert.source, alert.run}];
-        if (alert.severity == "alert")
+        if (alert.severity == health::Severity::Alert)
             ++run.alerts;
         else
             ++run.warns;
@@ -311,10 +197,12 @@ queryRule(const Timeline &timeline, std::uint64_t rule)
     TextTable table({"severity", "signal", "source", "run", "epoch",
                      "scope", "value", "threshold"});
     std::size_t rows = 0;
-    for (const Alert &alert : timeline.alerts) {
+    for (const HealthAlert &alert : timeline.alerts) {
         if (alert.rule != rule)
             continue;
-        table.addRow({alert.severity, alert.signal, alert.source,
+        table.addRow({health::severityName(alert.severity),
+                      health::healthSignalName(alert.signal),
+                      alert.source,
                       alert.run, std::to_string(alert.epoch),
                       scopeCell(alert), num(alert.value),
                       num(alert.threshold)});
@@ -341,7 +229,7 @@ queryRuns(const Timeline &timeline)
     TextTable table({"source", "run", "epoch", "moves", "faults",
                      "retired", "backlog", "fairness", "p99",
                      "degraded", "tenants", "shards"});
-    for (const Sample &sample : timeline.samples)
+    for (const TimelineSample &sample : timeline.samples)
         table.addRow(
             {sample.source, sample.run,
              std::to_string(sample.epoch),
@@ -350,10 +238,10 @@ queryRuns(const Timeline &timeline)
              std::to_string(sample.pagesRetired),
              num(sample.backlog), num(sample.fairness),
              num(sample.p99Slowdown),
-             sample.degraded || sample.anyShardDegraded ? "yes"
-                                                        : "no",
-             std::to_string(sample.tenants),
-             std::to_string(sample.shards)});
+             sample.degraded || anyShardDegraded(sample) ? "yes"
+                                                         : "no",
+             std::to_string(sample.tenants.size()),
+             std::to_string(sample.shards.size())});
     table.print(std::cout,
                 "epoch samples (" +
                     std::to_string(timeline.samples.size()) + ")");
@@ -362,11 +250,12 @@ queryRuns(const Timeline &timeline)
 
 /** One alert as a human-readable --follow line. */
 std::string
-followLine(const Alert &alert)
+followLine(const HealthAlert &alert)
 {
     std::ostringstream out;
-    out << "[" << alert.severity << "] rule " << alert.rule << " "
-        << alert.signal << " " << scopeCell(alert) << " ("
+    out << "[" << health::severityName(alert.severity) << "] rule "
+        << alert.rule << " " << health::healthSignalName(alert.signal)
+        << " " << scopeCell(alert) << " ("
         << alert.source << " " << alert.run << " epoch "
         << alert.epoch << ")";
     if (std::isfinite(alert.threshold))
@@ -386,30 +275,30 @@ follow(const std::string &path, bool have_tenant,
     // (source, run, seq, rule, tenant, shard) coordinates so a
     // rewrite never re-prints an already-seen firing.
     std::set<std::tuple<std::string, std::string, std::uint64_t,
-                        std::uint64_t, std::uint64_t, std::int64_t>>
+                        std::uint32_t, std::uint32_t, std::int32_t>>
         seen;
     std::cout << "ramp_health: following " << path
               << " (interrupt to stop)\n";
-    time_t last_mtime = 0;
+    std::optional<perf::FileStamp> last;
     bool reported_missing = false;
     for (;;) {
-        struct stat st{};
-        if (::stat(path.c_str(), &st) != 0) {
+        const auto stamp = perf::fileStamp(path);
+        if (!stamp) {
             if (!reported_missing) {
                 std::cout << "ramp_health: waiting for " << path
                           << "\n";
                 reported_missing = true;
             }
-        } else if (st.st_mtime != last_mtime) {
-            last_mtime = st.st_mtime;
+        } else if (stamp != last) {
+            last = stamp;
             reported_missing = false;
             Timeline timeline;
             std::string error;
-            if (loadTimeline(path, timeline, error,
-                             /*ignore_partial_tail=*/true)) {
+            if (health::readTimeline(path, timeline, error,
+                                     /*ignore_partial_tail=*/true)) {
                 applyFilters(timeline, have_tenant, tenant,
                              have_shard, shard);
-                for (const Alert &alert : timeline.alerts) {
+                for (const HealthAlert &alert : timeline.alerts) {
                     const auto key = std::make_tuple(
                         alert.source, alert.run, alert.seq,
                         alert.rule, alert.tenant, alert.shard);
@@ -488,7 +377,7 @@ main(int argc, char **argv)
 
     Timeline timeline;
     std::string error;
-    if (!loadTimeline(paths[0], timeline, error)) {
+    if (!health::readTimeline(paths[0], timeline, error)) {
         std::fprintf(stderr, "ramp_health: %s\n", error.c_str());
         return 2;
     }
