@@ -12,8 +12,6 @@ namespace ramp
 namespace
 {
 
-bool logQuiet = false;
-
 /** Guards the sink pointer and serialises sink invocations. */
 std::mutex &
 logMutex()
@@ -41,12 +39,6 @@ deliver(LogLevel level, const std::string &msg)
 }
 
 } // namespace
-
-void
-setLogQuiet(bool quiet)
-{
-    logQuiet = quiet;
-}
 
 void
 setLogSink(LogSink sink)
@@ -90,15 +82,13 @@ invalidImpl(const std::string &msg)
 void
 warnImpl(const std::string &msg)
 {
-    if (!logQuiet)
-        deliver(LogLevel::Warn, msg);
+    deliver(LogLevel::Warn, msg);
 }
 
 void
 informImpl(const std::string &msg)
 {
-    if (!logQuiet)
-        deliver(LogLevel::Inform, msg);
+    deliver(LogLevel::Inform, msg);
 }
 
 } // namespace ramp

@@ -37,9 +37,6 @@ formatMessage(Args &&...args)
     return os.str();
 }
 
-/** Toggle warn()/inform() output (tests silence it). */
-void setLogQuiet(bool quiet);
-
 /** Severity of one warn()/inform() line handed to the sink. */
 enum class LogLevel
 {

@@ -115,10 +115,4 @@ DramMemory::access(Cycle now, Addr addr, bool is_write)
     return completion;
 }
 
-Cycle
-DramMemory::channelReadyTime(Addr addr) const
-{
-    return busFree_[decode(addr).channel];
-}
-
 } // namespace ramp

@@ -68,9 +68,6 @@ class DramMemory
      */
     Cycle access(Cycle now, Addr addr, bool is_write);
 
-    /** Earliest cycle the channel owning addr can start a burst. */
-    Cycle channelReadyTime(Addr addr) const;
-
     /** Device geometry. */
     const DramConfig &config() const { return config_; }
 

@@ -1,5 +1,6 @@
 #include "eventlog/eventlog.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <mutex>
@@ -439,9 +440,24 @@ recordJson(const EventRecord &record)
 std::string
 toJsonl(const std::string &tool)
 {
-    const auto records = collect();
-    return renderJsonl(tool, records,
-                       stats().dropped);
+    std::vector<EventRecord> records = collect();
+    std::vector<std::string> labels;
+    {
+        Store &s = store();
+        std::lock_guard<std::mutex> lock(s.mutex);
+        labels = s.runLabels;
+    }
+    // Drain order interleaves runs as the pool scheduled them. A
+    // run is emitted by one thread, whose records drain in emission
+    // order, so a stable sort by label alone makes the file the same
+    // at any --jobs: each run in seq order, and a scope re-entered
+    // under one label (which restarts seq) in emission order.
+    std::ranges::stable_sort(records, {},
+                             [&](const EventRecord &record)
+                                 -> const std::string & {
+                                 return labels[record.run];
+                             });
+    return renderJsonl(tool, records, stats().dropped);
 }
 
 std::string

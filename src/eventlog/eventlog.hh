@@ -26,8 +26,11 @@
  *
  * Draining: toJsonl() renders everything collected so far as a
  * self-describing JSONL document (a header line, then one record
- * per line — see DESIGN.md §10 for the schema);
- * postMortemJsonl() renders only the trailing `n` records, which
+ * per line grouped by run label in emission (seq) order, so the
+ * file is the same at any --jobs — see DESIGN.md §10 for the
+ * schema);
+ * postMortemJsonl() renders only the trailing `n` records in drain
+ * order (the most recent ones), which
  * the harness writes on SIGINT/SIGTERM so an interrupted campaign
  * leaves its final decisions behind for inspection.
  */
@@ -150,7 +153,8 @@ std::string recordJson(const EventRecord &record);
 /**
  * The full ledger as a JSONL document: one header object line
  * ({"schema": "ramp-events-v1", "tool": ..., "records": N,
- * "dropped": D}) followed by one record object per line.
+ * "dropped": D}) followed by one record object per line, sorted by
+ * run label and in emission order within a label.
  */
 std::string toJsonl(const std::string &tool);
 

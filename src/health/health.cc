@@ -26,7 +26,6 @@ struct Store
     std::vector<TimelineSample> samples;
     std::vector<HealthAlert> alerts;
     std::vector<HealthRule> rules;
-    std::vector<AlertCallback> callbacks;
 
     /** Next seq per (source '\n' run). */
     std::map<std::string, std::uint64_t> nextSeq;
@@ -131,9 +130,6 @@ fireLocked(Store &s, const HealthRule &rule, std::uint32_t rule_index,
                                          : rule.threshold);
         eventlog::emit(record);
     });
-
-    for (const AlertCallback &callback : s.callbacks)
-        callback(alert);
 }
 
 /**
@@ -456,14 +452,6 @@ defaultRules()
 }
 
 void
-addAlertCallback(AlertCallback callback)
-{
-    Store &s = store();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.callbacks.push_back(std::move(callback));
-}
-
-void
 record(TimelineSample sample)
 {
     if (!obs::on(obs::Health))
@@ -600,7 +588,6 @@ reset()
     s.samples.clear();
     s.alerts.clear();
     s.rules.clear();
-    s.callbacks.clear();
     s.nextSeq.clear();
     s.streaks.clear();
     s.baseline.clear();

@@ -25,11 +25,10 @@
  * schedule-independent), minus the host-dependent `proc.` / `pool.`
  * families.
  *
- * Alerts fan out four ways, all deterministic: an `alert` record in
- * the decision ledger (run/seq-stamped like every other record),
- * `health.*` telemetry counters, the alert lines of the timeline
- * document, and any registered callbacks (the hook the service
- * layer can use for admission control).
+ * Alerts fan out three ways, all deterministic: an `alert` record
+ * in the decision ledger (run/seq-stamped like every other record),
+ * `health.*` telemetry counters, and the alert lines of the timeline
+ * document.
  *
  * Instrumented sites gate on the obs::Health bit (common/obs.hh)
  * through RAMP_OBS(Health, ...): while the monitor is off a site
@@ -48,7 +47,6 @@
 #define RAMP_HEALTH_HEALTH_HH
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -169,8 +167,6 @@ struct HealthAlert
     double threshold = unmeasured;
 };
 
-using AlertCallback = std::function<void(const HealthAlert &)>;
-
 /**
  * Install the monitor's rule set (replaces any previous set; resets
  * hysteresis streaks) and snapshot the metrics registry's counters
@@ -189,13 +185,6 @@ std::vector<HealthRule> rules();
  *     alert:shard_degraded;alert:p99_slowdown>2,for=3;warn:fairness<0.9,for=2
  */
 std::vector<HealthRule> defaultRules();
-
-/**
- * Register an alert hook, called synchronously from record() under
- * the subsystem lock (keep it cheap; it runs on the simulating
- * thread). Callbacks persist until reset().
- */
-void addAlertCallback(AlertCallback callback);
 
 /**
  * Record one epoch-boundary sample: stamps the calling thread's run
@@ -248,7 +237,7 @@ struct Timeline
 bool readTimeline(const std::string &path, Timeline &timeline,
                   std::string &error, bool ignore_partial_tail = false);
 
-/** Drop samples, alerts, rules, callbacks, and streaks (tests). */
+/** Drop samples, alerts, rules, and streaks (tests). */
 void reset();
 
 } // namespace ramp::health

@@ -217,31 +217,6 @@ runDynamicFaulted(const SystemConfig &config, const WorkloadData &data,
     return result;
 }
 
-SimResult
-runRegionDynamicFaulted(const SystemConfig &config,
-                        const WorkloadData &data,
-                        const PageProfile &profile,
-                        const InjectorConfig &faults,
-                        const RegionConfig &region_config,
-                        std::vector<RegionScheme> schemes)
-{
-    if (schemes.empty())
-        schemes = defaultRegionSchemes();
-    RegionMigrationEngine engine(config.fcIntervalCycles,
-                                 region_config, std::move(schemes));
-    engine.seedFromProfile(profile);
-    FaultInjector injector(faults);
-    HmaSystem system(config);
-    auto result = system.run(
-        data.traces, data.compiled(),
-        buildRegionStaticPlacement(StaticPolicy::Balanced, profile,
-                                   region_config,
-                                   config.hbmPages()),
-        &engine, &injector);
-    result.label = engine.name();
-    return result;
-}
-
 AnnotationSelection
 annotationsFor(const WorkloadData &data, const PageProfile &profile,
                std::uint64_t hbm_capacity_pages)

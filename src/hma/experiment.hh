@@ -191,13 +191,6 @@ SimResult runDynamicFaulted(const SystemConfig &config,
                             const PageProfile &profile,
                             const InjectorConfig &faults);
 
-/** runRegionDynamic under online fault injection (fresh injector). */
-SimResult runRegionDynamicFaulted(
-    const SystemConfig &config, const WorkloadData &data,
-    const PageProfile &profile, const InjectorConfig &faults,
-    const RegionConfig &region_config = {},
-    std::vector<RegionScheme> schemes = {});
-
 /** Annotation selection for a profiled workload (Section 7). */
 AnnotationSelection annotationsFor(const WorkloadData &data,
                                    const PageProfile &profile,

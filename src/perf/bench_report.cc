@@ -28,7 +28,7 @@ perSecond(std::uint64_t count, double wall_seconds)
 }
 
 std::string
-hostJson(unsigned sample_ms, unsigned jobs)
+hostJson(unsigned jobs)
 {
     utsname uts{};
     const bool have_uname = uname(&uts) == 0;
@@ -49,7 +49,8 @@ hostJson(unsigned sample_ms, unsigned jobs)
         << ", \"cpu_model\": \""
         << jsonEscape(prof::cpuModelName())
         << "\", \"tsc_hz\": " << jsonNumber(prof::tscHz())
-        << ", \"sample_ms\": " << sample_ms << ", \"compiler\": \""
+        << ", \"sample_ms\": " << samplePeriod.count()
+        << ", \"compiler\": \""
 #if defined(__clang__)
         << "clang " << jsonEscape(__clang_version__)
 #elif defined(__GNUC__)
@@ -95,7 +96,7 @@ renderBenchReport(const BenchReportSpec &spec)
         << "  \"schema\": \"" << benchSchema << "\",\n"
         << "  \"tool\": \"" << jsonEscape(spec.tool) << "\",\n"
         << "  \"jobs\": " << spec.jobs << ",\n"
-        << "  \"host\": " << hostJson(spec.sampleMs, spec.jobs) << ",\n"
+        << "  \"host\": " << hostJson(spec.jobs) << ",\n"
         << "  \"wall_seconds\": " << jsonNumber(spec.wallSeconds)
         << ",\n";
 
@@ -208,6 +209,10 @@ renderBenchReport(const BenchReportSpec &spec)
         first = false;
     }
     out << (first ? "" : "\n  ") << "},\n";
+
+    // The whole merged registry, for readers that want a counter the
+    // blocks above do not quote; the gate compares nothing in it.
+    out << "  \"metrics\": " << snap.toJson(2) << ",\n";
 
     out << "  \"microbenchmarks\": [";
     for (std::size_t i = 0; i < spec.microbenchmarks.size(); ++i) {
@@ -524,7 +529,7 @@ unknownBenchBlocks(const JsonValue &doc)
         "host",          "wall_seconds", "resources",
         "throughput",    "counters",  "service",
         "health",        "passes",
-        "percentiles",   "microbenchmarks",
+        "percentiles",   "metrics",   "microbenchmarks",
     };
     std::vector<std::string> unknown;
     if (!doc.isObject())

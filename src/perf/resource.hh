@@ -75,13 +75,16 @@ struct ResourceSummary
     std::uint64_t minorFaults = 0;
 };
 
+/** The harness's sampling period; BENCH `host.sample_ms` stamps it. */
+inline constexpr std::chrono::milliseconds samplePeriod{50};
+
 /** Background thread sampling the process at a fixed period. */
 class ResourceSampler
 {
   public:
     /** Start sampling immediately. @param period time between reads. */
-    explicit ResourceSampler(std::chrono::milliseconds period =
-                                 std::chrono::milliseconds(50));
+    explicit ResourceSampler(
+        std::chrono::milliseconds period = samplePeriod);
 
     /** Stops and joins (idempotent). */
     ~ResourceSampler();

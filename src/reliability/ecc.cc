@@ -3,17 +3,6 @@
 namespace ramp
 {
 
-const char *
-eccName(EccKind kind)
-{
-    switch (kind) {
-      case EccKind::None: return "none";
-      case EccKind::SecDed: return "SEC-DED";
-      case EccKind::ChipKill: return "ChipKill";
-    }
-    return "?";
-}
-
 EccOutcome
 classifyFaults(EccKind kind, std::span<const FaultRecord> faults,
                const ChipGeometry &geometry)

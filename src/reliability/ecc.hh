@@ -32,9 +32,6 @@ enum class EccKind
     ChipKill,
 };
 
-/** Human-readable ECC name. */
-const char *eccName(EccKind kind);
-
 /** Classification of a fault set against a scheme. */
 enum class EccOutcome
 {

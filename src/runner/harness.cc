@@ -7,9 +7,7 @@
 #include <iostream>
 #include <limits>
 #include <optional>
-#include <sstream>
 
-#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/parse.hh"
 #include "common/table.hh"
@@ -57,72 +55,9 @@ parseJobs(const std::string &text)
     return parseInteger(text, 1u, "--jobs needs a positive integer");
 }
 
-unsigned
-parseSampleMs(const std::string &text)
-{
-    return parseInteger(
-        text, 10u,
-        "--sample-ms needs an integer of at least 10 milliseconds");
-}
-
-/**
- * Render the --metrics-out document: the merged registry snapshot
- * plus derived rates, histogram percentiles, and the per-pass
- * status/duration list.
- */
-std::string
-metricsJson(const std::string &tool, unsigned jobs,
-            const std::vector<PassRecord> &passes)
-{
-    const auto snap = telemetry::metrics().snapshot();
-    std::ostringstream out;
-    out << "{\n"
-        << "  \"tool\": \"" << jsonEscape(tool)
-        << "\",\n"
-        << "  \"jobs\": " << jobs << ",\n"
-        << "  \"derived\": {\n"
-        // A share of traffic split across the memories, not a hit
-        // rate: the HBM serving an access is not a "hit".
-        << "    \"hbm_access_share\": "
-        << jsonNumber(
-               accessShare(snap.counterOr("hma.accesses.hbm"),
-                           snap.counterOr("hma.accesses.ddr")))
-        << ",\n"
-        << "    \"profile_cache_hit_rate\": "
-        << jsonNumber(hitRate(
-               snap.counterOr("profile_cache.memory_hits") +
-                   snap.counterOr("profile_cache.disk_hits"),
-               snap.counterOr("profile_cache.misses")))
-        << ",\n"
-        << "    \"percentiles\": {";
-    bool first = true;
-    for (const auto &[name, hist] : snap.histograms) {
-        out << (first ? "\n" : ",\n") << "      \""
-            << jsonEscape(name)
-            << "\": {\"p50\": " << jsonNumber(hist.p50())
-            << ", \"p95\": " << jsonNumber(hist.p95())
-            << ", \"p99\": " << jsonNumber(hist.p99())
-            << "}";
-        first = false;
-    }
-    out << (first ? "" : "\n    ") << "}\n"
-        << "  },\n"
-        << "  \"metrics\": " << snap.toJson(2) << ",\n"
-        << "  \"passes\": [\n";
-    for (std::size_t i = 0; i < passes.size(); ++i) {
-        const auto &pass = passes[i];
-        out << "    {\"workload\": \""
-            << jsonEscape(pass.workload)
-            << "\", \"label\": \""
-            << jsonEscape(pass.result.label)
-            << "\", \"status\": \"" << passStatusName(pass.status)
-            << "\", \"seconds\": "
-            << jsonNumber(pass.seconds) << "}"
-            << (i + 1 < passes.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-    return out.str();
-}
+/** Records of the ledger's trailing window that a cancelled
+ * campaign leaves next to its events file. */
+constexpr std::size_t postMortemRecords = 256;
 
 } // namespace
 
@@ -135,14 +70,9 @@ RunnerOptions::parse(int argc, char **argv)
             options.*out.value = env;
     if (const char *env = std::getenv("RAMP_JOBS"))
         options.jobs = parseJobs(env);
-    if (const char *env = std::getenv("RAMP_SAMPLE_MS"))
-        options.sampleMs = parseSampleMs(env);
     if (const char *env = std::getenv("RAMP_EVENTS_LIMIT"))
         options.eventsLimit = parseInteger<std::uint64_t>(
             env, 0, "RAMP_EVENTS_LIMIT needs a non-negative integer");
-    if (const char *env = std::getenv("RAMP_EVENTS_DUMP"))
-        options.eventsDump = parseInteger<std::uint64_t>(
-            env, 0, "RAMP_EVENTS_DUMP needs a non-negative integer");
     if (const char *env = std::getenv("RAMP_CACHE_DIR"))
         options.cacheDir = env;
     if (const char *env = std::getenv("RAMP_CHECKPOINT"))
@@ -166,9 +96,6 @@ RunnerOptions::parse(int argc, char **argv)
             options.*out->value = value(out->flag);
         } else if (arg == "--jobs" || arg == "-j") {
             options.jobs = parseJobs(value("--jobs"));
-        } else if (arg == "--sample-ms") {
-            options.sampleMs =
-                parseSampleMs(value("--sample-ms"));
         } else if (arg == "--cache-dir") {
             options.cacheDir = value("--cache-dir");
         } else if (arg == "--checkpoint") {
@@ -192,8 +119,6 @@ RunnerOptions::flagsHelp()
         for (const Harness::Output &out : Harness::outputs())
             help += out.help;
         return help +
-               "  --sample-ms N   resource-sampler period, >= 10 "
-               "(default 50; env RAMP_SAMPLE_MS)\n"
                "  --cache-dir D   persist profiling passes on disk "
                "(env RAMP_CACHE_DIR)\n"
                "  --checkpoint D  journal completed passes; resume a "
@@ -238,36 +163,26 @@ Harness::outputs()
                     obs::on(obs::Health) ? &h.options_.timelinePath
                                          : nullptr);
             }}}}},
-        {"--metrics-out", "RAMP_METRICS_OUT",
-         "  --metrics-out PATH  write a telemetry metrics "
-         "snapshot (env RAMP_METRICS_OUT)\n",
-         &RunnerOptions::metricsPath, obs::Telemetry, nullptr, 3,
-         {{{"", "metrics snapshot",
-            [](Harness &h, Path path) {
-                return atomicWriteFile(
-                    path, metricsJson(h.tool_, h.pool_.jobs(),
-                                      h.report_.passes()));
-            }}}}},
         {"--trace-out", "RAMP_TRACE_OUT",
          "  --trace-out PATH  write a Chrome trace-event file "
          "(env RAMP_TRACE_OUT)\n",
          &RunnerOptions::tracePath, obs::Trace,
-         [](Harness &) { telemetry::captureLogEvents(); }, 4,
+         [](Harness &) { telemetry::captureLogEvents(); }, 3,
          {{{"", "trace",
             [](Harness &, Path path) {
                 return atomicWriteFile(path, telemetry::traceJson());
             }}}}},
         // The bench report derives its throughput quotes from the
-        // telemetry counters, so it switches telemetry on too.
+        // telemetry counters and carries their snapshot, so it
+        // switches telemetry on too.
         {"--bench-out", "RAMP_BENCH_OUT",
          "  --bench-out PATH  write a BENCH_<tool>.json "
          "performance report (env RAMP_BENCH_OUT)\n",
          &RunnerOptions::benchPath, obs::Telemetry,
          [](Harness &h) {
-             h.sampler_ = std::make_unique<perf::ResourceSampler>(
-                 std::chrono::milliseconds(h.options_.sampleMs));
+             h.sampler_ = std::make_unique<perf::ResourceSampler>();
          },
-         6,
+         5,
          {{{"", "bench report",
             [](Harness &h, Path path) {
                 return atomicWriteFile(path, h.benchJson());
@@ -302,7 +217,7 @@ Harness::outputs()
          "  --profile-out PATH  write a ramp-profile-v1 cycle "
          "profile (+PATH.folded flamegraph stacks; env "
          "RAMP_PROF_OUT)\n",
-         &RunnerOptions::profilePath, obs::Prof, nullptr, 5,
+         &RunnerOptions::profilePath, obs::Prof, nullptr, 4,
          {{{"", "cycle profile",
             [](Harness &h, Path path) {
                 return atomicWriteFile(
@@ -315,7 +230,7 @@ Harness::outputs()
         {"--health-rules", "RAMP_HEALTH_RULES",
          "  --health-rules R  SLO rules evaluated per epoch, e.g. "
          "alert:p99_slowdown>2,for=3 (env RAMP_HEALTH_RULES)\n",
-         &RunnerOptions::healthRules, monitor, install_rules, 7,
+         &RunnerOptions::healthRules, monitor, install_rules, 6,
          {}},
     };
     return table;
@@ -539,7 +454,6 @@ Harness::benchJson()
     perf::BenchReportSpec spec;
     spec.tool = tool_;
     spec.jobs = pool_.jobs();
-    spec.sampleMs = options_.sampleMs;
     spec.wallSeconds =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - startTime_)
@@ -595,8 +509,7 @@ Harness::flushOutputs()
                      tool_.c_str(), noun, path.c_str());
         code = 1;
     };
-    if (cancellationRequested() && obs::on(obs::Events) &&
-        options_.eventsDump > 0) {
+    if (cancellationRequested() && obs::on(obs::Events)) {
         // Post-mortem: park the trailing window of the ledger next
         // to the events file (or under the tool's name when none
         // was requested) so an interrupted campaign leaves its
@@ -606,7 +519,7 @@ Harness::flushOutputs()
                 ? tool_ + ".postmortem.jsonl"
                 : options_.eventsPath + ".postmortem";
         if (!atomicWriteFile(path, eventlog::postMortemJsonl(
-                                       tool_, options_.eventsDump)))
+                                       tool_, postMortemRecords)))
             cannot_write("post-mortem dump", path);
     }
     std::vector<const Output *> order;

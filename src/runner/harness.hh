@@ -3,8 +3,8 @@
  * The experiment harness every figure/table binary runs on.
  *
  * One Harness per binary: it parses the shared runner flags
- * (--jobs, the output flags of its output table, --sample-ms,
- * --cache-dir, --checkpoint, --pass-timeout), owns the thread pool,
+ * (--jobs, the output flags of its output table, --cache-dir,
+ * --checkpoint, --pass-timeout), owns the thread pool,
  * the profile cache, the checkpoint journal, the watchdog, the
  * resource sampler, and the result sink, and provides the two
  * operations the paper's methodology repeats everywhere: profile a
@@ -24,7 +24,7 @@
  * label; the harness alone derives the report row, checkpoint key
  * and ledger run label from that pair.
  *
- * Every output flag (--json, --metrics-out, ...) is one row of
+ * Every output flag (--json, --bench-out, ...) is one row of
  * Harness::outputs(): its environment variable, help line, options
  * field, the observability layers it switches on, and the files
  * flushOutputs() writes for it. Option parsing, the help text, the
@@ -65,7 +65,6 @@ struct RunnerOptions
 
     /** @{ @name Output targets ("" = off; see Harness::outputs()) */
     std::string jsonPath;
-    std::string metricsPath;
     std::string tracePath;
     std::string benchPath;
     std::string eventsPath;
@@ -79,16 +78,9 @@ struct RunnerOptions
     std::string healthRules;
     /** @} */
 
-    /** Resource-sampler period in milliseconds (>= 10). */
-    unsigned sampleMs = 50;
-
     /** Decision-ledger cap in records (RAMP_EVENTS_LIMIT; 0 =
      * unlimited). */
     std::uint64_t eventsLimit = 0;
-
-    /** Post-mortem ledger window in records (RAMP_EVENTS_DUMP; 0 =
-     * no dump). */
-    std::uint64_t eventsDump = 256;
 
     /** On-disk profile-cache directory ("" = memory-only). */
     std::string cacheDir;
@@ -104,12 +96,11 @@ struct RunnerOptions
 
     /**
      * Parse --jobs N, every output flag of Harness::outputs(),
-     * --sample-ms N, --cache-dir PATH, --checkpoint DIR, and
-     * --pass-timeout S from argv, with environment fallbacks
-     * (RAMP_JOBS, each output's variable, RAMP_SAMPLE_MS,
-     * RAMP_CACHE_DIR, RAMP_CHECKPOINT, RAMP_PASS_TIMEOUT; a flag
-     * wins over its variable) plus RAMP_EVENTS_LIMIT and
-     * RAMP_EVENTS_DUMP; everything else lands in positional.
+     * --cache-dir PATH, --checkpoint DIR, and --pass-timeout S from
+     * argv, with environment fallbacks (RAMP_JOBS, each output's
+     * variable, RAMP_CACHE_DIR, RAMP_CHECKPOINT, RAMP_PASS_TIMEOUT;
+     * a flag wins over its variable) plus RAMP_EVENTS_LIMIT;
+     * everything else lands in positional.
      * Throws PassError(Usage) on a malformed flag or variable — the
      * binary decides the exit code.
      */

@@ -88,9 +88,6 @@ class ProfileCache
      */
     void setDiskDir(std::string dir);
 
-    /** The configured disk directory ("" when disabled). */
-    const std::string &diskDir() const { return disk_dir_; }
-
     /**
      * The profiled workload for a key, computing it at most once
      * per process. Concurrent callers with the same key block until

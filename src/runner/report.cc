@@ -1,7 +1,6 @@
 #include "runner/report.hh"
 
 #include <algorithm>
-#include <limits>
 #include <sstream>
 
 #include "common/json.hh"
@@ -18,26 +17,6 @@ double
 meanRatio(std::span<const double> ratios)
 {
     return mean(ratios);
-}
-
-double
-hitRate(std::uint64_t hits, std::uint64_t misses)
-{
-    const std::uint64_t total = hits + misses;
-    // NaN, not 0: an idle counter pair is unmeasured, and the JSON
-    // emitters render NaN as null instead of a fake perfect miss.
-    return total == 0 ? std::numeric_limits<double>::quiet_NaN()
-                      : static_cast<double>(hits) /
-                            static_cast<double>(total);
-}
-
-double
-accessShare(std::uint64_t part, std::uint64_t rest)
-{
-    const std::uint64_t total = part + rest;
-    return total == 0 ? std::numeric_limits<double>::quiet_NaN()
-                      : static_cast<double>(part) /
-                            static_cast<double>(total);
 }
 
 double

@@ -33,23 +33,6 @@ namespace ramp::runner
 /** Arithmetic mean of a ratio series (0 when empty). */
 double meanRatio(std::span<const double> ratios);
 
-/** @{ @name Derived-metric helpers (--metrics-out "derived" block)
- * Numerically both are part/(part+rest), but they answer different
- * questions: hitRate() is the success fraction of a hits/misses
- * counter pair, accessShare() is one component's share of traffic
- * split across two destinations (e.g. the HBM's share of demand
- * accesses). Keeping them separate stops a share from being
- * mislabelled as a hit rate.
- */
-
-/** Hit fraction of a hits/misses pair (NaN when idle: the JSON
- * emitters render that as null, not a fake 0). */
-double hitRate(std::uint64_t hits, std::uint64_t misses);
-
-/** Share of `part` in part+rest traffic (NaN when idle). */
-double accessShare(std::uint64_t part, std::uint64_t rest);
-/** @} */
-
 /**
  * One ratio column of a figure table, accumulated per workload and
  * summarised in the trailing "average" row.

@@ -37,8 +37,6 @@ class Watchdog
     Watchdog(const Watchdog &) = delete;
     Watchdog &operator=(const Watchdog &) = delete;
 
-    double timeoutSeconds() const { return timeout_; }
-
     /** RAII registration of one running pass. */
     class Scope
     {

@@ -42,6 +42,10 @@ struct ServiceTelemetry
         telemetry::metrics().counter("service.requests_served");
 };
 
+/** Pages one tenant may promote, and separately demote, in one epoch
+ * rebalance. */
+constexpr std::uint64_t moveBudgetPages = 512;
+
 ServiceTelemetry &
 serviceTelemetry()
 {
@@ -445,13 +449,12 @@ rankHandles(PlacementMap &map, const Tenant &tenant)
 /**
  * Drive one tenant's HBM set toward the first `grant` entries of its
  * hotness ranking, demotions (coldest first, freeing frames) before
- * promotions (hottest first), each capped by its budget.
+ * promotions (hottest first), each capped by moveBudgetPages.
  */
 std::uint64_t
 rebalanceTenant(PlacementMap &map, const Tenant &tenant,
                 const RankHandles &handles, std::uint64_t grant,
-                std::uint64_t promote_budget,
-                std::uint64_t demote_budget, unsigned epoch)
+                unsigned epoch)
 {
     const std::size_t target = std::min<std::size_t>(
         grant, tenant.ranking.size());
@@ -459,7 +462,7 @@ rebalanceTenant(PlacementMap &map, const Tenant &tenant,
 
     std::uint64_t demotes = 0;
     for (std::size_t i = tenant.ranking.size();
-         i-- > target && demotes < demote_budget;) {
+         i-- > target && demotes < moveBudgetPages;) {
         const PageId page = tenant.ranking[i].first;
         if (map.memoryOf(handles[i]) != MemoryId::HBM ||
             map.isPinned(page))
@@ -474,7 +477,7 @@ rebalanceTenant(PlacementMap &map, const Tenant &tenant,
 
     std::uint64_t promotes = 0;
     for (std::size_t i = 0;
-         i < target && promotes < promote_budget; ++i) {
+         i < target && promotes < moveBudgetPages; ++i) {
         const PageId page = tenant.ranking[i].first;
         if (map.memoryOf(handles[i]) == MemoryId::HBM ||
             map.isRetired(page))
@@ -604,8 +607,6 @@ PlacementService::tenantCount() const
 std::uint64_t
 PlacementService::shardCapacity() const
 {
-    if (config_.hbmPagesPerShard != 0)
-        return config_.hbmPagesPerShard;
     return std::max<std::uint64_t>(
         1, system_.hbmPages() / config_.shards);
 }
@@ -635,15 +636,6 @@ PlacementService::admit(TenantSpec spec)
     tenants_.push_back(std::move(tenant));
     RAMP_OBS(Telemetry, serviceTelemetry().admitted.add(1));
     return true;
-}
-
-unsigned
-PlacementService::shardOfTenant(std::uint32_t tenant_id) const
-{
-    for (const Tenant &tenant : tenants_)
-        if (tenant.spec.id == tenant_id)
-            return tenant.shard;
-    return shardOf(tenant_id, config_.shards, config_.routingSalt);
 }
 
 ServiceResult
@@ -1087,10 +1079,8 @@ PlacementService::runShard(Shard &shard, unsigned shard_index)
                 if (epoch == 0) {
                     placeTenantInitial(map, tenant, tenant.grant);
                 } else {
-                    moved = rebalanceTenant(
-                        map, tenant, handles[t], tenant.grant,
-                        config_.promoteBudgetPages,
-                        config_.demoteBudgetPages, epoch);
+                    moved = rebalanceTenant(map, tenant, handles[t],
+                                            tenant.grant, epoch);
                 }
                 tenant.moved += moved;
                 RAMP_OBS(Telemetry, serviceTelemetry().moves.add(moved));
@@ -1192,9 +1182,7 @@ PlacementService::runSolo(Tenant &tenant)
         if (epoch == 0)
             placeTenantInitial(map, tenant, grant);
         else
-            rebalanceTenant(map, tenant, handles, grant,
-                            config_.promoteBudgetPages,
-                            config_.demoteBudgetPages, epoch);
+            rebalanceTenant(map, tenant, handles, grant, epoch);
         const std::vector<CoreTrace> &slice = tenant.slices[epoch];
         if (sliceRequests(slice) == 0) {
             tenant.soloMakespanByEpoch.push_back(0);

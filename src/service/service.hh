@@ -133,13 +133,6 @@ struct ServiceConfig
 
     ArbiterPolicy arbiter = ArbiterPolicy::FairShare;
 
-    /** HBM pages per shard (0 = SystemConfig::hbmPages() / shards). */
-    std::uint64_t hbmPagesPerShard = 0;
-
-    /** Per-tenant page-move budgets of one epoch rebalance. */
-    std::uint64_t promoteBudgetPages = 512;
-    std::uint64_t demoteBudgetPages = 512;
-
     /** Salt of the tenant -> shard routing hash. */
     std::uint64_t routingSalt = 0x9e3779b97f4a7c15ULL;
 
@@ -351,9 +344,6 @@ class PlacementService
 
     /** Admitted tenant count (out-of-line: Tenant is incomplete). */
     std::size_t tenantCount() const;
-
-    /** The shard a given admitted tenant routed to. */
-    unsigned shardOfTenant(std::uint32_t tenant_id) const;
 
     /** Run the service campaign on the pool. */
     ServiceResult run(runner::ThreadPool &pool);

@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/json.hh"
@@ -213,6 +216,46 @@ TEST_F(EventlogTest, JsonlIsParseableAndSelfDescribing)
     EXPECT_EQ(docs[4].stringOr("kind", ""), "fault");
     EXPECT_EQ(docs[4].stringOr("tier", ""), "hbm");
     EXPECT_EQ(docs[4].stringOr("mode", ""), "row");
+}
+
+TEST_F(EventlogTest, JsonlIsTheSameForEveryInterleaving)
+{
+    // Two runs on two threads, each emitting past one ring so both
+    // drain mid-run; the thread that starts first drains first.
+    const auto emit_run = [](const char *label, PageId base) {
+        eventlog::RunScope scope(label);
+        for (std::size_t i = 0; i < eventlog::ringCapacity + 5; ++i)
+            eventlog::emit(placeRecord(base + i));
+    };
+    const auto render = [&](bool a_first) {
+        eventlog::reset();
+        std::thread first(emit_run, a_first ? "pass/a" : "pass/b",
+                          a_first ? 0 : 100000);
+        first.join();
+        std::thread second(emit_run, a_first ? "pass/b" : "pass/a",
+                           a_first ? 100000 : 0);
+        second.join();
+        return eventlog::toJsonl("test_eventlog");
+    };
+    const std::string a_first = render(true);
+    const std::string b_first = render(false);
+    EXPECT_EQ(a_first, b_first);
+
+    // Grouped by label, each run in seq order.
+    std::istringstream in(a_first);
+    std::string line;
+    std::getline(in, line); // header
+    std::vector<std::pair<std::string, double>> keys;
+    while (std::getline(in, line)) {
+        JsonValue doc;
+        std::string error;
+        ASSERT_TRUE(parseJson(line, doc, error)) << error;
+        keys.emplace_back(doc.stringOr("run", ""),
+                          doc.numberOr("seq", -1));
+    }
+    ASSERT_EQ(keys.size(), 2 * (eventlog::ringCapacity + 5));
+    EXPECT_TRUE(std::ranges::is_sorted(keys));
+    EXPECT_EQ(keys.front().first, "pass/a");
 }
 
 TEST_F(EventlogTest, PostMortemKeepsOnlyTheTail)

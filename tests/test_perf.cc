@@ -899,6 +899,69 @@ TEST_F(PerfTest, HarnessWritesBenchDocumentUnderWatchdog)
     std::remove(options.benchPath.c_str());
 }
 
+TEST_F(PerfTest, BenchDocumentCarriesTheRegistrySnapshot)
+{
+    RunnerOptions options;
+    options.jobs = 2;
+    options.benchPath = ::testing::TempDir() + "BENCH_metrics.json";
+    std::remove(options.benchPath.c_str());
+
+    Harness harness("metrics_tool", options);
+    const auto wl =
+        harness.profile(homogeneousWorkload("astar"), smallTraces());
+    const SystemConfig &config = harness.config();
+    harness.runPasses(std::vector<PassDesc>{{wl, "perf"}},
+                      [&](std::size_t) {
+                          return runStaticPolicy(
+                              config, wl->data,
+                              StaticPolicy::PerfFocused,
+                              wl->profile());
+                      });
+    ASSERT_EQ(harness.finish(), 0);
+    // finish() joined the sampler before the flush, so nothing has
+    // touched the registry since the document took its snapshot.
+    const auto snap = telemetry::metrics().snapshot();
+    EXPECT_GT(snap.counterOr("hma.runs"), 0u);
+    EXPECT_EQ(snap.gauges.count("proc.peak_rss_bytes"), 1u);
+
+    std::ifstream in(options.benchPath);
+    std::stringstream text;
+    text << in.rdbuf();
+    EXPECT_NE(text.str().find("  \"metrics\": " + snap.toJson(2) + ",\n"),
+              std::string::npos);
+
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(parseJson(text.str(), doc, error)) << error;
+    EXPECT_TRUE(perf::unknownBenchBlocks(doc).empty());
+    std::remove(options.benchPath.c_str());
+}
+
+TEST(BenchDiff, GatesNothingInTheMetricsBlock)
+{
+    BenchReportSpec base_spec = sampleSpec();
+    BenchReportSpec cand_spec = sampleSpec();
+    base_spec.metrics.counters["unquoted.count"] = 100;
+    cand_spec.metrics.counters["unquoted.count"] = 1;
+    cand_spec.metrics.gauges["unquoted.level"] = 1e9;
+    JsonValue base, cand;
+    std::string error;
+    ASSERT_TRUE(parseJson(perf::renderBenchReport(base_spec), base,
+                          error))
+        << error;
+    ASSERT_TRUE(parseJson(perf::renderBenchReport(cand_spec), cand,
+                          error))
+        << error;
+    ASSERT_NE(cand.find("metrics"), nullptr);
+    const auto diffs =
+        perf::compareBenchReports(base, cand, DiffOptions{}, error);
+    EXPECT_TRUE(error.empty()) << error;
+    for (const auto &diff : diffs) {
+        EXPECT_FALSE(diff.regressed) << diff.name;
+        EXPECT_NE(diff.name.rfind("metrics", 0), 0u) << diff.name;
+    }
+}
+
 TEST_F(PerfTest, CancelledCampaignStillFlushesBenchDocument)
 {
     runner::clearCancellation();

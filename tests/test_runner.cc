@@ -7,7 +7,6 @@
  */
 
 #include <atomic>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -376,22 +375,6 @@ TEST(RunnerOptions, ParsesCheckpointAndTimeoutFlags)
     EXPECT_EQ(options.benchPath, "BENCH_tool.json");
 }
 
-TEST(DerivedRatios, HitRateAndAccessShareSemantics)
-{
-    // hitRate: hits out of hits+misses.
-    EXPECT_DOUBLE_EQ(runner::hitRate(3, 1), 0.75);
-    EXPECT_DOUBLE_EQ(runner::hitRate(0, 5), 0.0);
-    EXPECT_DOUBLE_EQ(runner::hitRate(5, 0), 1.0);
-    EXPECT_TRUE(std::isnan(runner::hitRate(0, 0)));
-
-    // accessShare: one memory's share of the combined traffic. The
-    // arithmetic matches hitRate but the second argument is the
-    // *other* memory's traffic, not a miss count.
-    EXPECT_DOUBLE_EQ(runner::accessShare(600, 400), 0.6);
-    EXPECT_DOUBLE_EQ(runner::accessShare(0, 400), 0.0);
-    EXPECT_TRUE(std::isnan(runner::accessShare(0, 0)));
-}
-
 TEST(RunnerOptions, RejectsBadFlagsWithUsageErrors)
 {
     const auto expect_usage = [](std::vector<const char *> argv) {
@@ -411,29 +394,22 @@ TEST(RunnerOptions, RejectsBadFlagsWithUsageErrors)
     expect_usage({"tool", "--checkpoint"});
     expect_usage({"tool", "--json"});
 
-    // The ledger knobs are environment-only and validated up front.
-    for (const char *env : {"RAMP_EVENTS_LIMIT", "RAMP_EVENTS_DUMP"}) {
-        for (const char *bad : {"abc", "-1", "12x", ""}) {
-            ::setenv(env, bad, 1);
-            expect_usage({"tool"});
-        }
-        ::unsetenv(env);
+    // The ledger cap is environment-only and validated up front.
+    for (const char *bad : {"abc", "-1", "12x", ""}) {
+        ::setenv("RAMP_EVENTS_LIMIT", bad, 1);
+        expect_usage({"tool"});
     }
     ::setenv("RAMP_EVENTS_LIMIT", "12", 1);
-    ::setenv("RAMP_EVENTS_DUMP", "0", 1);
     const char *argv[] = {"tool"};
     const auto options =
         RunnerOptions::parse(1, const_cast<char **>(argv));
     EXPECT_EQ(options.eventsLimit, 12u);
-    EXPECT_EQ(options.eventsDump, 0u);
     ::unsetenv("RAMP_EVENTS_LIMIT");
-    ::unsetenv("RAMP_EVENTS_DUMP");
 
     // Negative and overflowing counts are refused, not wrapped or
     // saturated: 4294967297 would cast to one worker.
     expect_usage({"tool", "--jobs", "-1"});
     expect_usage({"tool", "--jobs", "4294967297"});
-    expect_usage({"tool", "--sample-ms", "4294967306"});
     expect_usage({"tool", "--pass-timeout", "inf"});
     ::setenv("RAMP_EVENTS_LIMIT", "99999999999999999999", 1);
     expect_usage({"tool"});
@@ -491,9 +467,6 @@ outputCases()
     return {
         {"--json", "RAMP_JSON", &RunnerOptions::jsonPath, 0,
          {{"", "JSON report"}}},
-        {"--metrics-out", "RAMP_METRICS_OUT",
-         &RunnerOptions::metricsPath, obs::Telemetry,
-         {{"", "metrics snapshot"}}},
         {"--trace-out", "RAMP_TRACE_OUT", &RunnerOptions::tracePath,
          obs::Trace, {{"", "trace"}}},
         {"--bench-out", "RAMP_BENCH_OUT", &RunnerOptions::benchPath,
@@ -545,8 +518,6 @@ TEST(RunnerOptions, HelpTextIsUnchanged)
         "(default: all cores; env RAMP_JOBS)\n"
         "  --json PATH     write machine-readable results "
         "(env RAMP_JSON)\n"
-        "  --metrics-out PATH  write a telemetry metrics "
-        "snapshot (env RAMP_METRICS_OUT)\n"
         "  --trace-out PATH  write a Chrome trace-event file "
         "(env RAMP_TRACE_OUT)\n"
         "  --bench-out PATH  write a BENCH_<tool>.json "
@@ -560,8 +531,6 @@ TEST(RunnerOptions, HelpTextIsUnchanged)
         "RAMP_PROF_OUT)\n"
         "  --health-rules R  SLO rules evaluated per epoch, e.g. "
         "alert:p99_slowdown>2,for=3 (env RAMP_HEALTH_RULES)\n"
-        "  --sample-ms N   resource-sampler period, >= 10 "
-        "(default 50; env RAMP_SAMPLE_MS)\n"
         "  --cache-dir D   persist profiling passes on disk "
         "(env RAMP_CACHE_DIR)\n"
         "  --checkpoint D  journal completed passes; resume a "

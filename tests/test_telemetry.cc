@@ -467,8 +467,8 @@ TEST_F(TelemetryTest, ScopeRecordsWhatItsBitsSelect)
 
 TEST_F(TelemetryTest, MetricsWithoutTraceBufferNoEvents)
 {
-    // What --bench-out and --metrics-out switch on: the metrics
-    // registry and nothing that only --trace-out reads. Log capture
+    // What --bench-out switches on: the metrics registry and
+    // nothing that only --trace-out reads. Log capture
     // stays installed from any earlier --trace-out in the process.
     obs::set(obs::All, false);
     obs::set(obs::Telemetry, true);
