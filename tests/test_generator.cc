@@ -149,6 +149,49 @@ TEST(Generator, StreamingCoversStructureUniformly)
     EXPECT_LT(max_count, 4 * std::max<std::uint64_t>(min_count, 1));
 }
 
+/** FNV-1a 64 over each request's addr, gap, core and isWrite. */
+std::uint64_t
+traceDigest(const std::vector<CoreTrace> &traces)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    auto mix = [&hash](std::uint64_t value, std::size_t bytes) {
+        for (std::size_t b = 0; b < bytes; ++b) {
+            hash ^= (value >> (8 * b)) & 0xff;
+            hash *= 0x100000001b3ULL;
+        }
+    };
+    for (const auto &trace : traces)
+        for (const auto &req : trace) {
+            mix(req.addr, sizeof req.addr);
+            mix(req.gap, sizeof req.gap);
+            mix(req.core, sizeof req.core);
+            mix(req.isWrite ? 1 : 0, 1);
+        }
+    return hash;
+}
+
+// Pinned digests of seed-1, 2%-scale traces. Any change to an RNG
+// draw, a sampler's inverse CDF or the structure pick moves them;
+// a speed change to generation must leave every request bit-identical.
+TEST(Generator, GoldenTraceDigests)
+{
+    const struct
+    {
+        WorkloadSpec spec;
+        std::uint64_t digest;
+    } cases[] = {
+        {homogeneousWorkload("astar"), 0x1e8aefb0272aa91eULL},
+        {homogeneousWorkload("cactusADM"), 0x49df53bd9ef77280ULL},
+        {mixWorkload("mix1"), 0xd96328cf6e727cf2ULL},
+    };
+    for (const auto &c : cases) {
+        const auto traces = generateTraces(c.spec, smallOptions(1));
+        EXPECT_EQ(traceDigest(traces), c.digest)
+            << c.spec.name << std::hex << " digest 0x"
+            << traceDigest(traces);
+    }
+}
+
 /** Property sweep over every registered program. */
 class GeneratorPropertyTest
     : public ::testing::TestWithParam<std::string>
