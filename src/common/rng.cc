@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -130,39 +131,78 @@ Rng::split()
     return Rng(next() ^ 0xa0761d6478bd642fULL);
 }
 
-ZipfSampler::ZipfSampler(std::uint64_t n, double alpha)
-    : n_(n), alpha_(alpha)
+CdfTable::CdfTable(std::vector<double> weights)
+    : cdf_(std::move(weights))
+{
+    if (cdf_.empty() || cdf_.size() > UINT32_MAX)
+        ramp_fatal("CdfTable needs 1 to 2^32 - 1 entries, got ",
+                   cdf_.size());
+    double sum = 0;
+    for (auto &value : cdf_) {
+        if (!std::isfinite(value) || value < 0)
+            ramp_fatal("CdfTable weight ", value,
+                       " must be finite and non-negative");
+        sum += value;
+        value = sum;
+    }
+    if (!(sum > 0) || !std::isfinite(sum))
+        ramp_fatal("CdfTable weights must have a finite positive sum");
+    for (auto &value : cdf_)
+        value /= sum;
+    cdf_.back() = 1.0;
+
+    // At least minBuckets buckets, so a short, skewed CDF (a core's
+    // structure weights) still starts each lookup next to its answer.
+    constexpr std::size_t minBuckets = 256;
+    const std::size_t m = std::max(cdf_.size(), minBuckets);
+    guide_.resize(m);
+    scale_ = static_cast<double>(m);
+    std::size_t i = 0;
+    for (std::size_t k = 0; k < m; ++k) {
+        const double edge = static_cast<double>(k) / scale_;
+        while (cdf_[i] < edge)
+            ++i;
+        guide_[k] = static_cast<std::uint32_t>(i);
+    }
+}
+
+namespace
+{
+
+/** Unnormalised Zipf weights 1 / (r + 1)^alpha over [0, n). */
+std::vector<double>
+zipfWeights(std::uint64_t n, double alpha)
 {
     if (n == 0)
         ramp_fatal("ZipfSampler needs at least one item");
     if (alpha < 0)
         ramp_fatal("ZipfSampler skew must be non-negative");
-    cdf_.resize(n);
-    double sum = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        sum += 1.0 / std::pow(static_cast<double>(i + 1), alpha);
-        cdf_[i] = sum;
-    }
-    for (auto &value : cdf_)
-        value /= sum;
-    cdf_.back() = 1.0;
+    std::vector<double> weights(n);
+    for (std::uint64_t i = 0; i < n; ++i)
+        weights[i] = 1.0 / std::pow(static_cast<double>(i + 1), alpha);
+    return weights;
+}
+
+} // namespace
+
+ZipfSampler::ZipfSampler(std::uint64_t n, double alpha)
+    : alpha_(alpha), table_(zipfWeights(n, alpha))
+{
 }
 
 std::uint64_t
 ZipfSampler::sample(Rng &rng) const
 {
-    const double u = rng.nextDouble();
-    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    return static_cast<std::uint64_t>(it - cdf_.begin());
+    return table_.lookup(rng.nextDouble());
 }
 
 double
 ZipfSampler::probability(std::uint64_t rank) const
 {
-    if (rank >= n_)
+    if (rank >= size())
         return 0.0;
-    const double prev = rank == 0 ? 0.0 : cdf_[rank - 1];
-    return cdf_[rank] - prev;
+    const double prev = rank == 0 ? 0.0 : table_.cdf(rank - 1);
+    return table_.cdf(rank) - prev;
 }
 
 } // namespace ramp

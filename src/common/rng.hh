@@ -11,6 +11,8 @@
 #ifndef RAMP_COMMON_RNG_HH
 #define RAMP_COMMON_RNG_HH
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -58,13 +60,63 @@ class Rng
 };
 
 /**
+ * Exact inverse CDF of a discrete distribution over [0, n).
+ *
+ * lookup(u) returns the smallest i with cdf(i) >= u, the index
+ * std::lower_bound returns, in O(1) expected steps: a guide table
+ * (Chen & Asau, 1974) of m >= n buckets holds, for bucket k, the first
+ * index whose CDF is >= k / m. The lookup starts at u's bucket and
+ * steps back or forward to the exact answer, so a bucket edge that
+ * u * m rounds across, or a flat run of zero-weight entries, never
+ * changes the result. The guide costs 4 B per entry.
+ */
+class CdfTable
+{
+  public:
+    /**
+     * Build from finite non-negative weights with a positive sum:
+     * cdf(i) = (w[0] + ... + w[i]) / sum, and cdf(n - 1) is exactly 1.
+     */
+    explicit CdfTable(std::vector<double> weights);
+
+    /** Smallest i with cdf(i) >= u, for u in [0, 1). */
+    std::size_t
+    lookup(double u) const
+    {
+        const auto bucket = static_cast<std::size_t>(u * scale_);
+        std::size_t i = guide_[std::min(bucket, guide_.size() - 1)];
+        while (i > 0 && cdf_[i - 1] >= u)
+            --i;
+        while (cdf_[i] < u)
+            ++i;
+        return i;
+    }
+
+    /** Number of entries n. */
+    std::size_t size() const { return cdf_.size(); }
+
+    /** Number of guide buckets m. */
+    std::size_t buckets() const { return guide_.size(); }
+
+    /** P(index <= i); nondecreasing, cdf(n - 1) == 1.0. */
+    double cdf(std::size_t i) const { return cdf_[i]; }
+
+  private:
+    std::vector<double> cdf_;
+    /** guide_[k] = first i with cdf_[i] >= k / m. */
+    std::vector<std::uint32_t> guide_;
+    /** m as a double, so a bucket is floor(u * scale_). */
+    double scale_;
+};
+
+/**
  * Zipf-distributed integer sampler over [0, n).
  *
  * Rank r is drawn with probability proportional to 1 / (r + 1)^alpha.
- * A precomputed inverse-CDF table gives O(log n) sampling; alpha = 0
- * degenerates to the uniform distribution. Used to synthesise the
- * skewed page-hotness populations the paper's placement policies rely
- * on.
+ * An exact inverse-CDF guide table (CdfTable) gives O(1) expected
+ * sampling; alpha = 0 degenerates to the uniform distribution. Used to
+ * synthesise the skewed page-hotness populations the paper's placement
+ * policies rely on.
  */
 class ZipfSampler
 {
@@ -76,7 +128,7 @@ class ZipfSampler
     std::uint64_t sample(Rng &rng) const;
 
     /** Number of items. */
-    std::uint64_t size() const { return n_; }
+    std::uint64_t size() const { return table_.size(); }
 
     /** Skew parameter. */
     double alpha() const { return alpha_; }
@@ -85,10 +137,8 @@ class ZipfSampler
     double probability(std::uint64_t rank) const;
 
   private:
-    std::uint64_t n_;
     double alpha_;
-    /** cdf_[i] = P(rank <= i); monotone, final entry 1.0. */
-    std::vector<double> cdf_;
+    CdfTable table_;
 };
 
 } // namespace ramp

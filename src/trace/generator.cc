@@ -131,8 +131,7 @@ generateTraces(const WorkloadSpec &spec, const WorkloadLayout &layout,
 
         // Collect this core's structure instances from the layout.
         std::vector<StructureState> states;
-        std::vector<double> weight_cdf;
-        double weight_sum = 0;
+        std::vector<double> weights;
         for (const auto &range : layout.ranges) {
             if (range.core != core)
                 continue;
@@ -147,13 +146,11 @@ generateTraces(const WorkloadSpec &spec, const WorkloadLayout &layout,
                 state.cursorLine =
                     rng.nextRange(st.pages * linesPerPage);
             states.push_back(std::move(state));
-            weight_sum += st.weight;
-            weight_cdf.push_back(weight_sum);
+            weights.push_back(st.weight);
         }
         if (states.empty())
             ramp_panic("core ", core, " has no structures in layout");
-        for (auto &weight : weight_cdf)
-            weight /= weight_sum;
+        const CdfTable structure_pick(std::move(weights));
 
         const auto requests = static_cast<std::uint64_t>(
             static_cast<double>(profile.requestsPerCore) *
@@ -165,11 +162,8 @@ generateTraces(const WorkloadSpec &spec, const WorkloadLayout &layout,
         trace.reserve(requests);
 
         for (std::uint64_t i = 0; i < requests; ++i) {
-            const double pick = rng.nextDouble();
-            const auto it = std::lower_bound(weight_cdf.begin(),
-                                             weight_cdf.end(), pick);
-            auto &state = states[static_cast<std::size_t>(
-                it - weight_cdf.begin())];
+            auto &state =
+                states[structure_pick.lookup(rng.nextDouble())];
 
             MemRequest req =
                 state.spec->pattern == AccessPattern::Zipf

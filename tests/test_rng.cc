@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -187,6 +190,132 @@ TEST(ZipfSampler, SingleItem)
     Rng rng(53);
     for (int i = 0; i < 10; ++i)
         EXPECT_EQ(zipf.sample(rng), 0u);
+}
+
+/**
+ * Check CdfTable::lookup against std::lower_bound at every point where
+ * an off-by-one could hide: each CDF entry and both its neighbours,
+ * each bucket edge k / m and both its neighbours, 0 and the largest
+ * double below 1. Returns "" or a description of the first mismatch.
+ */
+std::string
+lookupMismatch(const CdfTable &table)
+{
+    std::vector<double> cdf(table.size());
+    for (std::size_t i = 0; i < cdf.size(); ++i)
+        cdf[i] = table.cdf(i);
+    const double m = static_cast<double>(table.buckets());
+
+    std::vector<double> probes = {0.0, std::nextafter(1.0, 0.0)};
+    auto add = [&probes](double x) {
+        probes.push_back(x);
+        probes.push_back(std::nextafter(x, 0.0));
+        probes.push_back(std::nextafter(x, 2.0));
+    };
+    for (const double value : cdf)
+        add(value);
+    for (std::size_t k = 0; k < table.buckets(); ++k)
+        add(static_cast<double>(k) / m);
+
+    for (const double u : probes) {
+        if (!(u >= 0.0 && u < 1.0))
+            continue;
+        const auto expected = static_cast<std::size_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+        const std::size_t got = table.lookup(u);
+        if (got != expected) {
+            std::ostringstream out;
+            out << "u=" << std::hexfloat << u << " lookup " << got
+                << " lower_bound " << expected;
+            return out.str();
+        }
+    }
+    return "";
+}
+
+/**
+ * Weights whose prefix sums reproduce cdf exactly. Every entry must lie
+ * in [0.5, 1] and the last must be 1, so each difference and each
+ * running sum is exact (Sterbenz) and the table's cdf equals the input.
+ */
+std::vector<double>
+weightsOf(const std::vector<double> &cdf)
+{
+    std::vector<double> weights(cdf.size());
+    double prev = 0;
+    for (std::size_t i = 0; i < cdf.size(); ++i) {
+        weights[i] = cdf[i] - prev;
+        prev = cdf[i];
+    }
+    return weights;
+}
+
+TEST(CdfTable, LookupEqualsLowerBoundOnZipfCdfs)
+{
+    for (const std::size_t n : {1, 2, 3, 41, 1024, 65536})
+        for (const double alpha : {0.0, 0.2, 0.8, 1.5, 8.0}) {
+            std::vector<double> weights(n);
+            for (std::size_t i = 0; i < n; ++i)
+                weights[i] =
+                    1.0 / std::pow(static_cast<double>(i + 1), alpha);
+            const CdfTable table(weights);
+            ASSERT_EQ(table.size(), n);
+            ASSERT_GE(table.buckets(), n);
+            ASSERT_EQ(table.cdf(n - 1), 1.0);
+            EXPECT_EQ(lookupMismatch(table), "")
+                << "n=" << n << " alpha=" << alpha;
+        }
+}
+
+TEST(CdfTable, LookupEqualsLowerBoundWithFlatSteps)
+{
+    // Zero weights make flat runs: at the start, in the middle, across
+    // bucket edges and at the end (entries equal to 1.0).
+    Rng rng(61);
+    for (const std::size_t n : {4, 300, 1000, 4099}) {
+        std::vector<double> weights(n);
+        for (std::size_t i = 0; i < n; ++i)
+            weights[i] = rng.nextBool(0.6) ? 0.0
+                                           : 1.0 + rng.nextRange(4);
+        weights[0] = 0.0;
+        weights[n / 2] = 1.0;
+        weights[n - 1] = 0.0;
+        const CdfTable table(weights);
+        EXPECT_EQ(lookupMismatch(table), "") << "n=" << n;
+    }
+}
+
+TEST(CdfTable, LookupStepsBackAcrossARoundedBucketEdge)
+{
+    // With m = 300 buckets, u * m can round up to k for the double u
+    // just below k / m. Put CDF entries exactly there (and on the edge
+    // itself), so starting from bucket k overshoots the answer.
+    const std::size_t n = 300;
+    const double m = static_cast<double>(n);
+    std::vector<double> cdf;
+    std::size_t overshooting = 0;
+    for (std::size_t k = n / 2 + 1; k < n; ++k) {
+        const double edge = static_cast<double>(k) / m;
+        const double below = std::nextafter(edge, 0.0);
+        if (static_cast<std::size_t>(below * m) >= k)
+            ++overshooting;
+        cdf.push_back(below);
+        cdf.push_back(edge);
+    }
+    ASSERT_GT(overshooting, 0u);
+    cdf.resize(n, 1.0);
+    const CdfTable table(weightsOf(cdf));
+    ASSERT_EQ(table.buckets(), n);
+    for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(table.cdf(i), cdf[i]) << i;
+    EXPECT_EQ(lookupMismatch(table), "");
+}
+
+TEST(CdfTable, RejectsWeightsWithoutAPositiveSum)
+{
+    EXPECT_DEATH(CdfTable(std::vector<double>{}), "entries");
+    EXPECT_DEATH(CdfTable(std::vector<double>{0.0, 0.0}), "positive");
+    EXPECT_DEATH(CdfTable(std::vector<double>{1.0, -1.0}), "negative");
 }
 
 /** Property sweep: rank-0 mass matches theory across alphas. */
