@@ -30,6 +30,9 @@ struct Store
     std::vector<EventRecord> records;
     std::vector<std::string> runLabels{"unattributed"};
     std::unordered_map<std::string, std::uint32_t> runIds;
+    /** Next seq of each run id, so a label re-opened in a later
+     * scope continues its stream and (label, seq) stays a key. */
+    std::vector<std::uint32_t> runNextSeq{0};
 
     /** Records accepted (admission ticket; includes ring-pending). */
     std::atomic<std::uint64_t> recorded{0};
@@ -214,9 +217,12 @@ RunScope::RunScope(const std::string &label)
         auto [it, inserted] = s.runIds.try_emplace(
             label,
             static_cast<std::uint32_t>(s.runLabels.size()));
-        if (inserted)
+        if (inserted) {
             s.runLabels.push_back(label);
+            s.runNextSeq.push_back(0);
+        }
         context_.run = it->second;
+        context_.seq = s.runNextSeq[context_.run];
     }
     previous_ = currentContext;
     currentContext = &context_;
@@ -227,6 +233,9 @@ RunScope::~RunScope()
     if (!active_)
         return;
     currentContext = previous_;
+    Store &s = store();
+    std::lock_guard<std::mutex> lock(s.mutex);
+    s.runNextSeq[context_.run] = context_.seq;
 }
 
 TenantScope::TenantScope(std::uint32_t tenant)
@@ -447,16 +456,15 @@ toJsonl(const std::string &tool)
         std::lock_guard<std::mutex> lock(s.mutex);
         labels = s.runLabels;
     }
-    // Drain order interleaves runs as the pool scheduled them. A
-    // run is emitted by one thread, whose records drain in emission
-    // order, so a stable sort by label alone makes the file the same
-    // at any --jobs: each run in seq order, and a scope re-entered
-    // under one label (which restarts seq) in emission order.
-    std::ranges::stable_sort(records, {},
-                             [&](const EventRecord &record)
-                                 -> const std::string & {
-                                 return labels[record.run];
-                             });
+    // Drain order interleaves runs as the pool scheduled them, and
+    // a label re-opened in a later scope (on any thread) continues
+    // its seq, so sorting by (label, seq) makes the file the same at
+    // any --jobs: each label's records in emission order.
+    std::ranges::stable_sort(records, [&](const EventRecord &a,
+                                          const EventRecord &b) {
+        const int order = labels[a.run].compare(labels[b.run]);
+        return order != 0 ? order < 0 : a.seq < b.seq;
+    });
     return renderJsonl(tool, records, stats().dropped);
 }
 
@@ -479,6 +487,7 @@ reset()
     s.records.clear();
     s.runLabels.assign(1, "unattributed");
     s.runIds.clear();
+    s.runNextSeq.assign(1, 0);
     s.recorded.store(0, std::memory_order_relaxed);
     s.dropped.store(0, std::memory_order_relaxed);
     s.unscopedSeq.store(0, std::memory_order_relaxed);

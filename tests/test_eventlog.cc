@@ -111,6 +111,48 @@ TEST_F(EventlogTest, ScopesNestAndUnscopedIsRunZero)
     EXPECT_EQ(labels[4], "test/outer");
 }
 
+TEST_F(EventlogTest, ReopenedLabelContinuesItsSeq)
+{
+    // Two sequential scopes under one label (a service storm opens
+    // one per epoch), the second on another thread: seq runs 0..n-1
+    // across both, so (label, seq) is a key and the JSONL keeps the
+    // epochs in order.
+    const auto epoch = [](PageId base) {
+        eventlog::RunScope scope("svc/shard0/storm");
+        for (PageId page = base; page < base + 3; ++page)
+            eventlog::emit(placeRecord(page));
+    };
+    epoch(0);
+    {
+        eventlog::RunScope other("svc/shard1/storm");
+        eventlog::emit(placeRecord(99));
+    }
+    std::thread later(epoch, 10);
+    later.join();
+
+    std::vector<std::pair<PageId, std::uint32_t>> stream;
+    for (const auto &record : eventlog::collect())
+        if (eventlog::runLabel(record.run) == "svc/shard0/storm")
+            stream.emplace_back(record.page, record.seq);
+    std::ranges::sort(stream, {}, [](const auto &p) { return p.second; });
+    const std::vector<std::pair<PageId, std::uint32_t>> expected = {
+        {0, 0}, {1, 1}, {2, 2}, {10, 3}, {11, 4}, {12, 5}};
+    EXPECT_EQ(stream, expected);
+
+    std::istringstream in(eventlog::toJsonl("test_eventlog"));
+    std::string line;
+    std::getline(in, line); // header
+    std::vector<double> pages;
+    while (std::getline(in, line)) {
+        JsonValue doc;
+        std::string error;
+        ASSERT_TRUE(parseJson(line, doc, error)) << error;
+        if (doc.stringOr("run", "") == "svc/shard0/storm")
+            pages.push_back(doc.numberOr("page", -1));
+    }
+    EXPECT_EQ(pages, (std::vector<double>{0, 1, 2, 10, 11, 12}));
+}
+
 TEST_F(EventlogTest, CapacityCapsAndCountsDrops)
 {
     eventlog::setCapacity(5);
