@@ -439,19 +439,30 @@ TEST(BenchDiff, FlagsRegressionsDirectionally)
     EXPECT_TRUE(error.empty()) << error;
 
     bool wall_regressed = false, micro_regressed = false;
-    bool throughput_regressed = false;
     for (const auto &diff : diffs) {
         if (diff.name == "wall_seconds")
             wall_regressed = diff.regressed;
         if (diff.name == "micro.kernel.min_seconds")
             micro_regressed = diff.regressed;
-        // Counters unchanged over a doubled wall time: derived
-        // throughput halves, beyond the 40% threshold.
-        if (diff.name == "throughput.accesses_per_second")
-            throughput_regressed = diff.regressed;
     }
     EXPECT_TRUE(wall_regressed);
     EXPECT_TRUE(micro_regressed);
+
+    // Counters unchanged over a doubled wall time: a campaign's (no
+    // microbenchmark rows) derived throughput halves, beyond the
+    // threshold.
+    base_spec.microbenchmarks.clear();
+    slow_spec.microbenchmarks.clear();
+    JsonValue base_campaign, slow_campaign;
+    ASSERT_TRUE(parseJson(perf::renderBenchReport(base_spec),
+                          base_campaign, error));
+    ASSERT_TRUE(parseJson(perf::renderBenchReport(slow_spec),
+                          slow_campaign, error));
+    bool throughput_regressed = false;
+    for (const auto &diff : perf::compareBenchReports(
+             base_campaign, slow_campaign, DiffOptions{}, error))
+        if (diff.name == "throughput.accesses_per_second")
+            throughput_regressed = diff.regressed;
     EXPECT_TRUE(throughput_regressed);
 
     // A generous relax multiplier absorbs the same deltas.
@@ -529,18 +540,27 @@ TEST(BenchDiff, TwoXSlowdownFailsEveryFamilyUnderCiRelax)
     for (const Metric &metric : metrics)
         slot(base, metric) = metric.value;
 
+    // Run-level rates are gated only in documents without
+    // microbenchmark rows (a campaign's, not a suite's).
+    JsonValue campaign = base;
+    campaign.object.erase("microbenchmarks");
+
     const DiffOptions ci{.relax = 4.0, .families = {}};
     // factor > 1 moves the metric the bad way, < 1 the good way.
     for (const double factor : {2.0, 3.0, 10.0, 1.5, 0.5}) {
         for (const Metric &metric : metrics) {
             SCOPED_TRACE(std::string(metric.name) + " worse by " +
                          std::to_string(factor) + "x");
-            JsonValue cand = base;
+            const JsonValue &from =
+                metric.path.empty() || metric.path[0] != "throughput"
+                    ? base
+                    : campaign;
+            JsonValue cand = from;
             double &value = slot(cand, metric);
             value = metric.higherIsBetter ? value / factor
                                           : value * factor;
             const auto diffs =
-                perf::compareBenchReports(base, cand, ci, error);
+                perf::compareBenchReports(from, cand, ci, error);
             ASSERT_TRUE(error.empty()) << error;
             const perf::MetricDiff *diff = nullptr;
             for (const auto &d : diffs) {
@@ -677,6 +697,64 @@ TEST(BenchDiff, CandidateOnlyKernelIsReportedNotGated)
         }
         EXPECT_EQ(ungated, 1u);
     }
+}
+
+TEST(BenchDiff, MicroRowIsJudgedOneBandBeyondItsSlowestRun)
+{
+    // The baseline row's runs read minima from 8 ms to 14 ms (a
+    // bimodal kernel): under --relax 4 a 1.9x candidate (15.2 ms)
+    // passes, one band beyond the slow mode (16.1 ms) fails. A steady
+    // row keeps the relaxed band: its 1.9x fails, and so does 2x.
+    JsonValue base, cand;
+    std::string error;
+    ASSERT_TRUE(parseJson(perf::renderBenchReport(sampleSpec()),
+                          base, error));
+    const DiffOptions ci{.relax = 4.0, .families = {"micro."}};
+    const auto verdict = [&](double slowest, double factor) {
+        JsonValue b = base;
+        auto &row = b.object["microbenchmarks"].array[0].object;
+        if (slowest > 0) {
+            row["slowest_min_seconds"].kind = JsonValue::Kind::Number;
+            row["slowest_min_seconds"].number = slowest;
+        }
+        cand = base;
+        auto &crow = cand.object["microbenchmarks"].array[0].object;
+        crow["min_seconds"].number *= factor;
+        crow["items_per_second"].number /= factor;
+        const auto diffs = perf::compareBenchReports(b, cand, ci, error);
+        EXPECT_EQ(diffs.size(), 2u);
+        bool regressed = false;
+        for (const auto &d : diffs)
+            regressed = regressed || d.regressed;
+        return regressed;
+    };
+    EXPECT_FALSE(verdict(0.014, 1.9));
+    EXPECT_TRUE(verdict(0.014, 2.1));
+    EXPECT_TRUE(verdict(0.0, 1.9));
+    EXPECT_TRUE(verdict(0.0, 2.0));
+    // A slowest minimum below the committed one cannot tighten it.
+    EXPECT_FALSE(verdict(0.004, 1.7));
+}
+
+TEST(BenchDiff, SuiteDocumentsGateRowsNotRunLevelRates)
+{
+    // A suite's trials/s divides one kernel's items by every kernel's
+    // time, so a tenfold move of it is not judged; its rows are.
+    JsonValue base, cand;
+    std::string error;
+    ASSERT_TRUE(parseJson(perf::renderBenchReport(sampleSpec()),
+                          base, error));
+    auto &rate = numberSlot(base, {"throughput", "trials_per_second"});
+    ASSERT_GT(rate, 0.0);
+    cand = base;
+    numberSlot(cand, {"throughput", "trials_per_second"}) = rate / 10;
+    const DiffOptions ci{.relax = 4.0, .families = {}};
+    for (const auto &d : perf::compareBenchReports(base, cand, ci, error)) {
+        EXPECT_EQ(d.name.rfind("throughput.", 0), std::string::npos)
+            << d.name;
+        EXPECT_FALSE(d.regressed) << d.name;
+    }
+    ASSERT_TRUE(error.empty()) << error;
 }
 
 TEST(BenchDiff, WarnsOnlyWhenBothSidesNameDifferentCpus)
