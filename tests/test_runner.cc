@@ -80,6 +80,20 @@ TEST(TaskSeed, DeterministicAndDistinct)
     EXPECT_NE(runner::taskSeed(0, 0), 0u);
 }
 
+// Pinned values. Task k of campaign seed s is the SplitMix64 draw
+// from state s + k * golden gamma, so taskSeed(0, 0..2) is the
+// reference SplitMix64 stream from state 0. Any change to the
+// finalizer or the increment moves every per-task rng stream.
+TEST(TaskSeed, PinnedSplitMix64Values)
+{
+    EXPECT_EQ(runner::taskSeed(0, 0), 0xe220a8397b1dcdafULL);
+    EXPECT_EQ(runner::taskSeed(0, 1), 0x6e789e6aa1b965f4ULL);
+    EXPECT_EQ(runner::taskSeed(0, 2), 0x06c45d188009454fULL);
+    EXPECT_EQ(runner::taskSeed(42, 0), 0xbdd732262feb6e95ULL);
+    EXPECT_EQ(runner::taskSeed(42, 7), 0xccf635ee9e9e2fa4ULL);
+    EXPECT_EQ(runner::taskSeed(~0ULL, 1000), 0xb758f7144a7e200aULL);
+}
+
 TEST(ThreadPool, MapIndexCollectsInOrder)
 {
     ThreadPool pool(4);

@@ -86,6 +86,65 @@ TEST(ServiceRouting, HashIsDeterministicAndInRange)
     EXPECT_TRUE(moved);
 }
 
+// Pinned home shards: the routing hash is one SplitMix64 step of
+// (id ^ salt), so these move only if the finalizer changes.
+TEST(ServiceRouting, PinnedShardsOfTheDefaultSalt)
+{
+    const std::uint64_t salt = service::ServiceConfig{}.routingSalt;
+    EXPECT_EQ(service::shardOf(1, 1000003, salt), 227269u);
+    EXPECT_EQ(service::shardOf(2, 1000003, salt), 760245u);
+    EXPECT_EQ(service::shardOf(77, 1000003, salt), 6713u);
+    EXPECT_EQ(service::shardOf(12345, 1000003, salt), 382438u);
+}
+
+/** FNV-1a 64 over each request's addr, gap, core and isWrite. */
+std::uint64_t
+traceDigest(const std::vector<CoreTrace> &traces)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    auto mix = [&hash](std::uint64_t value, std::size_t bytes) {
+        for (std::size_t b = 0; b < bytes; ++b) {
+            hash ^= (value >> (8 * b)) & 0xff;
+            hash *= 0x100000001b3ULL;
+        }
+    };
+    for (const auto &trace : traces)
+        for (const auto &req : trace) {
+            mix(req.addr, sizeof req.addr);
+            mix(req.gap, sizeof req.gap);
+            mix(req.core, sizeof req.core);
+            mix(req.isWrite ? 1 : 0, 1);
+        }
+    return hash;
+}
+
+// Pinned digests of two tenant streams. Every draw of a stream is a
+// SplitMix64 step, so a change to the finalizer, the seeding or the
+// draw order moves them.
+TEST(ServiceTrace, GoldenTenantTraceDigests)
+{
+    service::TenantSpec a;
+    a.id = 1;
+    a.footprintPages = 256;
+    a.requests = 4096;
+    service::TenantSpec b;
+    b.id = 77;
+    b.footprintPages = 1000;
+    b.requests = 3001;
+    b.cores = 3;
+    b.zipfSkew = 0.3;
+    b.writeFraction = 0.6;
+    b.seed = 0xdeadbeef;
+    const std::uint64_t digest_a =
+        traceDigest(service::buildTenantTrace(a));
+    const std::uint64_t digest_b =
+        traceDigest(service::buildTenantTrace(b));
+    EXPECT_EQ(digest_a, 0x0a6f5fd08ed4a0deULL)
+        << std::hex << "digest 0x" << digest_a;
+    EXPECT_EQ(digest_b, 0x7cda3767fe8219eeULL)
+        << std::hex << "digest 0x" << digest_b;
+}
+
 TEST(ServiceRouting, PageNamespaceRoundTrips)
 {
     for (std::uint32_t id : {1u, 7u, 200u, 65535u}) {
