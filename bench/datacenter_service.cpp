@@ -77,8 +77,8 @@ parseServiceOptions(const std::vector<std::string> &positional)
         };
         const auto small_count = [&](const char *flag) {
             return static_cast<unsigned>(
-                perf::parseCountArg(tool, flag, value(flag), 0,
-                              std::numeric_limits<unsigned>::max()));
+                perf::parseCountArg(tool, flag, value(flag),
+                                    std::numeric_limits<unsigned>::max()));
         };
         if (arg == "--tenants") {
             options.tenants = count("--tenants");

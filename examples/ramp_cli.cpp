@@ -9,7 +9,6 @@
  *   run       <workload> <policy>  one placement/migration pass
  *   sweep     <workload>           hot-fraction frontier (Fig 1 style)
  *   faultsim  [stacked-factor]     FaultSim campaign for both memories
- *   trace     <workload> <file>    generate + save traces, then verify
  *
  * Policies: ddr-only perf rel balanced wr wr2 annotated
  *           perf-mig fc-mig cc-mig
@@ -217,27 +216,13 @@ cmdFaultsim(runner::ThreadPool &pool, double stacked_factor)
     return 0;
 }
 
-int
-cmdTrace(const std::string &workload, const std::string &path)
-{
-    const auto data = prepareWorkload(specFor(workload));
-    writeWorkloadTrace(path, data.traces);
-    const auto restored = readWorkloadTrace(path);
-    const auto stats = computeStats(restored);
-    std::cout << "wrote " << stats.requests << " requests ("
-              << restored.size() << " cores) to " << path
-              << "; verified round-trip, MPKI "
-              << TextTable::num(stats.mpki(), 1) << "\n";
-    return 0;
-}
-
 void
 usage()
 {
     std::cout
         << "usage: ramp_cli [flags] <command> [...]\n"
         << "  workloads | profile <wl> | run <wl> <policy> |\n"
-        << "  sweep <wl> | faultsim [factor] | trace <wl> <file>\n"
+        << "  sweep <wl> | faultsim [factor]\n"
         << runner::RunnerOptions::flagsHelp();
 }
 
@@ -268,8 +253,7 @@ main(int argc, char **argv)
             if (const auto factor =
                     readFinite(args.size() >= 2 ? args[1] : "3"))
                 rc = cmdFaultsim(harness.pool(), *factor);
-        } else if (command == "trace" && args.size() >= 3)
-            rc = cmdTrace(args[1], args[2]);
+        }
 
         if (rc < 0) {
             usage();

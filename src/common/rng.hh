@@ -19,6 +19,21 @@
 namespace ramp
 {
 
+/**
+ * One SplitMix64 step (Steele, Lea & Flood, 2014): advance `state`
+ * by the golden gamma and return its finalized value. It seeds Rng,
+ * draws the service's tenant streams, hashes tenants to shards and
+ * derives per-task seeds.
+ */
+inline std::uint64_t
+splitMix64(std::uint64_t &state)
+{
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
 /** xoshiro256** pseudo-random generator with convenience draws. */
 class Rng
 {

@@ -347,29 +347,6 @@ recordJson(const EventRecord &record)
             << tierName(record.dst) << "\", \"mode\": \""
             << faultDetailName(record.detail) << "\"";
         break;
-      case EventKind::Region:
-        out << ", \"region\": " << record.region
-            << ", \"page\": " << record.page
-            << ", \"span\": " << record.span
-            << ", \"moved\": " << record.moved
-            << ", \"action\": \""
-            << regionActionName(record.detail) << "\", \"src\": \""
-            << tierName(record.src) << "\", \"dst\": \""
-            << tierName(record.dst)
-            << "\", \"density\": " << number(record.hotness)
-            << ", \"avf\": " << number(record.avf)
-            << ", \"thresh_hot\": " << number(record.threshHot)
-            << ", \"thresh_risk\": " << number(record.threshRisk);
-        break;
-      case EventKind::RegionMerge:
-      case EventKind::RegionSplit:
-        out << ", \"region\": " << record.region
-            << ", \"page\": " << record.page
-            << ", \"span\": " << record.span
-            << ", \"partner\": " << record.partner
-            << ", \"density\": " << number(record.hotness)
-            << ", \"avf\": " << number(record.avf);
-        break;
       case EventKind::Inject:
         // `detail` is the injected FaultEventKind, `region` the
         // FaultSource, `span` the capacity pages lost (0 for page

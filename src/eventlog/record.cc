@@ -14,9 +14,6 @@ eventKindName(EventKind kind)
       case EventKind::SwapOut: return "swap-out";
       case EventKind::Epoch: return "epoch";
       case EventKind::Fault: return "fault";
-      case EventKind::Region: return "region";
-      case EventKind::RegionMerge: return "region-merge";
-      case EventKind::RegionSplit: return "region-split";
       case EventKind::Inject: return "inject";
       case EventKind::Retire: return "retire";
       case EventKind::Remap: return "remap";
@@ -44,7 +41,6 @@ policyIdName(PolicyId policy)
       case PolicyId::FcMigration: return "fc-migration";
       case PolicyId::CcMigration: return "cc-migration";
       case PolicyId::FaultSim: return "faultsim";
-      case PolicyId::RegionMigration: return "region-migration";
       case PolicyId::FaultInject: return "fault-inject";
       case PolicyId::Service: return "service";
     }
@@ -87,16 +83,6 @@ quadrantName(Quadrant quadrant)
       case Quadrant::ColdLowRisk: return "cold-low";
       case Quadrant::ColdHighRisk: return "cold-high";
     }
-    return "?";
-}
-
-const char *
-regionActionName(std::uint8_t detail)
-{
-    static const char *const names[] = {"none", "promote", "demote",
-                                        "pin", "place"};
-    if (detail < sizeof(names) / sizeof(names[0]))
-        return names[detail];
     return "?";
 }
 

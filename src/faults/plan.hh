@@ -4,7 +4,7 @@
  *
  * A plan is an ordered list of fault events to land on a live run,
  * keyed by injector epoch. The textual grammar keeps campaigns
- * reproducible and diffable, mirroring the RegionScheme grammar:
+ * reproducible and diffable:
  *
  *   plan  := event (';' event)*
  *   event := kind ':' field (',' field)*

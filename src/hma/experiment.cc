@@ -146,42 +146,6 @@ runWithEngine(const SystemConfig &config, const WorkloadData &data,
 }
 
 SimResult
-runRegionStatic(const SystemConfig &config, const WorkloadData &data,
-                StaticPolicy policy, const PageProfile &profile,
-                const RegionConfig &region_config)
-{
-    HmaSystem system(config);
-    auto result = system.run(
-        data.traces, data.compiled(),
-        buildRegionStaticPlacement(policy, profile, region_config,
-                                   config.hbmPages()));
-    result.label = std::string("region-") + policyName(policy);
-    return result;
-}
-
-SimResult
-runRegionDynamic(const SystemConfig &config, const WorkloadData &data,
-                 const PageProfile &profile,
-                 const RegionConfig &region_config,
-                 std::vector<RegionScheme> schemes)
-{
-    if (schemes.empty())
-        schemes = defaultRegionSchemes();
-    RegionMigrationEngine engine(config.fcIntervalCycles,
-                                 region_config, std::move(schemes));
-    engine.seedFromProfile(profile);
-    HmaSystem system(config);
-    auto result = system.run(
-        data.traces, data.compiled(),
-        buildRegionStaticPlacement(StaticPolicy::Balanced, profile,
-                                   region_config,
-                                   config.hbmPages()),
-        &engine);
-    result.label = engine.name();
-    return result;
-}
-
-SimResult
 runStaticFaulted(const SystemConfig &config, const WorkloadData &data,
                  StaticPolicy policy, const PageProfile &profile,
                  const InjectorConfig &faults)

@@ -24,7 +24,6 @@
 #include "faults/injector.hh"
 #include "hma/system.hh"
 #include "placement/policies.hh"
-#include "region/engine.hh"
 #include "trace/compiled.hh"
 #include "trace/generator.hh"
 #include "trace/workload.hh"
@@ -147,31 +146,6 @@ SimResult runWithEngine(const SystemConfig &config,
                         const WorkloadData &data,
                         MigrationEngine &engine,
                         const PageProfile &profile);
-
-/**
- * One static placement pass at region granularity: like
- * runStaticPolicy but the placement is built from profile-seeded
- * regions (buildRegionStaticPlacement). With
- * `region_config.maxRegions >= footprint` the placement — and so the
- * whole run — matches the page-mode pass.
- */
-SimResult runRegionStatic(const SystemConfig &config,
-                          const WorkloadData &data,
-                          StaticPolicy policy,
-                          const PageProfile &profile,
-                          const RegionConfig &region_config = {});
-
-/**
- * One dynamic pass under the region engine: a profile-seeded
- * RegionMonitor adapted each FC interval, with declarative schemes
- * (defaultRegionSchemes() when empty) emitting region batch moves.
- * Starts from the region-granular balanced placement.
- */
-SimResult runRegionDynamic(const SystemConfig &config,
-                           const WorkloadData &data,
-                           const PageProfile &profile,
-                           const RegionConfig &region_config = {},
-                           std::vector<RegionScheme> schemes = {});
 
 /**
  * runStaticPolicy under online fault injection: a fresh

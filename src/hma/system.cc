@@ -46,10 +46,6 @@ struct SystemTelemetry
         telemetry::metrics().histogram(
             "migration.epoch_gap_intervals",
             telemetry::FixedHistogram::linear(0, 32, 16));
-    telemetry::Counter &regionOps =
-        telemetry::metrics().counter("region.scheme_actions");
-    telemetry::Counter &regionPages =
-        telemetry::metrics().counter("region.scheme_pages");
     telemetry::Counter &faultsInjected =
         telemetry::metrics().counter("faults.injected");
     telemetry::Counter &faultsCorrectable =
@@ -280,67 +276,6 @@ HmaSystem::applyDecision(PlacementMap &map,
                          pageLineAddrs(map, page), MemoryId::HBM,
                          transfers);
     }
-
-    // Region batch ops (already ordered demotions-first by the
-    // scheme engine). Each op is one capacity-checked batch move and
-    // one ledger record, not N page decisions.
-    for (const RegionOp &op : decision.regionOps) {
-        if (op.action == RegionAction::None)
-            continue;
-        const MemoryId dst = op.action == RegionAction::Demote
-                                 ? MemoryId::DDR
-                                 : MemoryId::HBM;
-        const MemoryId src = dst == MemoryId::HBM ? MemoryId::DDR
-                                                  : MemoryId::HBM;
-        // Two-phase move: peek the movable set to capture source
-        // device addresses, batch-move, then capture destinations.
-        const auto movable =
-            map.movablePages(op.first, op.pages, dst);
-        std::vector<std::vector<Addr>> src_addrs;
-        src_addrs.reserve(movable.size());
-        for (const PageId page : movable)
-            src_addrs.push_back(pageLineAddrs(map, page));
-        const std::uint64_t moved =
-            map.moveRange(op.first, op.pages, dst);
-        for (std::size_t i = 0; i < movable.size(); ++i) {
-            const PageId page = movable[i];
-            if (dst == MemoryId::HBM)
-                run.enter(page, now);
-            else
-                run.leave(page, now);
-            scheduleTransfer(next_slot, src_addrs[i], src,
-                             pageLineAddrs(map, page), dst,
-                             transfers);
-        }
-        if (op.action == RegionAction::Pin)
-            map.pinRange(op.first, op.pages);
-        RAMP_OBS(Telemetry, {
-            auto &tel = systemTelemetry();
-            tel.regionOps.add(1);
-            tel.regionPages.add(moved);
-        });
-        RAMP_OBS(Events, {
-            eventlog::EventRecord record;
-            record.kind = eventlog::EventKind::Region;
-            record.policy = eventlog::PolicyId::RegionMigration;
-            record.epoch = now;
-            record.page = op.first;
-            record.partner = invalidPage;
-            record.region = op.region;
-            record.span = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(op.pages, UINT32_MAX));
-            record.moved = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(moved, UINT32_MAX));
-            record.detail = static_cast<std::uint8_t>(op.action);
-            record.src = eventlog::tierOf(src);
-            record.dst = eventlog::tierOf(dst);
-            record.hotness = op.density;
-            record.avf = op.avf;
-            record.threshHot = op.threshHot;
-            record.threshRisk = op.threshRisk;
-            eventlog::emit(record);
-        });
-    }
 }
 
 void
@@ -513,12 +448,13 @@ HmaSystem::applyFaultEpoch(FaultInjector &injector,
 
     // Phase 2: retry owed cross-tier remaps (backoff on failure).
     for (const PageId page : response.dueRemaps(epoch)) {
-        const auto movable =
-            map.movablePages(page, 1, MemoryId::HBM);
-        if (!movable.empty()) {
+        // The move's test, made before pageLineAddrs so that a
+        // failed retry allocates no frame.
+        if (map.hbmFreePages() > 0 && !map.isPinned(page) &&
+            map.memoryOf(page) == MemoryId::DDR) {
             const auto src_addrs = pageLineAddrs(map, page);
             map.moveRange(page, 1, MemoryId::HBM);
-            map.pinRange(page, 1);
+            map.pin(page);
             run.enter(page, now);
             scheduleTransfer(next_slot, src_addrs, MemoryId::DDR,
                              pageLineAddrs(map, page),
@@ -543,7 +479,7 @@ HmaSystem::applyFaultEpoch(FaultInjector &injector,
             if (response.backoff(page, epoch)) {
                 // Out of retries: the page stays where it landed,
                 // pinned, and the run is degraded.
-                map.pinRange(page, 1);
+                map.pin(page);
                 if (!response.degraded()) {
                     response.setDegraded();
                     RAMP_OBS(Telemetry, systemTelemetry()

@@ -186,8 +186,9 @@ class HmaSystem
     /**
      * The access loop a run with this engine and injector takes. The
      * perf, fc and cc engines get loops that call their slot hooks
-     * inline; any other engine (region schemes, PageId-only wrappers)
-     * gets the generic loop and its virtual onSlotAccess.
+     * inline; any other engine (a PageId-only wrapper such as
+     * perfbench's CountingEngine) gets the generic loop and its
+     * virtual onSlotAccess.
      */
     static LoopShape loopShape(const MigrationEngine *engine,
                                const FaultInjector *injector);

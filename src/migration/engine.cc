@@ -37,19 +37,6 @@ moveRecord(eventlog::EventKind kind, eventlog::PolicyId policy,
 
 } // namespace
 
-const char *
-regionActionName(RegionAction action)
-{
-    switch (action) {
-      case RegionAction::None: return "none";
-      case RegionAction::Promote: return "promote";
-      case RegionAction::Demote: return "demote";
-      case RegionAction::Pin: return "pin";
-      case RegionAction::Place: return "place";
-    }
-    return "?";
-}
-
 void
 MigrationEngine::beginRun(const PageIndex &pages)
 {

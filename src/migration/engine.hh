@@ -30,47 +30,6 @@
 namespace ramp
 {
 
-/** What a scheme asks to happen to a whole region. */
-enum class RegionAction : std::uint8_t
-{
-    None,
-    Promote, ///< move the span DDR -> HBM
-    Demote,  ///< move the span HBM -> DDR
-    Pin,     ///< promote, then pin where it lands
-    Place,   ///< initial bulk placement of the span
-};
-
-/** Stable lower-case spelling ("promote", "demote", ...). */
-const char *regionActionName(RegionAction action);
-
-/**
- * One region-granularity operation: a whole contiguous span moves
- * (or pins) as a single batch through PlacementMap::moveRange.
- */
-struct RegionOp
-{
-    /** First page of the span. */
-    PageId first = 0;
-
-    /** Page count of the span. */
-    std::uint64_t pages = 0;
-
-    /** Region index at decision time (for the ledger). */
-    std::uint32_t region = 0;
-
-    RegionAction action = RegionAction::None;
-
-    /** @{ @name Score inputs at decision time (for the ledger) */
-    float density = 0;
-    float avf = 0;
-    /** @} */
-
-    /** @{ @name Thresholds the decision compared against */
-    float threshHot = 0;
-    float threshRisk = 0;
-    /** @} */
-};
-
 /** Page moves an engine requests at an interval boundary. */
 struct MigrationDecision
 {
@@ -83,28 +42,16 @@ struct MigrationDecision
     /** Unpaired DDR -> HBM moves into free frames. */
     std::vector<PageId> promotions;
 
-    /**
-     * Region-granularity batch ops (empty in page mode). Applied in
-     * order after the page lists; the emitting scheme engine orders
-     * demotions first so they free capacity for the promotions.
-     */
-    std::vector<RegionOp> regionOps;
-
-    /** Total pages that cross the HMA (upper bound for regions). */
+    /** Total pages that cross the HMA. */
     std::uint64_t pagesMoved() const
     {
-        std::uint64_t moved = 2 * swaps.size() + evictions.size() +
-                              promotions.size();
-        for (const RegionOp &op : regionOps)
-            if (op.action != RegionAction::None)
-                moved += op.pages;
-        return moved;
+        return 2 * swaps.size() + evictions.size() + promotions.size();
     }
 
     bool empty() const
     {
         return swaps.empty() && evictions.empty() &&
-               promotions.empty() && regionOps.empty();
+               promotions.empty();
     }
 };
 

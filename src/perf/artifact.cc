@@ -31,14 +31,11 @@ badFlagValue(const char *tool, const char *flag, const char *need,
 
 std::uint64_t
 parseCountArg(const char *tool, const char *flag, const std::string &text,
-              std::uint64_t min, std::uint64_t max)
+              std::uint64_t max)
 {
     const auto value = readCount(text, max);
-    if (!value || *value < min)
-        badFlagValue(tool, flag,
-                     min > 0 ? "a positive integer"
-                             : "a non-negative integer",
-                     text);
+    if (!value)
+        badFlagValue(tool, flag, "a non-negative integer", text);
     return *value;
 }
 

@@ -32,12 +32,10 @@ const std::string &flagValue(const char *tool,
                                const char *need,
                                const std::string &text);
 
-/** Parse an integer flag value in [min, max] (min 0 or 1); else
- * exit via badFlagValue() with "a non-negative integer" ("a
- * positive integer" when min is 1). */
+/** Parse an integer flag value in [0, max]; else exit via
+ * badFlagValue() with "a non-negative integer". */
 std::uint64_t
 parseCountArg(const char *tool, const char *flag, const std::string &text,
-              std::uint64_t min = 0,
               std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
 /** Parse a finite positive flag value as a T (truncated when T is

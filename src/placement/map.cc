@@ -126,28 +126,6 @@ PlacementMap::promoteToHbm(PageId ddr_page)
     return true;
 }
 
-std::vector<PageId>
-PlacementMap::movablePages(PageId first, std::uint64_t pages,
-                           MemoryId dst) const
-{
-    std::vector<PageId> movable;
-    std::uint64_t budget =
-        dst == MemoryId::HBM ? hbmFreePages() : UINT64_MAX;
-    for (std::uint64_t i = 0; i < pages && budget > 0; ++i) {
-        const PageId page = first + i;
-        const auto it = entries_.find(page);
-        const MemoryId mem =
-            it == entries_.end() ? MemoryId::DDR : it->second.mem;
-        if (mem == dst ||
-            (it != entries_.end() && it->second.pinned))
-            continue;
-        movable.push_back(page);
-        if (dst == MemoryId::HBM)
-            --budget;
-    }
-    return movable;
-}
-
 std::uint64_t
 PlacementMap::moveRange(PageId first, std::uint64_t pages,
                         MemoryId dst)
@@ -183,40 +161,10 @@ PlacementMap::moveRange(PageId first, std::uint64_t pages,
     return moved;
 }
 
-std::uint64_t
-PlacementMap::placeRange(PageId first, std::uint64_t pages,
-                         MemoryId mem)
+void
+PlacementMap::pin(PageId page)
 {
-    std::uint64_t budget =
-        mem == MemoryId::HBM ? hbmFreePages() : UINT64_MAX;
-    std::uint64_t placed = 0;
-    for (std::uint64_t i = 0; i < pages && budget > 0; ++i) {
-        const PageId page = first + i;
-        if (entries_.find(page) != entries_.end())
-            continue; // already placed (or touched): leave it be
-        Entry &entry = entryOf(page);
-        entry.mem = mem;
-        if (mem == MemoryId::HBM) {
-            ++hbmUsed_;
-            --budget;
-        }
-        ++placed;
-    }
-    return placed;
-}
-
-std::uint64_t
-PlacementMap::pinRange(PageId first, std::uint64_t pages)
-{
-    std::uint64_t pinned = 0;
-    for (std::uint64_t i = 0; i < pages; ++i) {
-        Entry &entry = entryOf(first + i);
-        if (entry.pinned)
-            continue;
-        entry.pinned = true;
-        ++pinned;
-    }
-    return pinned;
+    entryOf(page).pinned = true;
 }
 
 RetireOutcome

@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "common/rng.hh"
 #include "prof/prof.hh"
 #include "runner/error.hh"
 #include "telemetry/telemetry.hh"
@@ -63,13 +64,11 @@ runInstrumented(const std::function<void(std::size_t)> &task,
 std::uint64_t
 taskSeed(std::uint64_t campaign_seed, std::uint64_t task_index)
 {
-    // SplitMix64 step (Steele et al.); the golden-gamma increment
-    // decorrelates adjacent task indices.
-    std::uint64_t z = campaign_seed + (task_index + 1) *
-                                          0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    // The (task_index + 1)-th SplitMix64 draw from the campaign
+    // seed: the golden-gamma steps decorrelate adjacent indices.
+    std::uint64_t state = campaign_seed + task_index *
+                                              0x9e3779b97f4a7c15ULL;
+    return splitMix64(state);
 }
 
 unsigned

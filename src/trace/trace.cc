@@ -1,40 +1,7 @@
 #include "trace/trace.hh"
 
-#include <cstring>
-#include <fstream>
-#include <istream>
-#include <ostream>
-
-#include "common/logging.hh"
-
 namespace ramp
 {
-
-namespace
-{
-
-constexpr std::uint32_t traceMagic = 0x52414d50; // "RAMP"
-constexpr std::uint32_t traceVersion = 1;
-
-template <typename T>
-void
-writePod(std::ostream &os, const T &value)
-{
-    os.write(reinterpret_cast<const char *>(&value), sizeof(T));
-}
-
-template <typename T>
-T
-readPod(std::istream &is)
-{
-    T value{};
-    is.read(reinterpret_cast<char *>(&value), sizeof(T));
-    if (!is)
-        ramp_fatal("trace stream truncated");
-    return value;
-}
-
-} // namespace
 
 double
 TraceStats::mpki() const
@@ -99,67 +66,6 @@ touchedPages(const std::vector<CoreTrace> &traces)
         for (const auto &req : trace)
             pages.insert(pageOf(req.addr));
     return pages;
-}
-
-void
-writeTrace(std::ostream &os, const CoreTrace &trace)
-{
-    writePod(os, static_cast<std::uint64_t>(trace.size()));
-    for (const auto &req : trace) {
-        writePod(os, req.addr);
-        writePod(os, req.gap);
-        writePod(os, req.core);
-        writePod(os, static_cast<std::uint8_t>(req.isWrite));
-    }
-}
-
-CoreTrace
-readTrace(std::istream &is)
-{
-    const auto count = readPod<std::uint64_t>(is);
-    CoreTrace trace;
-    trace.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        MemRequest req;
-        req.addr = readPod<Addr>(is);
-        req.gap = readPod<std::uint32_t>(is);
-        req.core = readPod<CoreId>(is);
-        req.isWrite = readPod<std::uint8_t>(is) != 0;
-        trace.push_back(req);
-    }
-    return trace;
-}
-
-void
-writeWorkloadTrace(const std::string &path,
-                   const std::vector<CoreTrace> &traces)
-{
-    std::ofstream os(path, std::ios::binary);
-    if (!os)
-        ramp_fatal("cannot open trace file for writing: ", path);
-    writePod(os, traceMagic);
-    writePod(os, traceVersion);
-    writePod(os, static_cast<std::uint32_t>(traces.size()));
-    for (const auto &trace : traces)
-        writeTrace(os, trace);
-}
-
-std::vector<CoreTrace>
-readWorkloadTrace(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        ramp_fatal("cannot open trace file for reading: ", path);
-    if (readPod<std::uint32_t>(is) != traceMagic)
-        ramp_fatal("bad trace magic in ", path);
-    if (readPod<std::uint32_t>(is) != traceVersion)
-        ramp_fatal("unsupported trace version in ", path);
-    const auto cores = readPod<std::uint32_t>(is);
-    std::vector<CoreTrace> traces;
-    traces.reserve(cores);
-    for (std::uint32_t i = 0; i < cores; ++i)
-        traces.push_back(readTrace(is));
-    return traces;
 }
 
 } // namespace ramp

@@ -1,14 +1,12 @@
 /**
  * @file
- * Trace containers, summary statistics, and binary trace I/O.
+ * Trace containers and summary statistics.
  */
 
 #ifndef RAMP_TRACE_TRACE_HH
 #define RAMP_TRACE_TRACE_HH
 
 #include <cstdint>
-#include <iosfwd>
-#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -46,22 +44,6 @@ TraceStats computeStats(const std::vector<CoreTrace> &traces);
 /** Set of distinct pages touched by a group of traces. */
 std::unordered_set<PageId>
 touchedPages(const std::vector<CoreTrace> &traces);
-
-/**
- * @{
- * @name Binary trace serialisation
- *
- * Simple length-prefixed little-endian format so generated traces can
- * be cached on disk and shared across harness runs. The format stores
- * a magic/version header followed by packed records.
- */
-void writeTrace(std::ostream &os, const CoreTrace &trace);
-CoreTrace readTrace(std::istream &is);
-
-void writeWorkloadTrace(const std::string &path,
-                        const std::vector<CoreTrace> &traces);
-std::vector<CoreTrace> readWorkloadTrace(const std::string &path);
-/** @} */
 
 } // namespace ramp
 

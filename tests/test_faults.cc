@@ -54,7 +54,7 @@ TEST(FaultPlan, ParsesAndRoundTrips)
     EXPECT_EQ(plan[3].pages, 16u);
 
     // format -> parse -> format is a fixed point (the canonical
-    // spelling), like the RegionScheme grammar.
+    // spelling).
     const std::string canonical = formatFaultPlan(plan);
     std::string error2;
     const auto reparsed = parseFaultPlan(canonical, error2);

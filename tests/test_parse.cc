@@ -3,7 +3,7 @@
  * Tests for the shared input parser (src/common/parse): the
  * spec-list tokenizer, the finite-number and count readers, every
  * grammar and flag reader built on them, and a round-trip property
- * over the fault-plan, health-rule and region-scheme grammars.
+ * over the fault-plan and health-rule grammars.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 #include "faults/plan.hh"
 #include "health/rules.hh"
 #include "perf/artifact.hh"
-#include "region/scheme.hh"
 #include "runner/error.hh"
 #include "runner/harness.hh"
 
@@ -159,9 +158,6 @@ TEST(MalformedInput, ExactMessageFromEveryGrammarAndFlagReader)
     const auto rules = [](const std::string &text) {
         return grammarError(health::parseHealthRules, text);
     };
-    const auto schemes = [](const std::string &text) {
-        return grammarError(parseRegionSchemes, text);
-    };
     const auto flag = [](const char *name) {
         return [name](const std::string &text) {
             return runnerError({"tool", name, text.c_str()});
@@ -252,23 +248,6 @@ TEST(MalformedInput, ExactMessageFromEveryGrammarAndFlagReader)
          "not slowdown"},
         {rules, "alert:shard_occupancy>0.5,shard=-1",
          "health rules: shard= must be non-negative"},
-        {schemes, "", "region scheme: no schemes in ''"},
-        {schemes, ";;", "region scheme: no schemes in ';;'"},
-        {schemes, "evict:hot",
-         "region scheme: unknown action 'evict' "
-         "(want promote|demote|pin)"},
-        {schemes, "promote:sideways",
-         "region scheme: unknown predicate 'sideways'"},
-        {schemes, "promote:hot,bogus",
-         "region scheme: unknown predicate 'bogus'"},
-        {schemes, "promote:pages>=x",
-         "region scheme: bad number in 'pages>=x'"},
-        {schemes, "promote:density>=-1",
-         "region scheme: bad number in 'density>=-1'"},
-        {schemes, "promote:quota=",
-         "region scheme: bad number in 'quota='"},
-        {schemes, "promote:avf<=-inf",
-         "region scheme: bad number in 'avf<=-inf'"},
         {flag("--jobs"), "zero",
          "--jobs needs a positive integer, got 'zero'"},
         {flag("--jobs"), "0", "--jobs needs a positive integer, got '0'"},
@@ -309,16 +288,6 @@ TEST(MalformedInput, ExactMessageFromEveryGrammarAndFlagReader)
          "health rules: bad number in 'tenant=inf'"},
         {rules, "warn:shard_occupancy>0.5,shard=2147483648",
          "health rules: bad number in 'shard=2147483648'"},
-        {schemes, "promote:pages>=nan",
-         "region scheme: bad number in 'pages>=nan'"},
-        {schemes, "promote:density>=inf",
-         "region scheme: bad number in 'density>=inf'"},
-        {schemes, "promote:avf<=nan",
-         "region scheme: bad number in 'avf<=nan'"},
-        {schemes, "promote:age>=1e10",
-         "region scheme: bad number in 'age>=1e10'"},
-        {schemes, "promote:quota=1e30",
-         "region scheme: bad number in 'quota=1e30'"},
         {flag("--jobs"), "4294967297",
          "--jobs needs a positive integer, got '4294967297'"},
         {flag("--pass-timeout"), "inf",
@@ -346,10 +315,6 @@ TEST(MalformedInput, ExactMessageFromEveryGrammarAndFlagReader)
                 ExitedWithCode(2),
                 usage("ramp_health: --rule needs a non-negative "
                       "integer, got 'abc'"));
-    EXPECT_EXIT(perf::parseCountArg("region_scale", "--pages", "0", 1),
-                ExitedWithCode(2),
-                usage("region_scale: --pages needs a positive integer, "
-                      "got '0'"));
     EXPECT_EXIT(perf::parsePositiveArg("bench_diff", "--relax", "0"),
                 ExitedWithCode(2),
                 usage("bench_diff: --relax needs a positive number, "
@@ -376,7 +341,7 @@ TEST(MalformedInput, ExactMessageFromEveryGrammarAndFlagReader)
                       "non-negative integer, got "
                       "'18446744073709551616'"));
     EXPECT_EXIT(perf::parseCountArg("datacenter_service", "--shards",
-                                    "4294967297", 0, 4294967295u),
+                                    "4294967297", 4294967295u),
                 ExitedWithCode(2),
                 usage("datacenter_service: --shards needs a "
                       "non-negative integer, got '4294967297'"));
@@ -465,31 +430,6 @@ randomRule(Rng &rng)
     return rule;
 }
 
-RegionScheme
-randomScheme(Rng &rng)
-{
-    RegionScheme scheme;
-    const RegionAction actions[] = {RegionAction::Promote,
-                                    RegionAction::Demote,
-                                    RegionAction::Pin};
-    scheme.action = actions[rng.nextRange(3)];
-    scheme.requireHot = rng.nextBool(0.3);
-    scheme.requireCold = rng.nextBool(0.3);
-    scheme.requireLowRisk = rng.nextBool(0.3);
-    scheme.requireHighRisk = rng.nextBool(0.3);
-    if (rng.nextBool(0.5))
-        scheme.minPages = count(rng);
-    if ((scheme.hasMinDensity = rng.nextBool(0.5)))
-        scheme.minDensity = decimal(rng, 0, 12);
-    if ((scheme.hasMaxAvf = rng.nextBool(0.5)))
-        scheme.maxAvf = decimal(rng, 0, 12);
-    if (rng.nextBool(0.5))
-        scheme.minAge = static_cast<std::uint32_t>(count(rng));
-    if (rng.nextBool(0.5))
-        scheme.quota = count(rng);
-    return scheme;
-}
-
 /**
  * format -> parse gives back the same structs and format is a fixed
  * point, for 500 random lists of 1-4 valid items.
@@ -561,8 +501,6 @@ TEST(SpecGrammars, FormatParseRoundTripProperty)
     checkRoundTrip<health::HealthRule>(rng, randomRule,
                                        health::parseHealthRules,
                                        health::formatHealthRules);
-    checkRoundTrip<RegionScheme>(rng, randomScheme, parseRegionSchemes,
-                                 formatRegionSchemes);
 
     checkRandomStrings(
         rng,
@@ -577,12 +515,6 @@ TEST(SpecGrammars, FormatParseRoundTripProperty)
                   "shard_occupancy>", "shard_degraded", ",for=",
                   ",tenant=", ",shard=", ">", "<", "alert:churn>"}),
         health::parseHealthRules, health::formatHealthRules);
-    checkRandomStrings(
-        rng,
-        alphabet({"promote:", "demote:", "pin:", "hot", "cold",
-                  "lowrisk", "highrisk", "pages>=", "density>=",
-                  "avf<=", "age>=", "quota=", "promote:density>="}),
-        parseRegionSchemes, formatRegionSchemes);
 }
 
 } // namespace

@@ -160,7 +160,7 @@ TEST_P(PlacementFuzzTest, HandlesTrackEveryOperation)
         const PageId a = rng.nextRange(universe);
         const PageId b = rng.nextRange(universe);
         const std::uint64_t span = 1 + rng.nextRange(8);
-        const std::uint64_t kind = rng.nextRange(10);
+        const std::uint64_t kind = rng.nextRange(9);
         SCOPED_TRACE(::testing::Message()
                      << "op " << op << " kind " << kind << " page "
                      << a);
@@ -206,13 +206,9 @@ TEST_P(PlacementFuzzTest, HandlesTrackEveryOperation)
             map.moveRange(a, span, random_tier());
             see_span(a, span);
             break;
-          case 8:
-            map.placeRange(a, span, random_tier());
-            see_span(a, span);
-            break;
           default:
-            map.pinRange(a, span);
-            see_span(a, span);
+            map.pin(a);
+            see(a);
             break;
         }
 

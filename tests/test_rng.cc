@@ -19,6 +19,18 @@ namespace ramp
 namespace
 {
 
+// The reference SplitMix64 stream from state 0 (Steele, Lea & Flood).
+// Rng seeding, the service's tenant streams and routing hash, and
+// runner::taskSeed all draw from this one function.
+TEST(SplitMix64, ReferenceValuesFromStateZero)
+{
+    std::uint64_t state = 0;
+    EXPECT_EQ(splitMix64(state), 0xe220a8397b1dcdafULL);
+    EXPECT_EQ(splitMix64(state), 0x6e789e6aa1b965f4ULL);
+    EXPECT_EQ(splitMix64(state), 0x06c45d188009454fULL);
+    EXPECT_EQ(state, 3 * 0x9e3779b97f4a7c15ULL);
+}
+
 TEST(Rng, DeterministicForSameSeed)
 {
     Rng a(42), b(42);

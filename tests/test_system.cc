@@ -14,7 +14,6 @@
 #include "faults/plan.hh"
 #include "hma/experiment.hh"
 #include "hma/system.hh"
-#include "region/engine.hh"
 #include "runner/pool.hh"
 #include "sim_fixtures.hh"
 
@@ -645,8 +644,6 @@ TEST(LoopShape, EachEngineKindGetsItsLoop)
     const auto perf = fixtures::makeKind(Kind::Perf);
     const auto fc = fixtures::makeKind(Kind::Fc);
     const auto cc = fixtures::makeKind(Kind::Cc);
-    RegionMigrationEngine region(1000, RegionConfig{},
-                                 defaultRegionSchemes());
     fixtures::PageIdOnly wrapped(*perf);
     FaultInjector injector(InjectorConfig{});
 
@@ -655,7 +652,6 @@ TEST(LoopShape, EachEngineKindGetsItsLoop)
         {perf.get(), LoopEngine::FullCounter},
         {fc.get(), LoopEngine::FullCounter},
         {cc.get(), LoopEngine::CrossCounter},
-        {&region, LoopEngine::Generic},
         {&wrapped, LoopEngine::Generic},
     };
     for (const auto &[engine, expected] : cases) {

@@ -1,13 +1,9 @@
 /**
  * @file
- * Tests for trace containers, statistics, and binary I/O
- * (src/trace/trace).
+ * Tests for trace containers and statistics (src/trace/trace).
  */
 
 #include <gtest/gtest.h>
-
-#include <cstdio>
-#include <filesystem>
 
 #include "trace/trace.hh"
 
@@ -62,37 +58,6 @@ TEST(TraceStats, TouchedPages)
     EXPECT_EQ(pages.size(), 2u);
     EXPECT_TRUE(pages.count(pageOf(0x1000)));
     EXPECT_TRUE(pages.count(pageOf(0x2000)));
-}
-
-TEST(TraceIo, RoundTripSingleTrace)
-{
-    std::stringstream buffer;
-    const auto original = sampleTrace();
-    writeTrace(buffer, original);
-    const auto restored = readTrace(buffer);
-    ASSERT_EQ(restored.size(), original.size());
-    for (std::size_t i = 0; i < original.size(); ++i) {
-        EXPECT_EQ(restored[i].addr, original[i].addr);
-        EXPECT_EQ(restored[i].gap, original[i].gap);
-        EXPECT_EQ(restored[i].core, original[i].core);
-        EXPECT_EQ(restored[i].isWrite, original[i].isWrite);
-    }
-}
-
-TEST(TraceIo, RoundTripWorkloadFile)
-{
-    const auto path =
-        std::filesystem::temp_directory_path() / "ramp_trace_test.bin";
-    std::vector<CoreTrace> traces = {sampleTrace(), CoreTrace{},
-                                     sampleTrace()};
-    traces[2][1].core = 2;
-    writeWorkloadTrace(path.string(), traces);
-    const auto restored = readWorkloadTrace(path.string());
-    ASSERT_EQ(restored.size(), 3u);
-    EXPECT_EQ(restored[0].size(), 3u);
-    EXPECT_TRUE(restored[1].empty());
-    EXPECT_EQ(restored[2][1].core, 2);
-    std::filesystem::remove(path);
 }
 
 TEST(MemRequest, InstructionsIncludesSelf)
